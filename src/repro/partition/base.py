@@ -148,11 +148,10 @@ def _plan_eval_enabled(config: RuntimeConfig | None = None) -> bool:
     """Whether this run opts into the compiled evaluator.
 
     The ``REPRO_PLAN_EVAL`` environment variable, when *set*, wins in
-    both directions (the sweep drivers flip it around pools of
-    already-imported workers, and CI forces the engine path with ``0``);
-    otherwise the :attr:`RuntimeConfig.plan_eval` field — populated by
-    the ``--plan-eval`` CLI flag — decides.  Read per call, not at
-    import.  Mirrors :func:`repro.sim.plan.plan_eval_enabled`.
+    both directions (CI forces the engine path with ``0``); otherwise
+    the :attr:`RuntimeConfig.plan_eval` field — populated by the
+    ``--plan-eval`` CLI flag, and per cell by the search driver —
+    decides.  Read per call, not at import; the variable's only reader.
     """
     env = os.environ.get("REPRO_PLAN_EVAL")
     if env is not None:

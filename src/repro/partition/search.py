@@ -11,12 +11,13 @@ fraction candidates is refined on a halving grid for a few rounds.
 Every candidate is one :class:`~repro.bench.harness.SweepCell`, so the
 search streams through the ordinary sweep backends (``jobs`` process
 pools, remote ``workers``) unchanged.  Plan evaluation is on by default
-(``plan_eval=True``; an already-set ``REPRO_PLAN_EVAL`` overrides):
-static candidates run through the compiled-plan evaluator
-(:mod:`repro.sim.plan`) — sync-free plans drain terminally, synced
-plans drain wave by wave — while dynamic candidates compile-fail and
-fall back to the general engine, so the result set is exact either way.
-The fallback counts ride back on the :class:`SearchResult`.
+(``plan_eval=True``, carried on each cell's ``RuntimeConfig``; an
+already-set ``REPRO_PLAN_EVAL`` overrides): static candidates run
+through the compiled-plan evaluator (:mod:`repro.sim.plan`), which
+drains each barrier-fenced epoch and the unfenced final one
+analytically, while dynamic candidates compile-fail and fall back to
+the general engine, so the result set is exact either way.  The
+fallback counts ride back on the :class:`SearchResult`.
 
 The search's contract with the seeds: the returned ``best`` is the
 minimum over a superset of the per-strategy default picks, so it is never
@@ -25,7 +26,6 @@ worse than the best single-strategy pick (``baseline``).
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -40,6 +40,7 @@ from repro.partition.base import (
     strategies_for_class,
 )
 from repro.platform.topology import Platform
+from repro.runtime.executor import RuntimeConfig
 
 #: SP families the fraction grid can drive (they honor ``gpu_fraction``)
 FRACTION_STRATEGIES = ("SP-Single", "SP-Unified", "SP-Varied")
@@ -244,6 +245,11 @@ def _evaluate(
     # deferred: repro.bench pulls in repro.core, which imports this package
     from repro.bench.harness import SweepCell, run_sweep
 
+    # the mode rides on each cell, so pool and remote workers get it from
+    # the pickled cell; a set REPRO_PLAN_EVAL still wins inside run_plan
+    runtime = RuntimeConfig(
+        cpu_threads=base_config.threads(platform), plan_eval=plan_eval
+    )
     cells = [
         SweepCell(
             app=app.name,
@@ -261,26 +267,14 @@ def _evaluate(
                     else base_config.task_count
                 ),
             ),
+            runtime_config=runtime,
         )
         for cand in candidates
     ]
-    # an already-set REPRO_PLAN_EVAL wins (same override contract as
-    # run_plan); otherwise the plan_eval argument decides for the sweep
-    # — pool workers inherit the environment either way
-    prior = os.environ.get("REPRO_PLAN_EVAL")
-    os.environ["REPRO_PLAN_EVAL"] = (
-        prior if prior is not None else ("1" if plan_eval else "0")
+    artifacts = run_sweep(
+        cells, jobs=jobs, workers=workers, fuse=fuse,
+        detail="summary", progress=progress,
     )
-    try:
-        artifacts = run_sweep(
-            cells, jobs=jobs, workers=workers, fuse=fuse,
-            detail="summary", progress=progress,
-        )
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_PLAN_EVAL", None)
-        else:
-            os.environ["REPRO_PLAN_EVAL"] = prior
     return [
         CandidateResult(
             candidate=cand,

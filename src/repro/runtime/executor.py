@@ -654,8 +654,8 @@ class _Run:
         A trailing barrier (no successors) is the program's exit sync:
         the thread team is torn down rather than restarted, so no
         quiescence is charged.  Shared by the event path below and the
-        plan evaluator's wave drain, which models barriers analytically
-        and must charge the identical float.
+        plan evaluator's drain, which models barriers analytically and
+        must charge the identical float.
         """
         return self.config.barrier_overhead_s if inst.succs else 0.0
 

@@ -44,10 +44,10 @@ small integer ``kind`` inside an inlined run loop:
     :meth:`schedule_call`: ``a0`` is a callable, ``a1`` its single
     argument, and the loop simply runs ``a0(a1)``.  The cross-resource
     generalization of ``_K_FINISH_BATCH``: where a stream event commits
-    one resource's run of rows, a call event anchors an entire
-    barrier-epoch *wave* whose rows were committed analytically by the
-    plan evaluator's wave drain — one heap tuple and one sequence
-    number stand in for every completion of the epoch.  Not
+    one resource's run of rows, a call event anchors an entire epoch
+    whose rows were committed analytically by the plan evaluator's
+    drain — one heap tuple and one sequence number stand in for every
+    completion of the epoch.  Not
     cancellable (no handle is allocated), which is what keeps it free.
 
 Because both engines drive the *same* executor and
@@ -293,8 +293,8 @@ class FastSimulator:
     ) -> None:
         """Schedule ``fn(arg)`` at ``time`` without allocating a handle.
 
-        The wave-drain anchor: one tuple and one sequence number for a
-        whole barrier epoch, mirroring the single ``sim.at`` closure the
+        The plan drain's anchor: one tuple and one sequence number for
+        a whole committed epoch, mirroring the single ``sim.at`` closure the
         oracle engine schedules for the same anchor — which keeps event
         interleaving identical across engines.  Not cancellable.
         """

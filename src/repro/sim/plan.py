@@ -1,4 +1,4 @@
-"""Compiled run-plans: static-plan lowering + vectorized wave/terminal drains.
+"""Compiled run-plans: static-plan lowering + one vectorized epoch drain.
 
 The schedule×partition search engine (:mod:`repro.partition.search`) needs
 orders of magnitude more simulated runs per second than the general
@@ -16,87 +16,69 @@ module gets there in two steps:
 * :class:`PlanEvaluator` runs the compiled plan through the **real**
   engine — ``_EvalRun`` subclasses the executor's ``_Run``, so memory
   coherence, transfers, barriers and trace lanes are exact by
-  construction — and adds a *terminal drain*: once no transfer is on the
-  wire, no barrier or write-back is pending, and the rest of the graph is
-  provably a set of per-resource back-to-back chains, the remaining
-  completions are computed in one shot with
-  :func:`repro.sim._vec.chain_bounds` (one 2-D ``cumsum`` across all
-  resource frontiers — the cross-resource generalization of the
-  single-stream ``_K_FINISH_BATCH`` path) instead of thousands of heap
-  events.  Under ``REPRO_NO_NUMPY=1`` the bounds come from the
-  bit-identical sequential fallback.
+  construction — and adds one *drain*.  Barriers split a static plan
+  into epochs: every instance up to the next barrier (the epoch's
+  *fence*), or up to the end of the program once no barrier is left (an
+  unfenced final epoch — a sync-free tail is just a final wave without a
+  closing barrier).  At every quiet point — no transfer on the wire, no
+  pending write-back, empty ready queue: after the first dispatch, when
+  a barrier completes (before its successors dispatch), and when the
+  wire count drops to zero — the evaluator tries to prove the rest of
+  the current epoch and commit it analytically.
 
 Exactness contract (enforced by
 ``tests/integration/test_plan_eval_differential.py``): in ``summary``
 detail the evaluated artifact's makespan, per-resource busy times and
 every other summary aggregate equal the general engine's bit-for-bit; in
 ``full`` detail the drain is disabled entirely, so artifacts are
-byte-identical trivially.  The drain only commits when a validation walk
-proves the engine would have produced the same timeline:
+byte-identical trivially.  The drain only commits when three gates —
+all pure, nothing is mutated until every one passes — prove the engine
+would have produced the same timeline:
 
-* every not-yet-done instance has a statically known resource, and every
-  unmet dependence of a remaining instance lives on the *same* resource
-  (so each resource's future is an independent FIFO chain — release order
-  equals the engine's sorted-successor dispatch order, and chains run
-  back-to-back with no idle gaps);
-* a shadow copy of the memory directory confirms every remaining read is
-  already resident in its target space (no transfers would be issued);
-* instances that face a synchronization point (and would issue eager
-  write-backs) write pairwise-disjoint regions, so replaying their
-  write-backs at their computed end times commutes with committing all
-  drained writes up front.
+* **G1 — FIFO chains**: every epoch instance has a static resource, its
+  unmet dependences are the opening barrier or instances on its own
+  resource, and its successors are on its own resource or are the
+  fence.  A Kahn walk in the engine's release order, seeded from each
+  resource's running head (or its ready roots when nothing runs), must
+  cover the epoch: each resource's future is then an independent chain
+  running back to back;
+* **G2 — residency**: a shadow-directory walk finds every read already
+  resident in its space, so no transfer would be issued.  One
+  exception: a chain with no running head and a single root that is
+  alone in its device space may fetch the missing ranges of its first
+  link, by plain host-to-device copies of host-valid data (its chain
+  then starts where those copies land);
+* **G3 — disjoint writes**: written regions are disjoint across chains
+  (chains sharing a memory space may overlap: their writes commute) and
+  write-back regions pairwise disjoint, so committing writes and
+  write-backs chain by chain commutes with the engine's completion
+  order.
 
-Applications that synchronize every iteration used to be the drain's
-accepted blind spot — pending barriers blocked it at all times, so
-per-iteration-sync programs (the paper's classes II–IV under forced-sync
-strategies) replayed every event through the engine.  The **wave drain**
-closes that gap: between two consecutive barriers a static plan is a
-sync-free sub-graph, so when a barrier completes the evaluator tries to
-prove and commit the *entire next epoch plus the following barrier*
-analytically, leaving a single anchor event at the epoch's end.  The
-wave gates (all pure — nothing is mutated until every gate passes):
+On success the commit replays the engine's exact arithmetic: the first
+links' fetches through real ``ensure`` calls, compute chains bounded by
+one :func:`repro.sim._vec.chain_bounds` cumsum across all chain anchors
+(a running head's end, the landing time of the chain's fetches, or
+``now``), rows bulk-appended with ``extend_rows``, the shadow directory
+swapped in, eager write-backs (a running head's included) and the
+fence's flush timed on per-link cursors, and one closure-free anchor
+event (``FastSimulator.schedule_call``).  With a fence the anchor fires
+at the modeled barrier completion — ``max(last chain end + quiescence
+overhead, flush lands, write-backs land)`` — and re-enters the drain
+for the next epoch, so a synced loop costs O(1) events per barrier.
+Without one it fires at ``max(last chain end, last write-back
+landing)``, so the final flush starts where the event loop would start
+it.  On top sits the steady-wave template: the first commit of each
+canonical wave class records its resolved transfer ops, and later waves
+of the class replay as a pure float recurrence (``_replay_waves``).
 
-* **W0 — quiet world**: no transfer on the wire, no pending write-back,
-  no other ready work, and a next barrier to hand the clock to;
-* **W1 — single layer**: every wave member's dependences are already
-  done (or are the completing barrier itself) — intra-wave edges fall
-  back to the engine;
-* **W2 — pure transfer prediction**: per member, the memory directory's
-  *pre-wave* missing sets must be satisfiable by plain host-to-device
-  copies (the host copy is coherent after the barrier flush, so no
-  device-to-host staging may be needed), and members sharing a resource
-  must be fully resident — this predicts, without mutating, exactly the
-  transfers the engine's ``ensure`` calls would issue at dispatch;
-* **W3 — one member per device space**: cross-member wire hazards and
-  link-order ambiguity cannot arise, and each D2H channel has at most
-  one eager-write-back source;
-* **W4 — disjoint writes**: written regions are pairwise disjoint
-  across members, so committing writes/write-backs in instance-id order
-  commutes with the engine's completion-time order;
-* **W5 — fenced successors**: each member's only successor is the next
-  barrier (strategies adding extra edges fall back to the engine).
-
-On success the commit replays the engine's exact arithmetic: real
-``ensure``/``write``/``writeback``/``flush_to_host`` directory calls in
-dispatch order, transfer ops timed on a per-link cursor, compute chains
-bounded by one :func:`repro.sim._vec.chain_bounds` cumsum across all
-resources, rows bulk-appended with ``extend_rows``, and the modeled
-barrier's completion — ``max(last compute + quiescence overhead, flush
-lands, write-back lands)`` — scheduled as one closure-free anchor event
-(``FastSimulator.schedule_call``, the cross-resource generalization of
-the ``_K_FINISH_BATCH`` stream commit).  Wave after wave then drains
-through anchor recursion, O(1) events per barrier epoch.
-
-When any gate fails the wave simply does not commit and the run
-continues on the ordinary event loop — still exact, just slower.  The
-fallback ladder is therefore: wave drain (synced epochs) → terminal
-drain (sync-free tails) → general event loop (everything else), each
-rung bit-identical to the one below it by construction.
+When a gate fails nothing has been mutated and the run continues on the
+ordinary event loop — still exact, just slower; the next quiet point
+tries again.  Under ``REPRO_NO_NUMPY=1`` the chain bounds come from the
+bit-identical sequential fallback.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections import deque
 from dataclasses import dataclass, replace
@@ -109,14 +91,13 @@ from repro.runtime.schedulers.base import StaticScheduler
 from repro.sim import _vec
 from repro.sim.engine import PRIORITY_COMPLETION
 
-#: do not bother draining tails smaller than this — the validation walk
-#: has a fixed cost the event loop beats on tiny remainders
-DRAIN_MIN_INSTANCES = 24
-
 #: process-wide drain telemetry.  The search driver snapshots this around
 #: a sweep to surface silent engine fallbacks (a compile-failed or
 #: gate-failed plan still runs, identically, just slower) instead of
-#: letting them masquerade as slow candidates.
+#: letting them masquerade as slow candidates.  ``waves_drained`` counts
+#: fenced epoch commits, ``terminal_drains`` unfenced ones, and
+#: ``wave_fallbacks`` fenced epochs refused when their opening barrier
+#: completed.
 _STATS = {
     "evaluations": 0,
     "waves_drained": 0,
@@ -143,15 +124,6 @@ def record_compile_error() -> None:
     _STATS["compile_errors"] += 1
 
 
-def plan_eval_enabled() -> bool:
-    """Whether ``run_plan`` should route static plans through the evaluator.
-
-    Read per call (like the engine seam's ``REPRO_NO_FAST_ENGINE``), so
-    tests and the search driver can flip ``REPRO_PLAN_EVAL`` at any point.
-    """
-    return os.environ.get("REPRO_PLAN_EVAL", "0") in ("1", "true", "on")
-
-
 @dataclass(frozen=True)
 class CompiledPlan:
     """One static plan lowered to flat per-instance arrays.
@@ -159,33 +131,32 @@ class CompiledPlan:
     ``durations``/``resource_ids``/``writeback_flags`` are indexed by
     ``instance_id`` (barrier slots hold ``0.0``/``None``/``False``).
     ``drainable`` is precomputed: every compute instance's resource is
-    statically known, so the terminal drain may even be attempted.
+    statically known, so the drain may even be attempted.
 
-    ``succs_sorted``/``region_rows``/``cross_deps`` are the drain walk's
-    per-instance lookups hoisted to compile time: successor ids in the
-    engine's release order, flat ``(region, reads, writes)`` rows, and
-    the (usually empty) dependences that live on a *different* resource
-    — the only ones the drain's gate 1 must re-check at runtime.
+    ``succs_sorted``/``reads_of``/``writes_of``/``cross_deps`` are the
+    drain walk's per-instance lookups hoisted to compile time: successor
+    ids in the engine's release order, the regions read and written, and
+    the dependences that live on a *different* resource (barriers
+    included) — the only ones gate G1 must re-check at runtime.
     ``kernel_names``/``los``/``his``/``sizes`` are the drain commit's
     trace-row columns, precomputed so the bulk lane extend never touches
     instance property descriptors.
 
-    ``wave_members`` maps each barrier's instance id to the compute
-    instances of the epoch *after* it (program order = id order), and
-    ``wave_next`` to the id of the barrier fencing that epoch — the wave
-    drain's O(1) epoch-advance tables.  The final (unfenced) epoch has
-    no ``wave_next`` entry and is left to the terminal drain.
+    ``epochs[k]`` holds the compute instances of epoch ``k`` in program
+    order (= id order) and ``fences[k]`` the id of the barrier closing
+    it; epoch 0 runs up to the first barrier and the last epoch is
+    unfenced (``fences[-1] is None``).
 
-    ``wave_sig`` maps a barrier to its wave's *isomorphism class*: two
+    ``epoch_sig`` maps an epoch to its wave's *isomorphism class*: two
     waves share a signature id exactly when their members agree
-    position-by-position on resource, duration, region rows (by shared
-    identity), write-back flag, and trace columns, and every member is
-    canonically fenced (sole dep = the leading barrier, sole successor =
-    the trailing barrier).  Consecutive same-signature waves resolve to
+    position-by-position on resource, duration, read and write regions
+    (by shared identity), write-back flag, and trace columns, and every
+    member is canonically fenced (sole dep = the opening barrier, sole
+    successor = the fence).  Consecutive same-signature waves resolve to
     identical transfer programs once the directory state is periodic
     (see ``_EvalRun._replay_waves``), which is what lets the steady part
-    of a synced loop commit without re-running the gates.  Waves with a
-    non-canonical fence get no entry.
+    of a synced loop commit without re-running the gates.  Only epochs
+    with both an opening barrier and a fence can get an entry.
     """
 
     graph: object
@@ -198,15 +169,16 @@ class CompiledPlan:
     n_compute: int
     n_barriers: int
     succs_sorted: tuple
-    region_rows: tuple
+    reads_of: tuple
+    writes_of: tuple
     cross_deps: tuple
     kernel_names: tuple
     los: tuple
     his: tuple
     sizes: tuple
-    wave_members: dict
-    wave_next: dict
-    wave_sig: dict
+    epochs: tuple
+    fences: tuple
+    epoch_sig: dict
 
 
 def compile_plan(
@@ -324,10 +296,12 @@ def compile_plan(
                     writeback_flags[i] = writes
 
     # hoist the drain walk's per-instance lookups: release order,
-    # region rows (shared per signature, like the executor's memo), and
-    # the statically-known cross-resource dependences
+    # regions read and written (shared per signature, like the
+    # executor's memo), and the statically-known cross-resource
+    # dependences
     succs_sorted: list = [()] * n
-    region_rows: list = [()] * n
+    reads_of: list = [()] * n
+    writes_of: list = [()] * n
     cross_deps: list = [()] * n
     kernel_names: list = [None] * n
     los: list = [0] * n
@@ -351,11 +325,12 @@ def compile_plan(
         rkey = (id(kernel), inst.lo, inst.hi, inst.invocation.n)
         rows = rows_memo.get(rkey)
         if rows is None:
-            rows = rows_memo[rkey] = tuple(
-                (region, mode.reads, mode.writes)
-                for region, mode in inst.regions()
+            regions = list(inst.regions())
+            rows = rows_memo[rkey] = (
+                tuple(region for region, mode in regions if mode.reads),
+                tuple(region for region, mode in regions if mode.writes),
             )
-        region_rows[i] = rows
+        reads_of[i], writes_of[i] = rows
         rid = resource_ids[i]
         crossing = tuple(
             dep for dep in inst.deps if resource_ids[dep] != rid
@@ -363,52 +338,48 @@ def compile_plan(
         if crossing:
             cross_deps[i] = crossing
 
-    # wave tables: one pass over program order groups each barrier with
-    # the epoch it releases and the next barrier fencing that epoch
-    wave_members: dict[int, tuple] = {}
-    wave_next: dict[int, int] = {}
-    prev_barrier: int | None = None
+    # epoch tables: one pass over program order splits it at every
+    # barrier; the final epoch runs to the end of the program unfenced
+    epochs: list[tuple] = []
+    fences: list = []
     epoch: list[int] = []
     for inst in graph.instances:
         if inst.is_barrier:
-            if prev_barrier is not None:
-                wave_members[prev_barrier] = tuple(epoch)
-                wave_next[prev_barrier] = inst.instance_id
-            prev_barrier = inst.instance_id
+            epochs.append(tuple(epoch))
+            fences.append(inst.instance_id)
             epoch = []
-        elif prev_barrier is not None:
+        else:
             epoch.append(inst.instance_id)
-    if prev_barrier is not None:
-        # the unfenced final epoch: members recorded for completeness,
-        # but no wave_next entry — the terminal drain owns this tail
-        wave_members[prev_barrier] = tuple(epoch)
+    epochs.append(tuple(epoch))
+    fences.append(None)
 
     # wave isomorphism classes: fenced waves whose members agree on
     # every compiled column get one signature id, keyed so the steady
     # interior of a synced loop (identical iterations) collapses to a
     # single class the runtime can template
-    wave_sig: dict[int, int] = {}
+    epoch_sig: dict[int, int] = {}
     sig_ids: dict[tuple, int] = {}
     inst_by_id = graph.instances
-    for b_id, nxt_id in wave_next.items():
-        members = wave_members[b_id]
+    for k in range(1, len(epochs) - 1):
+        members = epochs[k]
         if not members:
             continue
-        nxt_only = (nxt_id,)
+        opening = fences[k - 1]
+        fence_only = (fences[k],)
         canonical = True
         cols = []
         for i in members:
             deps = inst_by_id[i].deps
-            if len(deps) != 1 or tuple(deps)[0] != b_id:
+            if len(deps) != 1 or tuple(deps)[0] != opening:
                 canonical = False
                 break
-            if succs_sorted[i] != nxt_only:
+            if succs_sorted[i] != fence_only:
                 canonical = False
                 break
             cols.append((
-                resource_ids[i], durations[i], id(region_rows[i]),
-                writeback_flags[i], kernel_names[i], los[i], his[i],
-                sizes[i],
+                resource_ids[i], durations[i], id(reads_of[i]),
+                id(writes_of[i]), writeback_flags[i], kernel_names[i],
+                los[i], his[i], sizes[i],
             ))
         if not canonical:
             continue
@@ -416,7 +387,7 @@ def compile_plan(
         sig = sig_ids.get(key)
         if sig is None:
             sig = sig_ids[key] = len(sig_ids)
-        wave_sig[b_id] = sig
+        epoch_sig[k] = sig
 
     return CompiledPlan(
         graph=graph,
@@ -429,15 +400,16 @@ def compile_plan(
         n_compute=n_compute,
         n_barriers=n_barriers,
         succs_sorted=tuple(succs_sorted),
-        region_rows=tuple(region_rows),
+        reads_of=tuple(reads_of),
+        writes_of=tuple(writes_of),
         cross_deps=tuple(cross_deps),
         kernel_names=tuple(kernel_names),
         los=tuple(los),
         his=tuple(his),
         sizes=tuple(sizes),
-        wave_members=wave_members,
-        wave_next=wave_next,
-        wave_sig=wave_sig,
+        epochs=tuple(epochs),
+        fences=tuple(fences),
+        epoch_sig=epoch_sig,
     )
 
 
@@ -474,41 +446,40 @@ class PlanEvaluator:
         return run.go(detail=detail)
 
 
-class _DrainTail:
-    """Replays one drained instance's eager write-back at its end time."""
-
-    __slots__ = ("run", "inst", "space")
-
-    def __init__(self, run, inst, space):
-        self.run = run
-        self.inst = inst
-        self.space = space
-
-    def __call__(self) -> None:
-        self.run._drain_writeback(self.inst, self.space)
-
-
-def _noop() -> None:
-    """Clock anchor: advances ``sim.now`` to the drained chains' last end."""
-
-
-class _WaveAnchor:
-    """Oracle-engine wave anchor: fires the modeled barrier's completion.
+class _EpochAnchor:
+    """Oracle-engine drain anchor: closes one committed epoch.
 
     The fast engine schedules the anchor through its closure-free
     ``schedule_call``; the oracle :class:`~repro.sim.engine.Simulator`
     gets this slotted equivalent so both consume exactly one sequence
-    number per wave.
+    number per commit.
     """
 
-    __slots__ = ("run", "inst")
+    __slots__ = ("run", "fence")
 
-    def __init__(self, run, inst):
+    def __init__(self, run, fence):
         self.run = run
-        self.inst = inst
+        self.fence = fence
 
     def __call__(self) -> None:
-        self.run._mark_done(self.inst)
+        self.run._close_epoch(self.fence)
+
+
+def _any_overlap(rows: list) -> bool:
+    """Whether two ``(array, start, end)`` rows overlap
+    (``Region.overlaps`` semantics): one sort, then a sweep per array."""
+    rows.sort()
+    array_name = None
+    reach = 0
+    for arr, start, end in rows:
+        if arr != array_name:
+            array_name, reach = arr, end
+            continue
+        if start < reach:
+            return True
+        if end > reach:
+            reach = end
+    return False
 
 
 class _EvalRun(_Run):
@@ -523,14 +494,11 @@ class _EvalRun(_Run):
         # dicts and exact event interleaving make the artifact
         # byte-identical to the general engine with zero special cases
         self._drain_enabled = detail == "summary" and compiled.drainable
-        self._drained = False
-        self._drain_retry = True
         self._wires = 0
-        self._undone = compiled.n_compute
-        self._barriers_left = compiled.n_barriers
-        self._waves_drained = 0
-        self._waves_replayed = 0
-        self._wave_fallbacks = 0
+        #: the current epoch and how many of its compute instances the
+        #: engine has not completed yet (0 once a drain committed it)
+        self._epoch = 0
+        self._epoch_undone = len(compiled.epochs[0])
         #: steady-wave templates, keyed by signature: after one
         #: fully-gated commit of a wave, later waves of the same
         #: isomorphism class replay as a pure float recurrence (see
@@ -538,7 +506,7 @@ class _EvalRun(_Run):
         #: alternate between two classes every iteration
         self._tmpls: dict[int, tuple] = {}
         host_id = platform.host.device_id
-        #: resource id -> memory space, shared by both drains
+        #: resource id -> memory space
         self._space_of: dict[str, str] = {
             r.resource_id: (
                 HOST_SPACE if r.device.device_id == host_id
@@ -552,18 +520,18 @@ class _EvalRun(_Run):
             r.resource_id: deque() for r in self.resources
         }
 
-    # -- engine hooks (exact behavior preserved, counters added) ---------
+    # -- engine hooks: exact behavior preserved, quiet points added ------
 
     def go(self, *, detail: str = "full") -> RunArtifact:
-        # mirrors _Run.go with one extra drain attempt once the initial
-        # dispatch wave has settled (all-host plans never transfer, so
-        # the wire counter alone would never trigger it)
+        # mirrors _Run.go with one extra quiet point once the initial
+        # dispatch has settled (all-host plans never transfer, so no wire
+        # transition would ever offer one)
         self.scheduler.start(self.graph, self._ctx())
         for inst in self.graph.instances:
             if self.remaining[inst.instance_id] == 0:
                 self.ready.append(inst)
         self._pump()
-        self._maybe_drain()
+        self._drain_if_quiet()
         self.sim.run(max_events=self.config.max_events)
         if len(self.done) != len(self.graph.instances):
             stuck = [
@@ -607,12 +575,10 @@ class _EvalRun(_Run):
         )
 
     def _complete_compute(self, args):
-        if self._drained:
-            # an absorbed head: its writes and bookkeeping were committed
-            # at drain time; only a pending eager write-back remains
-            inst = args[0]
-            if self._compiled.writeback_flags[inst.instance_id]:
-                self._drain_writeback(inst, args[2])
+        inst = args[0]
+        if inst.instance_id in self.done:
+            # a running head a drain absorbed: its writes, write-back and
+            # bookkeeping were committed with its epoch
             return
         self._res_dispatched[args[1].resource_id].popleft()
         self._complete(*args)
@@ -624,177 +590,240 @@ class _EvalRun(_Run):
     def _transfer_done(self, xfer) -> None:
         self._wires -= 1
         super()._transfer_done(xfer)
-        if self._wires == 0 and not self._drained:
-            self._drain_retry = True
-            self._maybe_drain()
+        if not self._wires:
+            self._drain_if_quiet()
 
     def _mark_done(self, inst) -> None:
-        if inst.is_barrier:
-            # a completing barrier fences a fresh epoch: try to commit
-            # the whole wave analytically before the engine dispatches it
-            if self._try_wave(inst):
-                return
-            self._barriers_left -= 1
+        if not inst.is_barrier:
+            self._epoch_undone -= 1
             super()._mark_done(inst)
-            # the last barrier's wave has now been pumped; for transfer-free
-            # tails (Only-CPU loops) no wire transition will ever re-arm
-            if not self._barriers_left and not self._drained and not self._wires:
-                self._drain_retry = True
-                self._maybe_drain()
-        else:
-            self._undone -= 1
-            super()._mark_done(inst)
+            return
+        # a completing barrier opens the next epoch: book it done, then
+        # give the drain its chance before the successors dispatch
+        self.done.add(inst.instance_id)
+        remaining = self.remaining
+        succs = sorted(inst.succs)
+        for succ in succs:
+            remaining[succ] -= 1
+        compiled = self._compiled
+        self._epoch += 1
+        k = self._epoch
+        self._epoch_undone = len(compiled.epochs[k])
+        if self._drain_enabled and self._epoch_undone:
+            fence = compiled.fences[k]
+            if self._quiet():
+                # steady state: a recorded template replays the whole
+                # stretch of isomorphic waves, no gates, no directory
+                if compiled.epoch_sig.get(k) in self._tmpls:
+                    self._replay_waves()
+                    return
+                if self._try_drain(fence):
+                    return
+            if fence is not None:
+                # the engine replays this wave exactly, just slower
+                _STATS["wave_fallbacks"] += 1
+        instances = self.graph.instances
+        for succ in succs:
+            if not remaining[succ]:
+                self.ready.append(instances[succ])
+        self._pump()
 
-    # -- the wave drain --------------------------------------------------
+    # -- the drain ---------------------------------------------------------
 
-    def _wave_fallback(self) -> bool:
-        """Count one gate failure; the engine replays the epoch exactly."""
-        self._wave_fallbacks += 1
-        _STATS["wave_fallbacks"] += 1
-        return False
+    def _quiet(self) -> bool:
+        """No transfer on the wire, no pending write-back, nothing ready."""
+        return not (self._wires or self._pending_writebacks or self.ready)
 
-    def _try_wave(self, barrier) -> bool:
-        """Commit the epoch after ``barrier`` analytically, or refuse.
+    def _drain_if_quiet(self) -> None:
+        if self._drain_enabled and self._epoch_undone and self._quiet():
+            self._try_drain(self._compiled.fences[self._epoch])
 
-        Called when ``barrier`` completes, *before* the engine pumps its
-        successors.  On success the whole inter-barrier wave — member
-        transfers, compute chains, eager write-backs, and the next
-        barrier's flush/quiescence — is committed as trace rows plus one
-        anchor event at the modeled barrier's completion time; the
-        anchor recursively re-enters this method, draining wave after
-        wave with O(1) events per epoch.  On refusal nothing has been
-        mutated and the caller falls through to the ordinary event
-        path.
+    def _try_drain(self, fence) -> bool:
+        """Commit the rest of the current epoch analytically, or refuse.
+
+        ``fence`` is the id of the barrier closing the epoch, or ``None``
+        for the unfenced final epoch.  Called at quiet points only.  On
+        success every undone epoch instance — running heads included —
+        is committed as trace rows, directory state, modeled write-backs
+        and (with a fence) the fence's modeled flush, plus one anchor
+        event; with a fence the anchor completes it, re-entering the
+        drain for the next epoch.  On refusal nothing has been mutated
+        and the engine carries on.
         """
         compiled = self._compiled
-        b_id = barrier.instance_id
-        nxt_id = compiled.wave_next.get(b_id)
-        members = compiled.wave_members.get(b_id)
-        if (
-            nxt_id is None
-            or not members
-            or not self._drain_enabled
-            or self._drained
-        ):
-            # not a provable wave by construction (full detail, final
-            # epoch, empty epoch) — not counted as a gate fallback
+        done = self.done
+        remaining = self.remaining
+        rids = compiled.resource_ids
+        cross_deps = compiled.cross_deps
+        succs_sorted = compiled.succs_sorted
+        res_dispatched = self._res_dispatched
+
+        # G1 — FIFO chains.  Static resources are guaranteed by
+        # ``drainable``; the cross-resource dependence set is static, so
+        # only those need the done check (the opening barrier is done)
+        dispatched: set[int] = set()
+        for dq in res_dispatched.values():
+            for inst in dq:
+                dispatched.add(inst.instance_id)
+        indeg: dict[int, int] = {}
+        roots: dict[str, list] = {}
+        for i in compiled.epochs[self._epoch]:
+            if i in done or i in dispatched:
+                continue
+            for dep in cross_deps[i]:
+                if dep not in done:
+                    return False
+            left = remaining[i]
+            indeg[i] = left
+            if not left:
+                roots.setdefault(rids[i], []).append(i)
+        # per-resource Kahn walk in FIFO readiness order — the exact
+        # order the engine dispatches: a completion releases successors
+        # in sorted id order behind whatever already queues there
+        chains: dict[str, list] = {}
+        chained = 0
+        for rid, dq in res_dispatched.items():
+            work = deque(inst.instance_id for inst in dq)
+            work.extend(roots.get(rid, ()))
+            if not work:
+                continue
+            chain: list = []
+            while work:
+                i = work.popleft()
+                chain.append(i)
+                for succ in succs_sorted[i]:
+                    left = indeg.get(succ)
+                    if left is None:
+                        if succ != fence:
+                            return False  # successor beyond the epoch
+                        continue
+                    left -= 1
+                    indeg[succ] = left
+                    if not left:
+                        work.append(succ)
+            chains[rid] = chain
+            chained += len(chain)
+        if chained != len(indeg) + len(dispatched):
             return False
 
-        # -- gates: all pure, nothing mutated until every one passes ------
-        # W0: quiet world — no wire traffic, write-backs, or ready work
-        if self._wires or self._pending_writebacks or self.ready:
-            return self._wave_fallback()
-
-        # steady-state fast path: a recorded template for this wave's
-        # signature replays the whole remaining stretch of isomorphic
-        # waves as a float recurrence — no gates, no directory walks
-        sig = compiled.wave_sig.get(b_id)
-        if sig is not None and sig in self._tmpls:
-            return self._replay_waves(barrier)
-
-        done = self.done
-        instances = self.graph.instances
-        rids = compiled.resource_ids
-        succs_sorted = compiled.succs_sorted
-        region_rows = compiled.region_rows
-        space_of = self._space_of
-        nxt_only = (nxt_id,)
-
-        res_members: dict[str, list] = {}
-        seen_spaces: set[str] = set()
-        for i in members:
-            rid = rids[i]
-            if rid is None:
-                return self._wave_fallback()
-            # W1: single layer — intra-wave edges fall back to the engine
-            for dep in instances[i].deps:
-                if dep != b_id and dep not in done:
-                    return self._wave_fallback()
-            # W5: fenced successors — the next barrier and nothing else
-            if succs_sorted[i] != nxt_only:
-                return self._wave_fallback()
-            group = res_members.get(rid)
-            if group is None:
-                res_members[rid] = [i]
-                space = space_of[rid]
-                # W3: at most one member per non-host device space
-                if space != HOST_SPACE:
-                    if space in seen_spaces:
-                        return self._wave_fallback()
-                    seen_spaces.add(space)
-            else:
-                group.append(i)
-
-        # W2: pure transfer prediction against the pre-wave directory —
-        # host members must be fully resident (the engine would otherwise
-        # stage device flushes), device members may only need plain
-        # host-to-device copies, and members sharing a resource must not
-        # transfer at all (their FIFO chain anchors at the barrier time)
-        valid = self.memory._valid
-        for rid, group in res_members.items():
-            space = space_of[rid]
-            shared = len(group) > 1
-            if space == HOST_SPACE:
-                for i in group:
-                    for region, reads, _writes in region_rows[i]:
-                        if reads and not valid[region.array][
-                            HOST_SPACE
-                        ].contains(region.start, region.end):
-                            return self._wave_fallback()
-            else:
-                for i in group:
-                    for region, reads, _writes in region_rows[i]:
-                        if not reads:
-                            continue
-                        missing = valid[region.array][space].missing(
-                            region.start, region.end
-                        )
-                        if not missing:
-                            continue
-                        if shared:
-                            return self._wave_fallback()
-                        host = valid[region.array][HOST_SPACE]
-                        for lo, hi in missing:
-                            if not host.contains(lo, hi):
-                                # would stage a d2h flush first; ensure()
-                                # could then mutate before a later bail
-                                return self._wave_fallback()
-
-        # W4: written regions pairwise disjoint across members, so the
-        # id-order commit below commutes with completion-order writes
-        write_rows: list = []
-        for i in members:
-            for region, _reads, writes in region_rows[i]:
-                if writes:
-                    write_rows.append((i, region))
-        for a in range(len(write_rows) - 1):
-            ia, ra = write_rows[a]
-            for ib, rb in write_rows[a + 1:]:
-                if ia != ib and ra.overlaps(rb):
-                    return self._wave_fallback()
-
-        # steady-wave capture: with invalidating barriers every wave
-        # starts from the canonical post-flush directory state (host
-        # fully valid, devices empty), so the transfer ops resolved in
-        # the commit below repeat verbatim for every later wave of this
-        # signature — record them once so _replay_waves can skip the
-        # gates and the directory entirely from the next wave on
-        record = (
-            sig is not None and self.config.barrier_invalidates_devices
-        )
-        p1_ops: dict | None = {} if record else None
-        wb_log: list | None = [] if record else None
-
-        # -- commit: replay the engine's arithmetic analytically ----------
-        sim = self.sim
-        t0 = sim.now
+        # G2 — residency: shadow-directory walk, chain by chain; writes
+        # are applied along the way so later links see earlier results
         memory = self.memory
-        durations = compiled.durations
-        kernel_names = compiled.kernel_names
-        los = compiled.los
-        his = compiled.his
-        sizes = compiled.sizes
+        real = memory._valid
+        spaces = tuple(memory._spaces)
+        space_of = self._space_of
+        reads_of = compiled.reads_of
+        writes_of = compiled.writes_of
         flags = compiled.writeback_flags
+        shadow: dict[tuple, object] = {}
+        shadow_get = shadow.get
+
+        def shadow_entry(arr, sp):
+            key = (arr, sp)
+            entry = shadow_get(key)
+            if entry is None:
+                entry = shadow[key] = real[arr][sp].copy()
+            return entry
+
+        device_spaces: set[str] = set()
+        fetchers: set[str] = set()
+        #: (chain, per-array shadow ops) of every device chain, for G3
+        device_walks: list = []
+        wb_rows: list = []
+        # device chains walk first: a later write in another space then
+        # evicts an overlapping device write from its shadow, which G3
+        # detects (writes within one space commute, so host chains may
+        # overlap each other)
+        for rid in sorted(chains, key=lambda r: space_of[r] == HOST_SPACE):
+            chain = chains[rid]
+            space = space_of[rid]
+            may_fetch = False
+            if space != HOST_SPACE:
+                # one chain per device space: its link channels carry no
+                # other chain's transfers, so per-link cursors are exact
+                if space in device_spaces:
+                    return False
+                device_spaces.add(space)
+                may_fetch = (
+                    not res_dispatched[rid] and len(roots[rid]) == 1
+                )
+            others = tuple(sp for sp in spaces if sp != space)
+            # per-array bound methods of this chain's shadow entries:
+            # one dict hit per region instead of tuple-keyed lookups
+            readers: dict = {}
+            writers: dict = {}
+            for i in chain:
+                # dispatch already ensured the reads of running heads
+                if i not in dispatched:
+                    for region in reads_of[i]:
+                        arr = region.array
+                        entry = readers.get(arr)
+                        if entry is None:
+                            entry = readers[arr] = shadow_entry(arr, space)
+                        if entry.contains(region.start, region.end):
+                            continue
+                        if not may_fetch or i != chain[0]:
+                            return False
+                        # the first link's fetch: plain h2d copies, at
+                        # dispatch, of ranges the pre-epoch host holds
+                        # (no d2h staging), exactly what ensure() issues
+                        host = real[arr][HOST_SPACE]
+                        for lo, hi in entry.missing(region.start,
+                                                    region.end):
+                            if not host.contains(lo, hi):
+                                return False
+                        entry.add(region.start, region.end)
+                        fetchers.add(rid)
+                for region in writes_of[i]:
+                    arr = region.array
+                    ops = writers.get(arr)
+                    if ops is None:
+                        entry = shadow_entry(arr, space)
+                        ops = writers[arr] = (
+                            entry.add,
+                            tuple(
+                                shadow_entry(arr, sp).remove
+                                for sp in others
+                            ),
+                            entry.contains,
+                        )
+                    start, end = region.start, region.end
+                    ops[0](start, end)
+                    for remove in ops[1]:
+                        remove(start, end)
+                    if flags[i]:
+                        wb_rows.append((arr, start, end))
+            if space != HOST_SPACE:
+                device_walks.append((chain, writers))
+
+        # G3 — disjoint writes: every device write survived the walk, so
+        # no chain in another space wrote over it; write-backs pairwise
+        # disjoint
+        for chain, writers in device_walks:
+            for i in chain:
+                for region in writes_of[i]:
+                    if not writers[region.array][2](region.start,
+                                                    region.end):
+                        return False
+        if _any_overlap(wb_rows):
+            return False
+
+        # -- commit: the engine provably produces these chains ------------
+        sim = self.sim
+        now = sim.now
+        k = self._epoch
+        sig = compiled.epoch_sig.get(k)
+        # steady-wave capture (see _build_template): only a wave
+        # committed whole from its opening barrier resolves the ops a
+        # later isomorphic wave will resolve again
+        record = (
+            sig is not None
+            and not dispatched
+            and self.config.barrier_invalidates_devices
+        )
+        p1_ops: dict = {}
+        wb_log: list = []
+        durations = compiled.durations
         links = self.links
         lanes = self.transfer_lanes
         transfer_bytes = self.transfer_bytes
@@ -822,136 +851,147 @@ class _EvalRun(_Run):
                     land = end
             return land
 
-        # phase 1 — reads: real ensure() calls in dispatch order (the
-        # gates guarantee they emit only the predicted h2d copies); a
-        # lone member's chain anchors where its last transfer lands,
-        # shared-resource members chain FIFO from the barrier time
+        # chain anchors: a running head's row is its lane's last staged
+        # append, so its end is the exact float the pending completion
+        # carries; a fetching chain starts where its copies land (real
+        # ensure() calls for the ops — the shadow already holds their
+        # effect); anything else starts now
+        heads: list[int] = []
         t0s: list[float] = []
         rows: list[array] = []
-        order = list(res_members)
-        for rid in order:
-            group = res_members[rid]
-            space = space_of[rid]
-            anchor = t0
-            if len(group) == 1:
-                i = group[0]
-                ops: list = []
-                for region, reads, _writes in region_rows[i]:
-                    if reads:
-                        ops.extend(memory.ensure(region, space))
-                if ops:
-                    anchor = model_ops(ops, t0)
+        for rid, chain in chains.items():
+            head = 1 if res_dispatched[rid] else 0
+            heads.append(head)
+            if head:
+                t0s.append(self.compute_lanes[rid].ends[-1])
+            elif rid in fetchers:
+                space = space_of[rid]
+                ops = []
+                for region in reads_of[chain[0]]:
+                    ops.extend(memory.ensure(region, space))
+                t0s.append(model_ops(ops, now))
                 if record:
                     p1_ops[rid] = tuple(ops)
             else:
-                for i in group:
-                    for region, reads, _writes in region_rows[i]:
-                        if reads:
-                            memory.ensure(region, space)
-            t0s.append(anchor)
-            rows.append(array("d", [durations[j] for j in group]))
+                t0s.append(now)
+            rows.append(array("d", [durations[i] for i in chain[head:]]))
 
-        # compute chains: one cumsum across every resource frontier,
+        # compute chains: one cumsum across every chain anchor,
         # bulk-appended per lane (bit-identical scalar fallback inside)
         bounds = _vec.chain_bounds(t0s, rows)
-        member_end: dict[int, float] = {}
-        t_ready = t0
-        for rid, b in zip(order, bounds):
-            group = res_members[rid]
-            names = [kernel_names[j] for j in group]
-            self.compute_lanes[rid].extend_rows(
-                b[:-1],
-                b[1:],
-                str_args=names,
-                args_a=[los[j] for j in group],
-                args_b=[his[j] for j in group],
-                args_c=list(group),
-                sizes=[sizes[j] for j in group],
-                kernels=names,
-            )
-            for idx, j in enumerate(group):
-                member_end[j] = float(b[idx + 1])
-            last = float(b[len(group)])
+
+        # every drained write lands at once; write-backs then resolve
+        # against the final state, which equals the state at each
+        # writer's completion: flagged writers belong to the epoch's last
+        # invocation, and G3 keeps their regions disjoint
+        for (arr, sp), entry in shadow.items():
+            real[arr][sp] = entry
+
+        kernel_names = compiled.kernel_names
+        los = compiled.los
+        his = compiled.his
+        sizes = compiled.sizes
+        t_ready = now
+        wb_land = now
+        for (rid, chain), head, b in zip(chains.items(), heads, bounds):
+            ids = chain[head:]
+            if ids:
+                names = [kernel_names[i] for i in ids]
+                self.compute_lanes[rid].extend_rows(
+                    b[:-1],
+                    b[1:],
+                    str_args=names,
+                    args_a=[los[i] for i in ids],
+                    args_b=[his[i] for i in ids],
+                    args_c=ids,
+                    sizes=[sizes[i] for i in ids],
+                    kernels=names,
+                )
+            last = float(b[-1])
             if last > t_ready:
                 t_ready = last
+            # eager write-backs go on the wire when their link's compute
+            # ends (chain order = issue order on this space's channels)
+            space = space_of[rid]
+            for idx, i in enumerate(chain):
+                if not flags[i]:
+                    continue
+                end_i = float(b[idx + 1 - head])
+                for region in writes_of[i]:
+                    ops = memory.writeback(region, space)
+                    if ops:
+                        if record:
+                            wb_log.append((i, tuple(ops)))
+                        land = model_ops(ops, end_i)
+                        if land > wb_land:
+                            wb_land = land
 
-        # phase 2 — writes and eager write-backs in id order (W4 makes
-        # this commute with the engine's completion order); write-back
-        # ops go on the wire when their member's compute ends
-        wb_land = t0
-        for i in members:
-            space = space_of[rids[i]]
-            rows_i = region_rows[i]
-            for region, _reads, writes in rows_i:
-                if writes:
-                    memory.write(region, space)
-            if flags[i]:
-                end_i = member_end[i]
-                for region, _reads, writes in rows_i:
-                    if writes:
-                        ops = memory.writeback(region, space)
-                        if ops:
-                            if record:
-                                wb_log.append((i, tuple(ops)))
-                            land = model_ops(ops, end_i)
-                            if land > wb_land:
-                                wb_land = land
-
-        # the modeled barrier: flush at the last compute's end, overhead
-        # in parallel, completion once write-backs have landed too —
-        # exactly the engine's _BarrierArm + _wb_waiters semantics
-        nxt = instances[nxt_id]
-        flush_ops = memory.flush_to_host(
-            invalidate=self.config.barrier_invalidates_devices
-        )
-        t_done = t_ready + self._barrier_overhead(nxt)
-        if flush_ops:
-            land = model_ops(flush_ops, t_ready)
-            if land > t_done:
-                t_done = land
+        # the modeled fence: flush at the last compute's end, overhead in
+        # parallel, completion once write-backs have landed too — exactly
+        # the engine's _BarrierArm + _wb_waiters semantics
+        flush_ops: list = []
+        t_done = t_ready
+        if fence is not None:
+            flush_ops = memory.flush_to_host(
+                invalidate=self.config.barrier_invalidates_devices
+            )
+            t_done += self._barrier_overhead(self.graph.instances[fence])
+            if flush_ops:
+                land = model_ops(flush_ops, t_ready)
+                if land > t_done:
+                    t_done = land
+            _STATS["waves_drained"] += 1
+        else:
+            _STATS["terminal_drains"] += 1
         if wb_land > t_done:
             t_done = wb_land
 
-        # bookkeeping: super()._mark_done minus the ready-list appends —
-        # every release the members would have triggered is the modeled
-        # barrier, which completes through the anchor instead
-        remaining = self.remaining
-        done.add(b_id)
-        self._barriers_left -= 1
-        for succ in barrier.succs:
-            remaining[succ] -= 1
-        for i in members:
-            done.add(i)
-            remaining[nxt_id] -= 1
-        self._undone -= len(members)
-        self._waves_drained += 1
-        _STATS["waves_drained"] += 1
+        # bookkeeping: every chain member is done; a running head still
+        # completes through its own pending event (see _complete_compute)
+        # and the occupations queued behind it are the bulk rows above
+        for rid, chain in chains.items():
+            done.update(chain)
+            dq = res_dispatched[rid]
+            if dq:
+                self.inflight[rid] -= len(dq)
+                dq.clear()
+                self.sim_resources[rid]._queue.clear()
+        self._epoch_undone = 0
 
-        # one closure-free anchor event per wave; both engines consume
-        # exactly one sequence number here
-        schedule_call = getattr(sim, "schedule_call", None)
-        if schedule_call is not None:
-            schedule_call(t_done, self._mark_done, nxt)
-        else:
-            sim.at(t_done, _WaveAnchor(self, nxt),
-                   priority=PRIORITY_COMPLETION)
+        self._schedule_anchor(t_done, fence)
         if record:
-            self._build_template(sig, members, res_members, p1_ops,
+            self._build_template(sig, compiled.epochs[k], chains, p1_ops,
                                  wb_log, flush_ops)
         return True
 
-    def _build_template(self, sig, members, res_members, p1_ops, wb_log,
+    def _schedule_anchor(self, time: float, fence) -> None:
+        """One closure-free event closing a committed epoch at ``time``;
+        both engines consume exactly one sequence number here."""
+        schedule_call = getattr(self.sim, "schedule_call", None)
+        if schedule_call is not None:
+            schedule_call(time, self._close_epoch, fence)
+        else:
+            self.sim.at(time, _EpochAnchor(self, fence),
+                        priority=PRIORITY_COMPLETION)
+
+    def _close_epoch(self, fence) -> None:
+        """Anchor target: the modeled fence completes.  The unfenced
+        final epoch has none; its anchor only advances the clock."""
+        if fence is not None:
+            self._mark_done(self.graph.instances[fence])
+
+    def _build_template(self, sig, members, chains, p1_ops, wb_log,
                         flush_ops) -> None:
         """Freeze this wave's resolved commit into a replayable template.
 
         Everything a wave commit touches is reduced to plain tuples:
-        per-group member positions, duration chains, and trace-row
+        per-chain member positions, duration chains, and trace-row
         columns, plus the resolved transfer ops as ``(lane_key, link,
         duration, nbytes, direction, array, lo, hi)`` rows.  Validity
-        rests on the canonical post-flush state (see ``_try_wave``'s
-        capture comment): an invalidating barrier wipes device residency
-        and revalidates the host, so an isomorphic wave resolves ensure,
-        write-back, and flush ops to exactly these rows again.
+        rests on the canonical post-flush state: an invalidating barrier
+        wipes device residency and revalidates the host, so an
+        isomorphic wave resolves ensure, write-back, and flush ops to
+        exactly these rows again.
         """
         compiled = self._compiled
         durations = compiled.durations
@@ -976,15 +1016,15 @@ class _EvalRun(_Run):
         groups = tuple(
             (
                 rid,
-                tuple(pos_of[i] for i in group),
-                tuple(durations[i] for i in group),
+                tuple(pos_of[i] for i in chain),
+                tuple(durations[i] for i in chain),
                 op_rows(p1_ops.get(rid, ())),
-                [kernel_names[i] for i in group],
-                [los[i] for i in group],
-                [his[i] for i in group],
-                [sizes[i] for i in group],
+                [kernel_names[i] for i in chain],
+                [los[i] for i in chain],
+                [his[i] for i in chain],
+                [sizes[i] for i in chain],
             )
-            for rid, group in res_members.items()
+            for rid, chain in chains.items()
         )
         wbs = tuple((pos_of[i], op_rows(ops)) for i, ops in wb_log)
         flush = op_rows(flush_ops)
@@ -999,16 +1039,16 @@ class _EvalRun(_Run):
             nbytes[row[4]] += row[3]
         self._tmpls[sig] = (groups, wbs, flush, nbytes["h2d"], nbytes["d2h"])
 
-    def _replay_waves(self, barrier) -> bool:
+    def _replay_waves(self) -> None:
         """Commit every remaining templated wave as a float recurrence.
 
         The float arithmetic below is op-for-op the commit sequence of
-        ``_try_wave`` (which itself mirrors the engine event by event):
+        ``_try_drain`` (which itself mirrors the engine event by event):
         per-link cursors rooted at the wave's barrier time, scalar
         left-to-right duration chains (``_vec.chain_bounds``'s contract
         is bit-identity with exactly this recurrence), write-backs timed
-        from their member's end, flush and overhead folded into the next
-        barrier's completion.  The stretch runs as long as each wave's
+        from their member's end, flush and overhead folded into the
+        fence's completion.  The stretch runs as long as each wave's
         signature has a recorded template — ping-pong loops alternate
         between two classes, so the lookup is per wave, not one class
         for the whole stretch.  Trace rows accumulate per lane across
@@ -1017,18 +1057,15 @@ class _EvalRun(_Run):
         summary's group-ordered accumulations observe.  The directory is
         never touched: replayed waves would leave it exactly where the
         template wave's invalidating flush already put it.  One anchor
-        event resumes the ordinary path at the last barrier.
+        event resumes the ordinary path at the last fence.
         """
         compiled = self._compiled
         tmpls = self._tmpls
-        wave_sig = compiled.wave_sig
-        wave_members = compiled.wave_members
-        wave_next = compiled.wave_next
+        epoch_sig = compiled.epoch_sig
+        epochs = compiled.epochs
+        fences = compiled.fences
         instances = self.graph.instances
         done = self.done
-        remaining = self.remaining
-        overhead = self.config.barrier_overhead_s
-        sim = self.sim
         #: lane_key -> (starts, ends, str_args, args_a, args_b)
         xfer_acc: dict[str, tuple] = {}
         #: rid -> (starts, ends, str_args, args_a, args_b, args_c, sizes)
@@ -1036,15 +1073,14 @@ class _EvalRun(_Run):
         nb_h2d_total = 0
         nb_d2h_total = 0
 
-        t_prev = sim.now
-        b = barrier
-        b_id = b.instance_id
-        tmpl = tmpls[wave_sig[b_id]]
+        t_prev = self.sim.now
+        k = self._epoch
+        tmpl = tmpls[epoch_sig[k]]
         waves = 0
         while True:
             groups, wbs, flush, nb_h2d, nb_d2h = tmpl
-            members = wave_members[b_id]
-            nxt_id = wave_next[b_id]
+            members = epochs[k]
+            fence = fences[k]
             t0 = t_prev
             link_busy: dict = {}
             t_ready = t0
@@ -1105,8 +1141,7 @@ class _EvalRun(_Run):
                         land = end
                 if land > wb_land:
                     wb_land = land
-            nxt = instances[nxt_id]
-            t_done = t_ready + (overhead if nxt.succs else 0.0)
+            t_done = t_ready + self._barrier_overhead(instances[fence])
             if flush:
                 land = t_ready
                 for key, link, dur, _nb, _d, arr, lo, hi in flush:
@@ -1131,22 +1166,17 @@ class _EvalRun(_Run):
             nb_h2d_total += nb_h2d
             nb_d2h_total += nb_d2h
 
-            done.add(b_id)
-            self._barriers_left -= 1
-            for succ in b.succs:
-                remaining[succ] -= 1
-            for i in members:
-                done.add(i)
-                remaining[nxt_id] -= 1
-            self._undone -= len(members)
+            done.update(members)
             waves += 1
             t_prev = t_done
-            b = nxt
-            b_id = nxt_id
-            sig = wave_sig.get(b_id)
-            tmpl = tmpls.get(sig) if sig is not None else None
+            tmpl = tmpls.get(epoch_sig.get(k + 1))
             if tmpl is None:
                 break
+            # the next wave replays too: its opening fence closes inline
+            done.add(fence)
+            k += 1
+        self._epoch = k
+        self._epoch_undone = 0
 
         compute_lanes = self.compute_lanes
         for rid, acc in comp_acc.items():
@@ -1171,254 +1201,9 @@ class _EvalRun(_Run):
         if nb_d2h_total:
             self.transfer_bytes["d2h"] += nb_d2h_total
 
-        self._waves_drained += waves
-        self._waves_replayed += waves
         _STATS["waves_drained"] += waves
         _STATS["waves_replayed"] += waves
 
-        # one anchor for the whole stretch; the last barrier resumes the
-        # ordinary path (terminal drain or event loop) from t_prev
-        schedule_call = getattr(sim, "schedule_call", None)
-        if schedule_call is not None:
-            schedule_call(t_prev, self._mark_done, b)
-        else:
-            sim.at(t_prev, _WaveAnchor(self, b),
-                   priority=PRIORITY_COMPLETION)
-        return True
-
-    # -- the terminal drain ----------------------------------------------
-
-    def _maybe_drain(self) -> None:
-        if (
-            self._drained
-            or not self._drain_enabled
-            or not self._drain_retry
-            or self._wires
-            or self._pending_writebacks
-            or self._barriers_left
-            or self._undone < DRAIN_MIN_INSTANCES
-        ):
-            return
-        if not self._try_drain():
-            # re-armed on the next wire-empty transition; pointless to
-            # rewalk the graph until the world has changed
-            self._drain_retry = False
-
-    def _try_drain(self) -> bool:
-        if self.ready:
-            return False
-        compiled = self._compiled
-        graph = self.graph
-        done = self.done
-        rids = compiled.resource_ids
-        instances = graph.instances
-        succs_sorted = compiled.succs_sorted
-        cross_deps = compiled.cross_deps
-
-        dispatched: set[int] = set()
-        for dq in self._res_dispatched.values():
-            for inst in dq:
-                dispatched.add(inst.instance_id)
-
-        # gate 1: every remaining (undispatched, not done) instance's
-        # unmet dependences live on its own resource — each resource's
-        # future is then an independent FIFO chain (the cross-resource
-        # dependence set is static, so only those need the done check)
-        remaining_ids: list[int] = []
-        for inst in instances:
-            i = inst.instance_id
-            if i in done or i in dispatched:
-                continue
-            if rids[i] is None:
-                return False
-            remaining_ids.append(i)
-            for dep in cross_deps[i]:
-                if dep not in done:
-                    return False
-
-        # gate 2: per-resource Kahn walk in FIFO readiness order — the
-        # exact order the engine would dispatch (completions release
-        # successors in sorted id order onto the same resource's queue)
-        indeg = {i: self.remaining[i] for i in remaining_ids}
-        chains: dict[str, list] = {}
-        chained = 0
-        for rid, dq in self._res_dispatched.items():
-            chain: list = []
-            work = deque(dq)
-            while work:
-                inst = work.popleft()
-                chain.append(inst)
-                chained += 1
-                for succ in succs_sorted[inst.instance_id]:
-                    left = indeg.get(succ)
-                    if left is None:
-                        continue
-                    left -= 1
-                    indeg[succ] = left
-                    if left == 0:
-                        work.append(instances[succ])
-            chains[rid] = chain
-        if chained != len(remaining_ids) + len(dispatched):
-            return False
-
-        # gate 3: shadow directory walk — every remaining read must
-        # already be resident (the engine would otherwise issue
-        # transfers, which the chains cannot model); writes are applied
-        # along the way so later chain links see earlier results
-        memory = self.memory
-        spaces = tuple(memory._spaces)
-        shadow: dict[tuple, object] = {}
-        shadow_get = shadow.get
-        real = memory._valid
-        space_of = self._space_of
-
-        wb_regions: list = []
-        flags = self._compiled.writeback_flags
-        region_rows = compiled.region_rows
-
-        def shadow_entry(arr, sp):
-            key = (arr, sp)
-            entry = shadow_get(key)
-            if entry is None:
-                entry = shadow[key] = real[arr][sp].copy()
-            return entry
-
-        for rid, chain in chains.items():
-            space = space_of[rid]
-            others = tuple(sp for sp in spaces if sp != space)
-            # per-array bound methods of this chain's shadow entries —
-            # one dict hit per region instead of tuple-keyed lookups and
-            # attribute walks on every chain link
-            ops_of: dict = {}
-            ops_get = ops_of.get
-            for inst in chain:
-                i = inst.instance_id
-                check_reads = i not in dispatched
-                for region, reads, writes in region_rows[i]:
-                    arr = region.array
-                    ops = ops_get(arr)
-                    if ops is None:
-                        entry = shadow_entry(arr, space)
-                        ops = ops_of[arr] = (
-                            entry.contains,
-                            entry.add,
-                            tuple(
-                                shadow_entry(arr, sp).remove
-                                for sp in others
-                            ),
-                        )
-                    if check_reads and reads:
-                        if not ops[0](region.start, region.end):
-                            return False
-                    if writes:
-                        ops[1](region.start, region.end)
-                        for remove in ops[2]:
-                            remove(region.start, region.end)
-                        if flags[i]:
-                            wb_regions.append(region)
-
-        # gate 4: replayed write-backs must commute with the up-front
-        # write commit — their written regions must be pairwise disjoint
-        if len(wb_regions) > 1:
-            for i, a in enumerate(wb_regions):
-                for b in wb_regions[i + 1:]:
-                    if a.overlaps(b):
-                        return False
-
-        # -- commit: the engine provably produces these chains ------------
-        # a resource with nothing running cannot anchor a chain (every
-        # remaining instance traces back to a dispatched seed); an empty
-        # queue with a non-empty chain means the walk above went wrong
-        sim = self.sim
-        now = sim.now
-        t0s: list[float] = []
-        rows: list[array] = []
-        order: list[str] = []
-        durations = compiled.durations
-        kernel_names = compiled.kernel_names
-        los = compiled.los
-        his = compiled.his
-        sizes = compiled.sizes
-        for rid, chain in chains.items():
-            if not self._res_dispatched[rid]:
-                if chain:
-                    return False
-                continue
-            lane = self.compute_lanes[rid]
-            if not len(lane.ends):
-                return False  # staged head row unavailable; stay exact
-            order.append(rid)
-            # the running head's row is the lane's last staged append;
-            # its end anchors the chain with the exact float the pending
-            # completion event carries
-            t0s.append(lane.ends[-1])
-            rows.append(
-                array("d", [durations[inst.instance_id]
-                            for inst in chain[1:]])
-            )
-
-        bounds = _vec.chain_bounds(t0s, rows)
-
-        t_max = now
-        tails: list[tuple[float, int, _DrainTail]] = []
-        seq = 0
-        for rid, b in zip(order, bounds):
-            chain = chains[rid]
-            k = len(b) - 1
-            head_end = float(b[0]) if k == 0 else float(b[k])
-            if head_end > t_max:
-                t_max = head_end
-            space = space_of[rid]
-            drained = chain[1:]
-            if k:
-                ids = [inst.instance_id for inst in drained]
-                names = [kernel_names[j] for j in ids]
-                lane = self.compute_lanes[rid]
-                lane.extend_rows(
-                    b[:-1],
-                    b[1:],
-                    str_args=names,
-                    args_a=[los[j] for j in ids],
-                    args_b=[his[j] for j in ids],
-                    args_c=ids,
-                    sizes=[sizes[j] for j in ids],
-                    kernels=names,
-                )
-            for j, inst in enumerate(drained):
-                if flags[inst.instance_id]:
-                    tails.append(
-                        (float(b[j + 1]), seq, _DrainTail(self, inst, space))
-                    )
-                    seq += 1
-            # the running head completes through its own pending event
-            # (see _complete_compute); everything queued behind it is now
-            # accounted for by the bulk rows above
-            self.sim_resources[rid]._queue.clear()
-
-        # apply the shadow directory: all drained writes land at once
-        for (arr, space), entry in shadow.items():
-            real[arr][space] = entry
-
-        done.update(range(len(instances)))
-        self._undone = 0
-        self._drained = True
-        _STATS["terminal_drains"] += 1
-
-        for end, _, tail in sorted(tails, key=lambda t: (t[0], t[1])):
-            sim.at(end, tail, priority=PRIORITY_COMPLETION)
-        # anchor the clock so the final flush starts when the last chain
-        # ends, exactly as the event loop would have left it
-        if t_max > now:
-            sim.at(t_max, _noop, priority=PRIORITY_COMPLETION)
-        return True
-
-    def _drain_writeback(self, inst, space) -> None:
-        # replica of _Run._complete's eager write-back block, fired at
-        # the drained instance's computed end time
-        for region, mode in self._regions(inst):
-            if mode.writes:
-                for op in self.memory.writeback(region, space):
-                    self._pending_writebacks += 1
-                    self._issue_transfer(
-                        op, on_complete=self._writeback_done
-                    )
+        # one anchor for the whole stretch; the last fence resumes the
+        # ordinary path (the drain or the event loop) from t_prev
+        self._schedule_anchor(t_prev, fence)

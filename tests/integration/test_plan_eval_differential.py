@@ -44,8 +44,8 @@ APPS = [
 ]
 
 #: (app, n, iterations) — per-iteration-sync scenarios: every loop body
-#: ends at a barrier, so the terminal drain never fires and parity rides
-#: on the wave drain (or its per-wave fallback to the event loop)
+#: ends at a barrier, so parity rides on fenced epoch commits (or their
+#: per-wave fallback to the event loop)
 SYNCED_APPS = [
     ("HotSpot", 1024, 4),
     ("Nbody", 512, 3),
@@ -176,23 +176,57 @@ def test_pickle_bytes_identical_in_fresh_processes(detail):
     assert artifact.makespan_ms > 0
 
 
-def test_drain_engages_on_sync_free_loop(paper_platform):
-    """Guards against silent regressions to the pure event loop."""
+@pytest.mark.parametrize("strategy", ("Only-CPU", "SP-Unified"))
+def test_drain_engages_on_sync_free_loop(paper_platform, strategy,
+                                         monkeypatch):
+    """Guards against silent regressions to the pure event loop.
+
+    The unfenced final epoch commits at the first quiet point: Only-CPU
+    never transfers, so it commits at t=0 from the running heads;
+    SP-Unified first waits for its initial device fetches to land.
+    """
     from repro.apps import get_application
     from repro.partition.base import get_strategy
-    from repro.sim.plan import _EvalRun, compile_plan
+    from repro.runtime.executor import _Run
+    from repro.sim.plan import _EvalRun, compile_plan, drain_stats
 
-    prog = get_application("STREAM-Loop").program(2048, iterations=4,
-                                                  sync=False)
-    plan = get_strategy("SP-Unified").plan(prog, paper_platform)
-    compiled = compile_plan(plan, paper_platform)
+    commits = []
+    try_drain = _EvalRun._try_drain
+
+    def spy(run, fence):
+        committed = try_drain(run, fence)
+        if committed:
+            commits.append((run.sim.now, fence))
+        return committed
+
+    monkeypatch.setattr(_EvalRun, "_try_drain", spy)
+
+    def build():
+        clear_all()
+        prog = get_application("STREAM-Loop").program(2048, iterations=4,
+                                                      sync=False)
+        plan = get_strategy(strategy).plan(prog, paper_platform)
+        return compile_plan(plan, paper_platform)
+
+    compiled = build()
     assert compiled.drainable
-    run = _EvalRun(paper_platform, compiled, "summary")
-    run.go()
-    assert run._drained
+    before = drain_stats()["terminal_drains"]
+    ev = _EvalRun(paper_platform, compiled, "summary").go(detail="summary")
+    assert drain_stats()["terminal_drains"] == before + 1
+    assert len(commits) == 1 and commits[0][1] is None
+    if strategy == "Only-CPU":
+        assert commits[0][0] == 0.0
+    else:
+        assert commits[0][0] > 0.0
+
+    compiled = build()  # fresh graph/scheduler: runs are single-use
+    ref = _Run(paper_platform, compiled.config, compiled.graph,
+               compiled.scheduler).go(detail="summary")
+    assert ev.makespan_ms == ref.makespan_ms
+    assert ev.summary == ref.summary
 
 
-# -- per-iteration-sync apps: the wave drain ---------------------------------
+# -- per-iteration-sync apps: fenced epochs -----------------------------------
 
 
 @pytest.mark.parametrize("app,n,iterations", SYNCED_APPS)
@@ -212,7 +246,7 @@ def test_summary_identical_across_synced_apps(paper_platform, app, n,
 
 
 def test_synced_full_detail_identical(paper_platform):
-    """Full-trace synced runs bypass both drains and match structurally."""
+    """Full-trace synced runs bypass the drain and match structurally."""
     cell = _cell(paper_platform, "HotSpot", 1024, 4, "SP-Single", sync=True)
     ref = _run(cell, plan_eval=False, detail="full")
     ev = _run(cell, plan_eval=True, detail="full")
@@ -224,17 +258,18 @@ def test_wave_drain_engages_on_synced_loop(paper_platform):
     """Waves must actually drain — not silently fall back per barrier."""
     from repro.apps import get_application
     from repro.partition.base import get_strategy
-    from repro.sim.plan import _EvalRun, compile_plan
+    from repro.sim.plan import _EvalRun, compile_plan, drain_stats
 
     prog = get_application("HotSpot").program(1024, iterations=4, sync=True)
     plan = get_strategy("SP-Single").plan(prog, paper_platform)
     compiled = compile_plan(plan, paper_platform)
     assert compiled.drainable
-    assert compiled.wave_next  # barrier -> next barrier chain was compiled
-    run = _EvalRun(paper_platform, compiled, "summary")
-    run.go()
-    assert run._waves_drained > 0
-    assert run._wave_fallbacks == 0
+    assert compiled.fences[0] is not None  # barriers split the epochs
+    before = drain_stats()
+    _EvalRun(paper_platform, compiled, "summary").go()
+    after = drain_stats()
+    assert after["waves_drained"] > before["waves_drained"]
+    assert after["wave_fallbacks"] == before["wave_fallbacks"]
 
 
 def _lanes_of(trace):

@@ -1,6 +1,7 @@
 """The schedule×partition search engine (``repro.partition.search``)."""
 
 import json
+import os
 
 import pytest
 
@@ -92,6 +93,34 @@ class TestSearchPlan:
         )
         assert result.best.makespan_ms <= result.baseline.makespan_ms
         assert drain_stats()["waves_drained"] > before
+
+    @pytest.mark.parametrize("app,n,iterations,sync", [
+        ("HotSpot", 1024, 3, True),
+        ("STREAM-Loop", 2048, 2, False),
+    ])
+    def test_plan_eval_is_per_cell_and_exact(self, paper_platform_module,
+                                             monkeypatch, app, n,
+                                             iterations, sync):
+        """The mode rides on the cells: the environment is never touched,
+        and evaluator and engine searches agree candidate by candidate."""
+        from repro.sim.plan import drain_stats
+
+        monkeypatch.delenv("REPRO_PLAN_EVAL", raising=False)
+        env_before = dict(os.environ)
+
+        def candidates(plan_eval):
+            before = drain_stats()["evaluations"]
+            result = search_plan(
+                app, paper_platform_module, n=n, iterations=iterations,
+                sync=sync, grid=3, rounds=1, plan_eval=plan_eval,
+            )
+            assert dict(os.environ) == env_before
+            evaluated = drain_stats()["evaluations"] - before
+            assert (evaluated > 0) == plan_eval
+            return [(r.candidate.label(), r.makespan_ms)
+                    for r in result.evaluated]
+
+        assert candidates(True) == candidates(False)
 
     def test_grid_too_small_rejected(self, paper_platform_module):
         with pytest.raises(PartitioningError):

@@ -1,8 +1,10 @@
 """Unit coverage of plan compilation and its vector/trace primitives.
 
-``compile_plan``'s gates and flag computation, ``_vec.chain_bounds``'s
-numpy/scalar bit parity, and ``TraceLane.extend_rows``'s equivalence to
-row-at-a-time appends.  The end-to-end drain exactness lives in
+``compile_plan``'s gates and flag computation, the evaluator's seams
+(the ``REPRO_PLAN_EVAL`` override, the drain counters),
+``_vec.chain_bounds``'s numpy/scalar bit parity, and
+``TraceLane.extend_rows``'s equivalence to row-at-a-time appends.  The
+end-to-end drain exactness lives in
 ``tests/integration/test_plan_eval_differential.py``.
 """
 
@@ -12,9 +14,10 @@ import pytest
 
 from repro.apps import get_application
 from repro.errors import PlanCompileError
-from repro.partition.base import PlanConfig, get_strategy
+from repro.partition.base import _plan_eval_enabled, get_strategy
+from repro.runtime.executor import RuntimeConfig
 from repro.sim import _vec
-from repro.sim.plan import compile_plan, plan_eval_enabled
+from repro.sim.plan import compile_plan, drain_stats
 from repro.sim.tracestore import TraceStore
 
 
@@ -68,12 +71,26 @@ class TestCompileGates:
                 assert not rid.startswith(host)
 
     def test_env_seam(self, monkeypatch):
+        """``run_plan``'s reader: a set REPRO_PLAN_EVAL wins both ways."""
+        on = RuntimeConfig(plan_eval=True)
+        off = RuntimeConfig(plan_eval=False)
         monkeypatch.delenv("REPRO_PLAN_EVAL", raising=False)
-        assert not plan_eval_enabled()
+        assert not _plan_eval_enabled()
+        assert _plan_eval_enabled(on)
+        assert not _plan_eval_enabled(off)
         monkeypatch.setenv("REPRO_PLAN_EVAL", "1")
-        assert plan_eval_enabled()
+        assert _plan_eval_enabled()
+        assert _plan_eval_enabled(off)
         monkeypatch.setenv("REPRO_PLAN_EVAL", "0")
-        assert not plan_eval_enabled()
+        assert not _plan_eval_enabled()
+        assert not _plan_eval_enabled(on)
+
+    def test_drain_stats_keys(self):
+        """The counters perfbench's DRAIN_COUNTERS and search_plan read."""
+        assert set(drain_stats()) == {
+            "evaluations", "compile_errors", "wave_fallbacks",
+            "waves_drained", "waves_replayed", "terminal_drains",
+        }
 
 
 class TestChainBounds:
