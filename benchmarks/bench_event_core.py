@@ -9,9 +9,6 @@ with) through both simulation engines and records events/sec:
   :class:`~repro.sim.resources.SimResource` objects, one ``occupy()`` per
   occupation with a lazy tuple label and a meta dict, one ``Event``
   dataclass plus one closure per completion, one trace row per occupation;
-* ``oracle_untraced`` — the same oracle loop on ``trace=None`` resources
-  (untraced replay is a capability this PR added to ``SimResource``, so
-  this symmetric comparison isolates the engine loop itself);
 * ``fast_traced`` — the production executor path:
   :class:`~repro.sim.fast_engine.FastSimulator` inlining ``_K_FINISH``
   completions over traced resources;
@@ -21,29 +18,22 @@ with) through both simulation engines and records events/sec:
   interned once per stream, no per-row ``dict(meta)`` copy);
 * ``traced_batch`` — the bulk traced intake: one ``occupy_stream`` per
   resource, one heap event + one cumsum + one block-extend per whole
-  stream (timed including the lane flush);
-* ``fast_lane`` — the headline: ``FastSimulator.replay_lane`` draining the
-  same per-resource duration streams as untraced bulk lanes, no per-event
-  allocation at all.
+  stream (timed including the lane flush).
 
-The headline ``fast_vs_oracle_speedup`` compares ``fast_lane`` against
-``oracle_traced`` — the new engine's replay intake vs what the seed could
-do with the same schedule — and must clear ``EVENTS_SPEEDUP_FLOOR``; the
-traced production path's ``traced_batch_speedup`` must clear
-``TRACED_BATCH_FLOOR``.  The symmetric/traced ratios are recorded
-alongside so the numbers' composition stays honest: part engine loop,
-part shed tracing machinery, part batching.
+The traced production path's ``traced_batch_speedup`` over
+``oracle_traced`` must clear ``TRACED_BATCH_FLOOR``.  The per-event
+ratios are recorded alongside so the number's composition stays honest:
+part engine loop, part shed tracing machinery, part batching.
 
 Also measures end-to-end wall clock of the full scenario under both
 engines (``run_speedup``), verifies their artifacts pickle byte-identical
-(``parity``), times fused block dispatch vs per-cell dispatch over a
-process pool on cheap cells (``fused``), and measures the plan-evaluator
-inner loop of the schedule×partition search (``plan_eval``): prebuilt
-compiled plans replayed through :class:`~repro.sim.plan.PlanEvaluator`
-vs the fused ``simulate_many`` executor path on the same candidate
-cells.  Every ``*_speedup`` ratio is a best-of-rounds ratio (minimum
-elapsed per variant), never a mean — a single slow round on a noisy
-runner must not fail the CI band.
+(``parity``), and measures the plan-evaluator inner loop of the
+schedule×partition search (``plan_eval``): prebuilt compiled plans
+replayed through :class:`~repro.sim.plan.PlanEvaluator` vs the serial
+``run_sweep`` executor path on the same candidate cells.  Every
+``*_speedup`` ratio is a best-of-rounds ratio (minimum elapsed per
+variant), never a mean — a single slow round on a noisy runner must not
+fail the CI band.
 
 Runs under pytest (``pytest benchmarks/bench_event_core.py``) and as a
 plain script; ``bench_pipeline_perf.py`` embeds the same record as its
@@ -78,13 +68,10 @@ ITERATIONS = 79
 #: round runs untimed
 ROUNDS = 10
 
-#: rounds for the heavier end-to-end / fused / plan-eval sections; their
+#: rounds for the heavier end-to-end / plan-eval sections; their
 #: ``*_speedup`` ratios are best-of (minimum elapsed per variant), with
 #: engine rounds interleaved so frequency drift hits both sides alike
 RUN_ROUNDS = 5
-
-#: acceptance floor: fast-engine lane replay vs the seed's replay path
-EVENTS_SPEEDUP_FLOOR = 10.0
 
 #: acceptance floor: bulk traced intake (``occupy_stream`` + lane flush)
 #: vs the seed's traced replay path — the tentpole "traced production
@@ -96,21 +83,20 @@ TRACED_BATCH_FLOOR = 3.0
 #: fast (best-of-rounds) as under the oracle
 RUN_SPEEDUP_FLOOR = 1.0
 
-#: acceptance floor: compiled-plan evaluation vs the fused
-#: ``simulate_many`` executor path on the same candidate cells — the
+#: acceptance floor: compiled-plan evaluation vs the serial
+#: ``run_sweep`` executor path on the same candidate cells — the
 #: search engine's reason to exist
 PLAN_EVAL_FLOOR = 10.0
 
 #: acceptance floor: compiled-plan evaluation of *per-iteration-sync*
 #: plans (the wave drain's territory — every epoch fenced by a barrier,
-#: so the terminal drain never fires) vs the fused executor path
+#: so the terminal drain never fires) vs the serial executor path
 WAVE_DRAIN_FLOOR = 5.0
 
 #: metrics ``--check-baseline`` verifies, all same-process ratios: raw
 #: events/sec shifts with runner hardware, but two engine variants timed
 #: back-to-back on the same box regress together unless the code did
 BASELINE_RATIOS = (
-    "fast_vs_oracle_speedup",
     "traced_lane_speedup",
     "traced_batch_speedup",
 )
@@ -162,17 +148,16 @@ def _streams(artifact) -> dict[str, list[tuple[float, str]]]:
     return streams
 
 
-def _replay_engine(streams, *, fast: bool, traced: bool) -> float:
-    """Replay every stream through SimResources on one engine; seconds.
+def _replay_engine(streams, *, fast: bool) -> float:
+    """Replay every stream through traced SimResources on one engine; seconds.
 
     This is the seed system's replay shape: one ``occupy()`` per
     occupation — lazy tuple label, per-occupation meta dict, trace row —
     with completions dispatched by the engine (closures on the oracle,
-    inlined ``_K_FINISH`` events on the fast engine).  ``traced=False``
-    runs the same loop on ``trace=None`` resources.
+    inlined ``_K_FINISH`` events on the fast engine).
     """
     sim = FastSimulator() if fast else Simulator()
-    trace = ExecutionTrace() if traced else None
+    trace = ExecutionTrace()
     t0 = time.perf_counter()
     for rid, occs in streams.items():
         res = SimResource(sim, rid, trace)
@@ -190,7 +175,7 @@ def _replay_engine(streams, *, fast: bool, traced: bool) -> float:
 def _replay_engine_lane(streams, *, fast: bool) -> float:
     """Per-event traced replay through staging lanes; seconds.
 
-    Same event count and row content as ``_replay_engine(traced=True)``
+    Same event count and row content as :func:`_replay_engine`
     but rows go through pre-interned :class:`TraceLane` buffers — the
     runtime executor's shape after the staged-ingestion PR.  The final
     lane flush is inside the timed region.
@@ -247,17 +232,6 @@ def _replay_stream_batches(streams) -> float:
     return time.perf_counter() - t0
 
 
-def _replay_lanes(streams) -> float:
-    """Replay the same streams as fast-engine bulk lanes; seconds."""
-    durations = [[d for d, _ in occs] for occs in streams.values()]
-    sim = FastSimulator()
-    t0 = time.perf_counter()
-    for lane in durations:
-        sim.replay_lane(lane)
-    sim.run()
-    return time.perf_counter() - t0
-
-
 def _best_of(fn, *args, **kwargs) -> float:
     """Minimum of ``ROUNDS`` timed calls, after one untimed warm-up."""
     fn(*args, **kwargs)
@@ -271,30 +245,21 @@ def measure_event_core(artifact=None) -> dict:
     streams = _streams(artifact)
     events = sum(len(occs) for occs in streams.values())
 
-    oracle_traced = _best_of(_replay_engine, streams, fast=False, traced=True)
-    oracle_untraced = _best_of(_replay_engine, streams, fast=False, traced=False)
-    fast_traced = _best_of(_replay_engine, streams, fast=True, traced=True)
+    oracle_traced = _best_of(_replay_engine, streams, fast=False)
+    fast_traced = _best_of(_replay_engine, streams, fast=True)
     fast_traced_lane = _best_of(_replay_engine_lane, streams, fast=True)
     traced_batch = _best_of(_replay_stream_batches, streams)
-    fast_lane = _best_of(_replay_lanes, streams)
 
     return {
         "events": events,
         "resources": len(streams),
         "rounds": ROUNDS,
         "oracle_traced_events_per_sec": events / oracle_traced,
-        "oracle_untraced_events_per_sec": events / oracle_untraced,
         "fast_traced_events_per_sec": events / fast_traced,
         "fast_traced_lane_events_per_sec": events / fast_traced_lane,
         "traced_batch_events_per_sec": events / traced_batch,
-        "events_per_sec": events / fast_lane,
-        # headline: the fast engine's replay intake vs the seed's only
-        # replay path (engine loop + shed tracing machinery combined)
-        "fast_vs_oracle_speedup": oracle_traced / fast_lane,
-        # honesty splits: engine loop alone, and the traced production
-        # path in its three shapes (per-row record, per-event lanes,
-        # bulk occupy_stream)
-        "untraced_engine_speedup": oracle_untraced / fast_lane,
+        # the traced production path in its three shapes (per-row
+        # record, per-event lanes, bulk occupy_stream)
         "traced_speedup": oracle_traced / fast_traced,
         "traced_lane_speedup": oracle_traced / fast_traced_lane,
         "traced_batch_speedup": oracle_traced / traced_batch,
@@ -361,58 +326,6 @@ def measure_run_parity() -> dict:
     }, fast_art
 
 
-#: fused-dispatch measurement: many cheap cells over a small pool
-FUSED_CELLS = 40
-FUSED_JOBS = 2
-
-
-def measure_fused() -> dict:
-    """Fused block dispatch vs per-cell dispatch over a process pool.
-
-    The cells are deliberately cheap (tiny n, one iteration) so per-cell
-    pickling/dispatch overhead dominates — the regime the fused mode
-    exists for.  Results stay identical either way; only dispatch cost
-    changes.
-    """
-    strategies = ("Only-CPU", "Only-GPU", "DP-Perf", "SP-Unified", "DP-Dep")
-    platform = shen_icpp15_platform()
-    cells = [
-        SweepCell(
-            app="STREAM-Loop", strategy=strategies[i % len(strategies)],
-            platform=platform, n=256, iterations=1, sync=False,
-        )
-        for i in range(FUSED_CELLS)
-    ]
-    clear_all()
-    run_sweep(cells)  # warm the parent stores both pools snapshot from
-
-    def _timed(**kwargs):
-        t0 = time.perf_counter()
-        results = run_sweep(cells, jobs=FUSED_JOBS, **kwargs)
-        return time.perf_counter() - t0, results
-
-    per_cell_s, per_cell = _timed()
-    fused_s, fused = _timed(fuse=0)
-    for _ in range(RUN_ROUNDS - 1):
-        per_cell_s = min(per_cell_s, _timed()[0])
-        fused_s = min(fused_s, _timed(fuse=0)[0])
-
-    match = all(
-        a.makespan_ms == b.makespan_ms and a.summary == b.summary
-        for a, b in zip(per_cell, fused)
-    )
-    return {
-        "cells": len(cells),
-        "jobs": FUSED_JOBS,
-        "per_cell_s": per_cell_s,
-        "fused_s": fused_s,
-        "per_cell_cells_per_sec": len(cells) / per_cell_s,
-        "fused_cells_per_sec": len(cells) / fused_s,
-        "fused_vs_per_cell_speedup": per_cell_s / fused_s,
-        "match": match,
-    }
-
-
 #: forced-split candidate grid for the plan-eval measurement — the
 #: schedule×partition search's inner loop shape (SP-Unified on the
 #: scenario app across a ``gpu_fraction`` grid)
@@ -420,10 +333,10 @@ PLAN_EVAL_FRACTIONS = 8
 
 
 def measure_plan_eval() -> dict:
-    """Search inner loop: prebuilt compiled plans vs fused ``simulate_many``.
+    """Search inner loop: prebuilt compiled plans vs serial ``run_sweep``.
 
     Builds the same forced-fraction candidate cells the search engine
-    sweeps, runs them through the fused executor path once (cells/sec),
+    sweeps, runs them through the serial executor path once (cells/sec),
     then compiles each cell's plan once and replays it through
     :class:`~repro.sim.plan.PlanEvaluator` (plans/sec, best of
     ``RUN_ROUNDS``).  Parity bits compare evaluator makespans against
@@ -433,7 +346,6 @@ def measure_plan_eval() -> dict:
     from dataclasses import replace
 
     from repro.apps import get_application
-    from repro.bench.harness import simulate_many
     from repro.partition.base import PlanConfig, get_strategy
     from repro.sim.plan import PlanEvaluator, compile_plan
 
@@ -451,9 +363,9 @@ def measure_plan_eval() -> dict:
         for f in fractions
     ]
     clear_all()
-    simulate_many(cells)  # warm the planning caches (Glinda, profiles)
+    run_sweep(cells)  # warm the planning caches (Glinda, profiles)
     t0 = time.perf_counter()
-    reference = simulate_many(cells)
+    reference = run_sweep(cells)
     simulate_s = time.perf_counter() - t0
 
     strategy = get_strategy("SP-Unified")
@@ -520,7 +432,7 @@ WAVE_FRACTIONS = 8
 
 
 def measure_wave_drain() -> dict:
-    """Synced-plan evaluation: the wave drain vs fused ``simulate_many``.
+    """Synced-plan evaluation: the wave drain vs serial ``run_sweep``.
 
     The ``plan_eval`` section's shape on the search's *other* workload
     class: per-iteration-sync plans whose barriers stop the terminal
@@ -536,7 +448,6 @@ def measure_wave_drain() -> dict:
     from dataclasses import replace
 
     from repro.apps import get_application
-    from repro.bench.harness import simulate_many
     from repro.partition.base import PlanConfig, get_strategy
     from repro.sim.plan import PlanEvaluator, compile_plan, drain_stats
 
@@ -554,9 +465,9 @@ def measure_wave_drain() -> dict:
         for f in fractions
     ]
     clear_all()
-    simulate_many(cells)  # warm the planning caches
+    run_sweep(cells)  # warm the planning caches
     t0 = time.perf_counter()
-    reference = simulate_many(cells)
+    reference = run_sweep(cells)
     simulate_s = time.perf_counter() - t0
 
     strategy = get_strategy("SP-Single")
@@ -630,7 +541,6 @@ def measure_sim_core() -> dict:
         "scenario": {"app": "STREAM-Loop", "n": N, "iterations": ITERATIONS},
         **measure_event_core(fast_art),
         **runs,
-        "fused": measure_fused(),
         "plan_eval": measure_plan_eval(),
         "wave_drain": measure_wave_drain(),
     }
@@ -639,10 +549,8 @@ def measure_sim_core() -> dict:
 
 def check(payload: dict) -> None:
     assert payload["events"] > 1000, payload
-    assert payload["fast_vs_oracle_speedup"] >= EVENTS_SPEEDUP_FLOOR, payload
     assert payload["traced_batch_speedup"] >= TRACED_BATCH_FLOOR, payload
     assert payload["parity"], payload
-    assert payload["fused"]["match"], payload["fused"]
     check_plan_eval(payload["plan_eval"])
     check_wave_drain(payload["wave_drain"])
 
@@ -707,7 +615,7 @@ def check_baseline(payload: dict, baseline_path: str) -> list[str]:
 def _format_plan_eval(pe: dict) -> str:
     return (
         f"plan evaluation:      {pe['plans_per_sec']:,.1f} plans/s vs "
-        f"{pe['simulate_cells_per_sec']:,.1f} simulate_many cells/s "
+        f"{pe['simulate_cells_per_sec']:,.1f} run_sweep cells/s "
         f"({pe['plans_vs_simulate_speedup']:.1f}x, floor "
         f"{PLAN_EVAL_FLOOR:g}x; {pe['cells']} candidate cells, "
         f"{pe['instances']} instances each), parity "
@@ -719,7 +627,7 @@ def _format_plan_eval(pe: dict) -> str:
 def _format_wave_drain(wd: dict) -> str:
     return (
         f"wave drain (synced):  {wd['synced_plans_per_sec']:,.1f} plans/s vs "
-        f"{wd['simulate_cells_per_sec']:,.1f} simulate_many cells/s "
+        f"{wd['simulate_cells_per_sec']:,.1f} run_sweep cells/s "
         f"({wd['synced_plans_vs_simulate_speedup']:.1f}x, floor "
         f"{WAVE_DRAIN_FLOOR:g}x; {wd['cells']} candidate cells, "
         f"{wd['instances']} instances / {wd['barriers']} barriers each, "
@@ -731,21 +639,15 @@ def _format_wave_drain(wd: dict) -> str:
 
 
 def _format(payload: dict) -> str:
-    fused = payload["fused"]
     return (
         f"events:               {payload['events']} over "
         f"{payload['resources']} resources, best of {payload['rounds']}\n"
         f"oracle replay:        "
-        f"{payload['oracle_traced_events_per_sec']:,.0f} ev/s traced, "
-        f"{payload['oracle_untraced_events_per_sec']:,.0f} ev/s untraced\n"
+        f"{payload['oracle_traced_events_per_sec']:,.0f} ev/s traced\n"
         f"fast engine:          "
         f"{payload['fast_traced_events_per_sec']:,.0f} ev/s traced, "
         f"{payload['fast_traced_lane_events_per_sec']:,.0f} ev/s lane-traced, "
-        f"{payload['traced_batch_events_per_sec']:,.0f} ev/s batch-traced, "
-        f"{payload['events_per_sec']:,.0f} ev/s lane replay\n"
-        f"headline speedup:     {payload['fast_vs_oracle_speedup']:9.1f}x "
-        f"(floor {EVENTS_SPEEDUP_FLOOR:g}x; engine loop alone "
-        f"{payload['untraced_engine_speedup']:.1f}x)\n"
+        f"{payload['traced_batch_events_per_sec']:,.0f} ev/s batch-traced\n"
         f"traced path:          {payload['traced_batch_speedup']:9.1f}x "
         f"batch (floor {TRACED_BATCH_FLOOR:g}x; per-event rows "
         f"{payload['traced_speedup']:.1f}x, per-event lanes "
@@ -755,11 +657,6 @@ def _format(payload: dict) -> str:
         f"({payload['run_speedup']:.2f}x, floor {RUN_SPEEDUP_FLOOR:g}x, "
         f"best of {payload['run_rounds']}), parity "
         f"{'ok' if payload['parity'] else 'DIVERGED'}\n"
-        f"fused dispatch:       {fused['fused_cells_per_sec']:,.1f} cells/s "
-        f"vs {fused['per_cell_cells_per_sec']:,.1f} per-cell "
-        f"({fused['fused_vs_per_cell_speedup']:.2f}x, "
-        f"{fused['cells']} cells, {fused['jobs']} jobs), results "
-        f"{'match' if fused['match'] else 'DIVERGED'}\n"
         + _format_plan_eval(payload["plan_eval"]) + "\n"
         + _format_wave_drain(payload["wave_drain"])
     )
@@ -783,13 +680,13 @@ def main(argv: list[str] | None = None) -> int:
                         help=argparse.SUPPRESS)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="replay measurements only (skips the end-to-end/parity/"
-        "fused sections; CI's bench-smoke step)",
+        help="replay measurements only (skips the end-to-end/parity and "
+        "plan-eval sections; CI's bench-smoke step)",
     )
     parser.add_argument(
         "--plan-eval", action="store_true",
-        help="plan-evaluator section only: compiled-plan replays vs fused "
-        f"simulate_many on the same cells, gated at {PLAN_EVAL_FLOOR:g}x "
+        help="plan-evaluator section only: compiled-plan replays vs serial "
+        f"run_sweep on the same cells, gated at {PLAN_EVAL_FLOOR:g}x "
         "with both parity bits (CI's search-smoke step)",
     )
     parser.add_argument(

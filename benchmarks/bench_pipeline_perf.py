@@ -18,7 +18,7 @@ dispatcher's work split, and its elapsed-time edge over fixed batching
 (``sweep_streaming``), embeds the event-core engine comparison from
 ``bench_event_core.py`` (``sim_core``: events/sec of the slot-dispatched
 fast engine vs the closure oracle, end-to-end run speedup, cross-engine
-artifact byte parity, fused dispatch), plays the measured-ranking
+artifact byte parity, plan-evaluator throughput), plays the measured-ranking
 tournament on the Table III machine (``matchmaking``: tournament
 matches/sec cold and replayed, and the fraction of (class, sync) cells
 where the measured ordering agrees with Table I), and records everything
@@ -707,8 +707,6 @@ BASELINE_CHECKS = [
     ("sweep_distributed.remote_hit_rate", "min", 0.05),
     ("sweep_streaming.adaptive_vs_fixed_speedup", "min", 0.5),
     ("sweep_streaming.first_cell_fraction", "max", 1.5),
-    ("sim_core.fast_vs_oracle_speedup", "min", 0.5),
-    ("sim_core.untraced_engine_speedup", "min", 0.5),
     ("sim_core.traced_speedup", "min", 0.5),
     ("sim_core.traced_lane_speedup", "min", 0.5),
     ("sim_core.traced_batch_speedup", "min", 0.5),
@@ -826,12 +824,11 @@ def test_pipeline_perf(benchmark):
         f"{memory['label_packed_fraction']:.0%} rows packed "
         f"({memory['label_shrink_ratio']:.1f}x vs formatted strings)\n"
         f"event core:           "
-        f"{payload['sim_core']['events_per_sec']:,.0f} ev/s fast lane vs "
+        f"{payload['sim_core']['traced_batch_events_per_sec']:,.0f} ev/s "
+        f"batch-traced vs "
         f"{payload['sim_core']['oracle_traced_events_per_sec']:,.0f} ev/s "
-        f"oracle ({payload['sim_core']['fast_vs_oracle_speedup']:.1f}x, "
-        f"floor {bench_event_core.EVENTS_SPEEDUP_FLOOR:g}x), "
-        f"traced batch {payload['sim_core']['traced_batch_speedup']:.1f}x "
-        f"(floor {bench_event_core.TRACED_BATCH_FLOOR:g}x), "
+        f"oracle ({payload['sim_core']['traced_batch_speedup']:.1f}x, "
+        f"floor {bench_event_core.TRACED_BATCH_FLOOR:g}x), "
         f"run {payload['sim_core']['run_speedup']:.2f}x, parity "
         f"{'ok' if payload['sim_core']['parity'] else 'DIVERGED'}\n"
         f"matchmaking:          "
@@ -878,7 +875,7 @@ def main(argv: list[str] | None = None) -> int:
         f"{payload['sweep_streaming']['time_to_first_cell_s'] * 1e3:.0f} ms "
         f"(adaptive {payload['sweep_streaming']['adaptive_vs_fixed_speedup']:.1f}x "
         f"vs fixed), "
-        f"event core {payload['sim_core']['fast_vs_oracle_speedup']:.1f}x "
+        f"event core {payload['sim_core']['traced_batch_speedup']:.1f}x "
         f"(parity {'ok' if payload['sim_core']['parity'] else 'DIVERGED'}), "
         f"matchmaking {payload['matchmaking']['matches_per_sec']:,.1f} "
         f"matches/s with "

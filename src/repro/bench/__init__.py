@@ -16,7 +16,6 @@ from repro.bench.harness import (
     SweepCell,
     run_scenario,
     run_sweep,
-    simulate_many,
     sk_strategies,
     mk_strategies,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "SweepCell",
     "run_scenario",
     "run_sweep",
-    "simulate_many",
     "sk_strategies",
     "mk_strategies",
     "EXPERIMENTS",

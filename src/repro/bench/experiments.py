@@ -160,7 +160,6 @@ def run_experiment(
     jobs: int = 1,
     workers: Sequence[str] | None = None,
     detail: str = "summary",
-    fuse: int | None = None,
     progress: bool = False,
 ) -> list[ScenarioResult]:
     """Run one experiment; returns one :class:`ScenarioResult` per scenario.
@@ -192,8 +191,7 @@ def run_experiment(
                 )
             )
     outcomes = run_sweep(
-        cells, jobs=jobs, workers=workers, detail=detail, fuse=fuse,
-        progress=progress,
+        cells, jobs=jobs, workers=workers, detail=detail, progress=progress,
     )
     results = []
     stride = len(experiment.strategies)

@@ -154,37 +154,6 @@ def _run_cell(cell: SweepCell, detail: str = "summary") -> RunArtifact:
     )
 
 
-def _run_cells_fused(cells: Sequence[SweepCell], detail: str = "summary") -> list[RunArtifact]:
-    """Execute a block of cells in one process pass (fused multi-run).
-
-    Module-level so pool workers can unpickle it.  The cells of a block
-    share this process's interned pools and memo stores: the first cell's
-    probes/profiles warm the later ones, and a block submit pickles a
-    shared :class:`~repro.platform.topology.Platform` once per *block*
-    (pickle memoizes the repeated reference) instead of once per cell —
-    the dominant dispatch cost when the cells themselves are cheap.
-    """
-    return [_run_cell(cell, detail) for cell in cells]
-
-
-def simulate_many(
-    cells: Iterable[SweepCell], *, detail: str = "summary"
-) -> list[RunArtifact]:
-    """Run several independent cells fused in this process, in order.
-
-    The public entry point of the fused multi-run mode: one process pass
-    over all cells, sharing memo stores and interned string pools between
-    them.  Artifacts come back canonicalized, in cell order — the same
-    simulated results :func:`run_sweep` produces, without per-cell
-    process dispatch.
-    """
-    check_detail(detail)
-    return [
-        _canonicalize(artifact)
-        for artifact in _run_cells_fused(list(cells), detail)
-    ]
-
-
 def _init_worker(snapshot) -> None:
     """Pool initializer: warm this worker from the parent's memo stores."""
     _cache.preload_snapshot(snapshot)
@@ -239,19 +208,6 @@ def default_jobs() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _fused_block_size(n_cells: int, jobs: int, fuse: int) -> int:
-    """The per-block cell count for a fused pool dispatch.
-
-    ``fuse > 0`` pins the block size.  ``fuse == 0`` sizes blocks
-    automatically: about four blocks per worker (so completion streaming
-    and load balancing survive), capped at 16 cells so one straggler
-    block cannot serialize a large sweep.
-    """
-    if fuse > 0:
-        return fuse
-    return max(1, min(16, -(-n_cells // (jobs * 4))))
-
-
 def run_sweep_iter(
     cells: Iterable[SweepCell],
     *,
@@ -260,7 +216,6 @@ def run_sweep_iter(
     share_cache: bool = True,
     workers: Sequence[str] | None = None,
     batch_size: int | None = None,
-    fuse: int | None = None,
 ) -> Iterator[tuple[int, RunArtifact]]:
     """Stream ``(index, artifact)`` pairs as cells complete.
 
@@ -275,16 +230,6 @@ def run_sweep_iter(
     * ``workers`` — remote workers stream one result frame per finished
       cell (see :mod:`repro.distrib`), with the adaptive dispatcher
       sizing batches from observed per-cell latency.
-
-    ``fuse`` switches the pool backend to fused dispatch: cells are
-    chunked into blocks of ``fuse`` (``0`` = auto-sized, see
-    :func:`_fused_block_size`) and each block runs as *one* submission
-    through :func:`_run_cells_fused`, amortizing pickling and cache
-    warm-up over the block — worthwhile when individual cells are cheap
-    and dispatch overhead dominates.  The serial path is already fully
-    fused (one process, shared stores), and the distributed path fuses
-    through its adaptive batch dispatcher, so ``fuse`` only changes the
-    local pool backend.
 
     Cell execution is deterministic, so collecting the pairs and sorting
     by index reproduces the buffered :func:`run_sweep` output exactly —
@@ -313,17 +258,6 @@ def run_sweep_iter(
     with ProcessPoolExecutor(
         max_workers=pool_size, initializer=_init_worker, initargs=(snapshot,)
     ) as pool:
-        if fuse is not None:
-            block = _fused_block_size(len(cells), pool_size, fuse)
-            futures = {
-                pool.submit(_run_cells_fused, cells[start:start + block], detail): start
-                for start in range(0, len(cells), block)
-            }
-            for future in as_completed(futures):
-                start = futures[future]
-                for offset, artifact in enumerate(future.result()):
-                    yield start + offset, _canonicalize(artifact)
-            return
         futures = {
             pool.submit(_run_cell, cell, detail): index
             for index, cell in enumerate(cells)
@@ -340,7 +274,6 @@ def run_sweep(
     share_cache: bool = True,
     workers: Sequence[str] | None = None,
     batch_size: int | None = None,
-    fuse: int | None = None,
     progress: bool = False,
 ) -> list[RunArtifact]:
     """Run every cell; artifacts are returned in cell order.
@@ -368,11 +301,6 @@ def run_sweep(
     remote session at handshake), recovering the serial run's memo hit
     rates under ``jobs > 1`` and ``workers=[...]`` alike.
 
-    ``fuse`` (pool backend only) dispatches cells to workers in fused
-    blocks of that size (``0`` = auto) through one
-    :func:`_run_cells_fused` submission each — cheaper dispatch when
-    cells are small; see :func:`run_sweep_iter`.
-
     ``progress`` prints ``completed/total`` cells to stderr as results
     stream in (the CLI's ``--progress``).
     """
@@ -381,7 +309,7 @@ def run_sweep(
     done = 0
     for index, artifact in run_sweep_iter(
         cells, jobs=jobs, detail=detail, share_cache=share_cache,
-        workers=workers, batch_size=batch_size, fuse=fuse,
+        workers=workers, batch_size=batch_size,
     ):
         results[index] = artifact
         done += 1

@@ -308,8 +308,7 @@ def load_snapshot(path: str | os.PathLike) -> int:
     try:
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError, MemoryError):
+    except Exception:  # noqa: BLE001 - any unreadable or corrupt file
         return 0
     if (
         not isinstance(payload, dict)

@@ -109,12 +109,6 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
              "stay identical to a serial run",
     )
     parser.add_argument(
-        "--fuse", type=int, default=None, nargs="?", const=0, metavar="B",
-        help="with --jobs > 1, dispatch cells to pool workers in fused "
-             "blocks of B (omit B to auto-size); amortizes per-cell "
-             "dispatch cost when cells are cheap",
-    )
-    parser.add_argument(
         "--progress", action="store_true",
         help="print completed/total cell counts to stderr as sweep "
              "results stream in (works with serial, --jobs, and "
@@ -174,8 +168,7 @@ def cmd_rank(args) -> int:
 
     platform = _platform(args)
     result = run_tournament(
-        platform, scale=args.scale, jobs=args.jobs,
-        workers=_workers(args), fuse=args.fuse,
+        platform, scale=args.scale, jobs=args.jobs, workers=_workers(args),
     )
     if args.compare:
         from repro.bench.matchup import compare_to_table, format_matchup
@@ -264,7 +257,7 @@ def cmd_experiment(args) -> int:
     platform = _platform(args)
     results = run_experiment(
         args.key, platform, scale=args.scale, jobs=args.jobs,
-        workers=_workers(args), fuse=args.fuse, progress=args.progress,
+        workers=_workers(args), progress=args.progress,
     )
     if args.key in ("fig6", "fig8", "fig10"):
         print(format_ratio_table(
@@ -307,7 +300,7 @@ def cmd_regenerate(args) -> int:
     for key in sorted(EXPERIMENTS):
         results = run_experiment(
             key, platform, scale=args.scale, jobs=args.jobs, workers=workers,
-            fuse=args.fuse, progress=args.progress,
+            progress=args.progress,
         )
         path = write_records(scenario_rows(results), out / f"{key}.csv")
         written.append(path)
@@ -372,7 +365,7 @@ def cmd_search(args) -> int:
         args.app, platform, n=args.n, iterations=args.iterations,
         sync=args.sync, config=config, grid=args.grid, beam=args.beam,
         rounds=args.rounds, jobs=args.jobs, workers=_workers(args),
-        fuse=args.fuse, progress=args.progress, plan_eval=args.plan_eval,
+        progress=args.progress, plan_eval=args.plan_eval,
     )
     print(format_search(result, top=args.top))
     if args.output:

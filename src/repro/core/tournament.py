@@ -181,13 +181,12 @@ def run_tournament(
     apps: tuple[str, ...] = DEFAULT_APPS,
     jobs: int = 1,
     workers=None,
-    fuse: int | None = None,
     config=None,
     runtime_config=None,
 ) -> TournamentResult:
     """Round-robin every applicable ranked strategy over the scenarios.
 
-    ``jobs``/``workers``/``fuse`` forward to
+    ``jobs``/``workers`` forward to
     :func:`~repro.bench.harness.run_sweep_iter` untouched.  Previously
     played matches are replayed from the ``"tournament"`` memo store (and
     therefore from any ``--cache-dir`` snapshot) instead of re-simulated.
@@ -231,9 +230,7 @@ def run_tournament(
             )
             for scenario, strategy in todo
         ]
-        for index, artifact in run_sweep_iter(
-            cells, jobs=jobs, workers=workers, fuse=fuse
-        ):
+        for index, artifact in run_sweep_iter(cells, jobs=jobs, workers=workers):
             scenario, strategy = todo[index]
             makespan = artifact.makespan_s
             key = _match_key(platform, scenario, strategy)
@@ -321,7 +318,6 @@ class MeasuredRankingProvider(RankingProvider):
         apps: tuple[str, ...] = DEFAULT_APPS,
         jobs: int = 1,
         workers=None,
-        fuse: int | None = None,
     ) -> None:
         if platform is None:
             from repro.platform.presets import shen_icpp15_platform
@@ -332,7 +328,6 @@ class MeasuredRankingProvider(RankingProvider):
         self.apps = apps
         self.jobs = jobs
         self.workers = workers
-        self.fuse = fuse
         self._result: TournamentResult | None = None
 
     def result(self) -> TournamentResult:
@@ -344,7 +339,6 @@ class MeasuredRankingProvider(RankingProvider):
                 apps=self.apps,
                 jobs=self.jobs,
                 workers=self.workers,
-                fuse=self.fuse,
             )
         return self._result
 

@@ -238,7 +238,6 @@ def _evaluate(
     round_no: int,
     jobs: int,
     workers,
-    fuse,
     progress: bool,
     plan_eval: bool,
 ) -> list[CandidateResult]:
@@ -272,8 +271,7 @@ def _evaluate(
         for cand in candidates
     ]
     artifacts = run_sweep(
-        cells, jobs=jobs, workers=workers, fuse=fuse,
-        detail="summary", progress=progress,
+        cells, jobs=jobs, workers=workers, detail="summary", progress=progress,
     )
     return [
         CandidateResult(
@@ -300,7 +298,6 @@ def search_plan(
     rounds: int = 2,
     jobs: int = 1,
     workers=None,
-    fuse=None,
     progress: bool = False,
     plan_eval: bool = True,
 ) -> SearchResult:
@@ -309,7 +306,7 @@ def search_plan(
     ``grid`` sets the coarse fraction resolution (points in [0, 1]);
     ``beam`` how many best fraction candidates each refinement round
     expands; ``rounds`` how many halving refinement rounds follow the
-    coarse sweep.  ``jobs``/``workers``/``fuse`` pass straight through to
+    coarse sweep.  ``jobs``/``workers`` pass straight through to
     :func:`~repro.bench.harness.run_sweep`.  ``plan_eval`` routes static
     candidates through the compiled-plan evaluator (the default; an
     already-set ``REPRO_PLAN_EVAL`` environment variable overrides it in
@@ -341,7 +338,7 @@ def search_plan(
             cands, app, platform,
             n=n, iterations=iterations, sync=sync,
             base_config=base_config, round_no=round_no,
-            jobs=jobs, workers=workers, fuse=fuse, progress=progress,
+            jobs=jobs, workers=workers, progress=progress,
             plan_eval=plan_eval,
         )
         evaluated.extend(results)

@@ -25,12 +25,6 @@ small integer ``kind`` inside an inlined run loop:
     re-schedules the next completion *inline* — no per-event closure, no
     Event allocation, and tuple comparisons run at C level in the heap.
     This is the executor's hot path.
-``_K_LANE``
-    A bulk replay lane (:meth:`replay_lane`): a preloaded array of
-    occupation durations drained without tracing, callbacks, or
-    per-occupation allocations.  This is the intake for occupancy-replay
-    and schedule-search workloads, and what
-    ``benchmarks/bench_event_core.py`` measures.
 ``_K_FINISH_BATCH``
     A whole occupation *stream* scheduled through
     :meth:`schedule_stream` (the engine half of
@@ -81,7 +75,6 @@ from repro.sim.engine import (
 #: event kinds (the ``kind`` slot of a heap tuple)
 _K_CALLBACK = 0
 _K_FINISH = 1
-_K_LANE = 2
 _K_FINISH_BATCH = 3
 _K_CALL = 4
 
@@ -152,26 +145,6 @@ class FastEvent:
             sim._note_cancel()
 
 
-class _ReplayLane:
-    """A preloaded FIFO of occupation durations drained by the engine."""
-
-    __slots__ = ("durations", "head")
-
-    def __init__(self, durations: list[float]) -> None:
-        self.durations = durations
-        self.head = 0
-
-    @property
-    def remaining(self) -> int:
-        """Occupations not yet started (excludes the one in flight)."""
-        return len(self.durations) - self.head
-
-    @property
-    def drained(self) -> bool:
-        """Whether every occupation has been started (none left queued)."""
-        return self.head >= len(self.durations)
-
-
 class FastSimulator:
     """Drop-in fast engine: same contract as the oracle ``Simulator``."""
 
@@ -183,7 +156,7 @@ class FastSimulator:
     #: :meth:`schedule_completion` instead of a per-event closure
     inline_completions = True
 
-    __slots__ = ("_now", "_heap", "_seq", "_running", "_cancelled", "_mixed",
+    __slots__ = ("_now", "_heap", "_seq", "_running", "_cancelled",
                  "_compact_min", "compactions")
 
     def __init__(self, *, compact_min: int | None = None) -> None:
@@ -199,9 +172,6 @@ class FastSimulator:
             self._COMPACT_MIN if compact_min is None else compact_min
         )
         self.compactions = 0  # heap rebuilds performed so far
-        #: True once any non-lane event was scheduled; gates the
-        #: specialized pure-lane drain loop
-        self._mixed = False
 
     @property
     def compact_min(self) -> int:
@@ -237,7 +207,6 @@ class FastSimulator:
         self._seq = seq + 1
         handle = FastEvent(time, priority, seq, callback, self)
         heapq.heappush(self._heap, (time, priority, seq, _K_CALLBACK, handle, None))
-        self._mixed = True
         return handle
 
     def after(
@@ -265,7 +234,6 @@ class FastSimulator:
             self._heap,
             (time, PRIORITY_COMPLETION, seq, _K_FINISH, resource, occupation),
         )
-        self._mixed = True
 
     def schedule_stream(self, time: float, resource, block) -> None:
         """Schedule a whole occupation stream's single completion event.
@@ -281,7 +249,6 @@ class FastSimulator:
             self._heap,
             (time, PRIORITY_COMPLETION, seq, _K_FINISH_BATCH, resource, block),
         )
-        self._mixed = True
 
     def schedule_call(
         self,
@@ -306,30 +273,6 @@ class FastSimulator:
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._heap, (time, priority, seq, _K_CALL, fn, arg))
-        self._mixed = True
-
-    def replay_lane(self, durations: list[float]) -> _ReplayLane:
-        """Preload a serial resource's occupation stream for bulk replay.
-
-        The lane starts immediately: its first completion is scheduled at
-        ``now + durations[0]`` and each completion schedules the next.
-        Lanes are untraced and callback-free — the allocation-free intake
-        for occupancy replay and schedule-search workloads.
-        """
-        for d in durations:
-            if d < 0:
-                raise SimulationError("lane durations must be >= 0")
-        lane = _ReplayLane(durations)
-        if durations:
-            lane.head = 1
-            seq = self._seq
-            self._seq = seq + 1
-            heapq.heappush(
-                self._heap,
-                (self._now + durations[0], PRIORITY_COMPLETION, seq, _K_LANE,
-                 lane, None),
-            )
-        return lane
 
     def _note_cancel(self) -> None:
         """Track a cancellation; compact once cancelled slots dominate."""
@@ -361,44 +304,9 @@ class FastSimulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         try:
-            if until is None and not self._mixed:
-                return self._drain_lanes(max_events)
             return self._run_general(until, max_events)
         finally:
             self._running = False
-
-    def _drain_lanes(self, max_events: int) -> float:
-        """Specialized loop for a heap holding only replay lanes.
-
-        Lane events carry no callbacks, so nothing can observe ``now`` or
-        schedule new work mid-drain; the loop keeps the sequence counter
-        and clock in locals and writes them back once.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        push = heapq.heappush
-        seq = self._seq
-        t = self._now
-        processed = 0
-        try:
-            while heap:
-                ev = pop(heap)
-                if processed >= max_events:
-                    push(heap, ev)  # leave the unprocessed event queued
-                    raise max_events_error(max_events)
-                processed += 1
-                t = ev[0]
-                lane = ev[4]
-                durations = lane.durations
-                head = lane.head
-                if head < len(durations):
-                    lane.head = head + 1
-                    push(heap, (t + durations[head], 0, seq, _K_LANE, lane, None))
-                    seq += 1
-        finally:
-            self._seq = seq
-            self._now = t
-        return t
 
     def _run_general(self, until: float | None, max_events: int) -> float:
         heap = self._heap
@@ -473,7 +381,7 @@ class FastSimulator:
                 processed += 1
                 self._now = t
                 ev[4]._finish_stream(ev[5])
-            elif kind == _K_CALL:
+            else:  # _K_CALL
                 # one event for a whole barrier-epoch wave: the plan
                 # evaluator committed every row analytically and left a
                 # single anchor to advance the clock and continue
@@ -482,20 +390,6 @@ class FastSimulator:
                 processed += 1
                 self._now = t
                 ev[4](ev[5])
-            else:  # _K_LANE
-                if processed >= max_events:
-                    raise max_events_error(max_events)
-                processed += 1
-                self._now = t
-                lane = ev[4]
-                durations = lane.durations
-                head = lane.head
-                if head < len(durations):
-                    lane.head = head + 1
-                    seq = self._seq
-                    self._seq = seq + 1
-                    push(heap, (t + durations[head], PRIORITY_COMPLETION,
-                                seq, _K_LANE, lane, None))
         if until is not None and until > self._now:
             self._now = until
         return self._now

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import SweepCell, _run_cell, run_sweep, simulate_many
+from repro.bench.harness import SweepCell, _run_cell, run_sweep
 from repro.cache import clear_all
 from repro.distrib import WorkerServer
 from repro.errors import StrategyInapplicableError
@@ -144,14 +144,6 @@ class TestBackends:
         # pool children inherit os.environ, so the pin reaches them
         self._compare(lambda: run_sweep(cells, jobs=2))
 
-    def test_fused_blocks(self, paper_platform):
-        cells = self._cells(paper_platform)
-        self._compare(lambda: run_sweep(cells, jobs=2, fuse=2))
-
-    def test_simulate_many(self, paper_platform):
-        cells = self._cells(paper_platform)
-        self._compare(lambda: simulate_many(cells))
-
     def test_worker_backend(self, paper_platform):
         cells = self._cells(paper_platform)
         server = WorkerServer().start()
@@ -162,13 +154,3 @@ class TestBackends:
         finally:
             server.stop()
 
-    def test_fused_matches_per_cell_under_both_engines(self, paper_platform):
-        cells = self._cells(paper_platform)
-        for oracle in (False, True):
-            with engine(oracle):
-                clear_all()
-                per_cell = run_sweep(cells, jobs=2)
-                fused = run_sweep(cells, jobs=2, fuse=2)
-            assert [self._key(a) for a in per_cell] == [
-                self._key(a) for a in fused
-            ]

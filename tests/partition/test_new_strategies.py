@@ -158,9 +158,7 @@ if mode == "workers":
     assert endpoint, "worker never became ready"
     kwargs = {"workers": [endpoint]}
 else:
-    kwargs = {"jobs": 2, "fuse": 2} if mode == "fuse" else (
-        {"jobs": 2} if mode == "jobs" else {}
-    )
+    kwargs = {"jobs": 2} if mode == "jobs" else {}
 try:
     for artifact in run_sweep(cells, **kwargs):
         print(hashlib.sha256(pickle.dumps(artifact)).hexdigest())
@@ -186,11 +184,10 @@ def _parity_run(mode: str, extra_env: dict | None = None) -> str:
 class TestBackendParity:
     """New strategies must pickle byte-identically on every backend."""
 
-    def test_serial_jobs_fuse_and_oracle_agree(self):
+    def test_serial_jobs_and_oracle_agree(self):
         serial = _parity_run("serial")
         assert serial.strip(), "no artifacts hashed"
         assert _parity_run("jobs") == serial
-        assert _parity_run("fuse") == serial
         assert _parity_run(
             "serial", {"REPRO_NO_FAST_ENGINE": "1"}
         ) == serial

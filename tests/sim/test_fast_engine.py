@@ -193,60 +193,6 @@ class TestPending:
         assert not keep.cancelled
 
 
-class TestReplayLanes:
-    def test_lane_final_time_is_duration_sum(self):
-        sim = FastSimulator()
-        lane = sim.replay_lane([1.0, 2.0, 0.5])
-        assert sim.run() == pytest.approx(3.5)
-        assert lane.drained
-        assert lane.remaining == 0
-
-    def test_lanes_drain_concurrently(self):
-        # two serial resources replay side by side: the makespan is the
-        # longest lane, not the sum of both
-        sim = FastSimulator()
-        sim.replay_lane([1.0] * 10)
-        sim.replay_lane([3.0, 3.0])
-        assert sim.run() == pytest.approx(10.0)
-
-    def test_empty_lane_schedules_nothing(self):
-        sim = FastSimulator()
-        lane = sim.replay_lane([])
-        assert lane.drained
-        assert sim.pending == 0
-        assert sim.run() == 0.0
-
-    def test_negative_duration_rejected(self):
-        sim = FastSimulator()
-        with pytest.raises(SimulationError):
-            sim.replay_lane([1.0, -0.5])
-
-    def test_lane_max_events_budget_applies(self):
-        sim = FastSimulator()
-        sim.replay_lane([1.0] * 50)
-        with pytest.raises(SimulationError, match="max_events=10"):
-            sim.run(max_events=10)
-
-    def test_lanes_mix_with_callback_events(self):
-        # once a callback event exists, the general loop drains both and
-        # callbacks observe lane completions advancing the clock
-        sim = FastSimulator()
-        seen = []
-        lane = sim.replay_lane([1.0, 1.0, 1.0])
-        sim.at(2.5, lambda: seen.append((sim.now, lane.remaining)))
-        assert sim.run() == pytest.approx(3.0)
-        assert seen == [(2.5, 0)]  # third occupation already in flight
-
-    def test_until_horizon_pauses_a_lane(self):
-        sim = FastSimulator()
-        lane = sim.replay_lane([1.0] * 6)
-        sim.run(until=2.5)
-        assert sim.now == pytest.approx(2.5)
-        assert not lane.drained
-        assert sim.run() == pytest.approx(6.0)
-        assert lane.drained
-
-
 class TestInlineCompletions:
     def test_schedule_completion_consumes_one_seq_like_the_oracle_closure(self):
         # identical seq consumption is what keeps interleaving (and thus

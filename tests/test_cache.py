@@ -2,10 +2,16 @@
 and the disk-backed snapshots behind ``--cache-dir``."""
 
 import dataclasses
+import functools
 import pickle
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.bench.harness import SweepCell, run_sweep
 from repro.cache import (
     SNAPSHOT_VERSION,
     MemoCache,
@@ -22,6 +28,7 @@ from repro.cache import (
     stats_delta,
 )
 from repro.partition.profiling import build_profile_table
+from repro.platform import shen_icpp15_platform
 
 from tests.conftest import chain_program
 
@@ -140,6 +147,19 @@ class TestFingerprints:
         assert kernel_fingerprint(recosted) != fp
 
 
+@functools.lru_cache(maxsize=None)
+def _real_snapshot() -> bytes:
+    """Snapshot bytes after one small sweep cell warmed the stores."""
+    clear_all()
+    run_sweep([SweepCell(app="STREAM-Loop", strategy="DP-Perf",
+                         platform=shen_icpp15_platform(), n=1024,
+                         iterations=1)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snap.pkl"
+        save_snapshot(path)
+        return path.read_bytes()
+
+
 class TestDiskSnapshots:
     def test_round_trip_restores_entries(self, tmp_path):
         get_cache("snap-a").get_or_compute("k1", lambda: 11)
@@ -179,6 +199,36 @@ class TestDiskSnapshots:
         path.write_bytes(path.read_bytes()[:10])
         clear_all()
         assert load_snapshot(path) == 0
+        # a pickle header naming a protocol that does not exist
+        path.write_bytes(b"\x80\x35")
+        assert load_snapshot(path) == 0
+        # one flipped byte inside a stored string: invalid UTF-8
+        get_cache("snap-d").get_or_compute("k", lambda: "snapshot-value")
+        save_snapshot(path)
+        data = path.read_bytes()
+        at = data.index(b"snapshot-value")
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        clear_all()
+        assert load_snapshot(path) == 0
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        flips=st.lists(st.tuples(st.integers(min_value=0),
+                                 st.integers(0, 255)), max_size=4),
+        keep=st.one_of(st.none(), st.integers(min_value=0)),
+    )
+    def test_damaged_snapshot_never_raises(self, flips, keep):
+        data = bytearray(_real_snapshot())
+        for index, byte in flips:
+            data[index % len(data)] = byte
+        if keep is not None:
+            data = data[:keep % len(data)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "snap.pkl"
+            path.write_bytes(bytes(data))
+            clear_all()
+            assert isinstance(load_snapshot(path), int)
 
     def test_version_mismatch_is_ignored(self, tmp_path):
         path = tmp_path / "snap.pkl"

@@ -211,17 +211,6 @@ class TestExperiment:
         out = capsys.readouterr().out
         assert "Figure 5" in out and "SP-Single" in out
 
-    def test_fused_jobs_match_per_cell(self, capsys, tmp_path):
-        per_cell = tmp_path / "per_cell.json"
-        fused = tmp_path / "fused.json"
-        assert main(["experiment", "fig5", "--scale", "0.02", "--jobs", "2",
-                     "-o", str(per_cell)]) == 0
-        assert main(["experiment", "fig5", "--scale", "0.02", "--jobs", "2",
-                     "--fuse", "-o", str(fused)]) == 0
-        assert json.loads(fused.read_text()) == json.loads(
-            per_cell.read_text()
-        )
-
     def test_ratio_experiment(self, capsys):
         assert main(["experiment", "fig8", "--scale", "0.02"]) == 0
         assert "%" in capsys.readouterr().out
