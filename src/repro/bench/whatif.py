@@ -12,21 +12,13 @@ end-to-end validation of the static-partitioning stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import ExperimentError
-from repro.partition._static_common import static_chunks
-from repro.partition.base import (
-    ExecutionPlan,
-    PlanConfig,
-    StrategyDecision,
-    finalize_graph,
-    run_plan,
-)
+from repro.partition._static_common import forced_plan
+from repro.partition.base import PlanConfig, run_plan
 from repro.platform.topology import Platform
 from repro.runtime.graph import Program
-from repro.runtime.schedulers.base import StaticScheduler
-from repro.units import round_up
 
 
 @dataclass(frozen=True)
@@ -57,42 +49,6 @@ class ResponseCurve:
         return self.makespan_at(nearest) <= self.best_ms * (1 + tolerance)
 
 
-def pinned_split_plan(
-    program: Program,
-    platform: Platform,
-    gpu_fraction: float,
-    *,
-    config: PlanConfig | None = None,
-) -> ExecutionPlan:
-    """A static plan with an explicit GPU fraction (no Glinda involved)."""
-    if not (0.0 <= gpu_fraction <= 1.0):
-        raise ExperimentError(f"gpu_fraction {gpu_fraction} outside [0, 1]")
-    config = config or PlanConfig()
-    m = config.threads(platform)
-
-    def chunker(inv):
-        n_gpu = min(
-            round_up(int(round(gpu_fraction * inv.n)), config.warp_size),
-            inv.n,
-        )
-        if gpu_fraction == 0.0:
-            n_gpu = 0
-        return static_chunks(inv, n_gpu, platform=platform, m=m)
-
-    graph = finalize_graph(program, chunker)
-    return ExecutionPlan(
-        graph=graph,
-        scheduler=StaticScheduler(),
-        decision=StrategyDecision(
-            strategy=f"pinned-{gpu_fraction:.2f}",
-            hardware_config="cpu+gpu",
-            gpu_fraction_by_kernel={
-                k.name: gpu_fraction for k in program.kernels
-            },
-        ),
-    )
-
-
 def split_response_curve(
     program: Program,
     platform: Platform,
@@ -102,12 +58,21 @@ def split_response_curve(
     ),
     config: PlanConfig | None = None,
 ) -> ResponseCurve:
-    """Measure the makespan at every candidate GPU fraction."""
+    """Measure the makespan at every candidate GPU fraction.
+
+    Each fraction is a forced, warp-rounded static split of every
+    invocation (no Glinda involved), exactly as the SP-* strategies
+    split under ``PlanConfig(gpu_fraction=...)``.
+    """
     if not fractions:
         raise ExperimentError("need at least one fraction")
+    config = config or PlanConfig()
     makespans = []
     for fraction in fractions:
-        plan = pinned_split_plan(program, platform, fraction, config=config)
+        plan = forced_plan(
+            f"pinned-{fraction:.2f}", program, platform,
+            replace(config, gpu_fraction=fraction),
+        )
         makespans.append(run_plan(plan, platform).makespan_ms)
     return ResponseCurve(
         fractions=tuple(fractions), makespans_ms=tuple(makespans)

@@ -145,12 +145,7 @@ def recv_frame(sock: socket.socket) -> tuple[int, Any, int]:
     short read inside one.  The payload pickle is only read once the
     header validated, so a garbage frame never triggers a huge read.
     """
-    try:
-        raw = _recv_exact(sock, HEADER.size)
-    except ConnectionClosedError:
-        # distinguish "closed between frames" for callers that care:
-        # re-raise with a cleaner message when nothing was read at all
-        raise
+    raw = _recv_exact(sock, HEADER.size)
     magic, version, msg_type, length = HEADER.unpack(raw)
     if magic != MAGIC:
         raise WorkerProtocolError(

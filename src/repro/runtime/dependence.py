@@ -296,15 +296,16 @@ def build_dependences(graph: TaskGraph) -> TaskGraph:
     :func:`build_dependences_reference` (hence identical executor
     behaviour), but near-linear in the instance count — a new access only
     consults the last writer(s) of its range and the reads since, never
-    the full history.  Returns the same graph for chaining.  Existing
-    edges are preserved (strategies may add explicit edges before calling
-    this).
+    the full history.  Regions come from the graph's access-row table.
+    Returns the same graph for chaining.  Existing edges are preserved
+    (strategies may add explicit edges before calling this).
     """
     frontiers: dict[str, _ArrayFrontier] = {}
     in_flight: list[int] = []
     after_barrier: int | None = None
 
     instances = graph.instances
+    rows = graph.access_rows
     total = len(instances)
     i = 0
     while i < total:
@@ -337,8 +338,7 @@ def build_dependences(graph: TaskGraph) -> TaskGraph:
             member_id = member.instance_id
             if after_barrier is not None:
                 _add_edge(graph, after_barrier, member_id)
-            for region, mode in member.regions():
-                assert isinstance(mode, AccessMode)
+            for region, mode in rows[member_id].regions:
                 if region.end <= region.start:  # empty PREFIX chunk
                     continue
                 frontier = frontiers.get(region.array)

@@ -353,13 +353,12 @@ class _Run:
         #: region being transferred must wait for the wire, not just for
         #: the (optimistically updated) directory
         self._inflight: dict[tuple[str, str], list[_InflightTransfer]] = {}
-        #: signature-keyed memo caches.  Looped programs re-issue the same
-        #: (kernel object, range, n) chunk once per iteration, so regions
-        #: and compute durations are materialized once per *signature*
-        #: instead of once per instance — region lists are shared (callers
-        #: only iterate them) and durations are pure roofline arithmetic,
-        #: so sharing is value-identical to recomputing.
-        self._regions_cache: dict[tuple, list] = {}
+        #: per-instance regions, shared per signature by the graph
+        self._rows = graph.access_rows
+        #: compute durations memoized per signature.  Looped programs
+        #: re-issue the same (kernel object, resource, range, n) chunk once
+        #: per iteration, and durations are pure roofline arithmetic, so
+        #: sharing is value-identical to recomputing.
         self._duration_cache: dict[tuple, float] = {}
         #: prebound completion methods — occupations carry ``(method, arg)``
         #: tuples instead of a fresh closure each
@@ -383,17 +382,6 @@ class _Run:
             raise SchedulingError(
                 f"scheduler chose unknown resource {resource_id!r}"
             ) from None
-
-    def _regions(self, inst: TaskInstance) -> list:
-        # the kernel *object* keys the memo: looped programs reuse one
-        # Kernel per iteration, while DAG apps emit distinct same-named
-        # kernels over different arrays (Cholesky's per-tile gemms)
-        key = (id(inst.kernel), inst.lo, inst.hi, inst.invocation.n)
-        regions = self._regions_cache.get(key)
-        if regions is None:
-            regions = list(inst.regions())
-            self._regions_cache[key] = regions
-        return regions
 
     def _link_channel(self, op: TransferOp) -> SimResource:
         direction = "h2d" if op.is_h2d else "d2h"
@@ -474,9 +462,7 @@ class _Run:
     ) -> list[_InflightTransfer]:
         """In-flight transfers the instance's reads must wait for."""
         found: list[_InflightTransfer] = []
-        for region, mode in self._regions(inst):
-            if not mode.reads:
-                continue
+        for region in self._rows[inst.instance_id].reads:
             for entry in self._inflight.get((region.array, space), ()):
                 if (
                     not entry.done
@@ -498,9 +484,8 @@ class _Run:
         # collect transfers already on the wire BEFORE issuing our own
         waits = self._pending_overlaps(inst, space)
         ops: list[TransferOp] = []
-        for region, mode in self._regions(inst):
-            if mode.reads:
-                ops.extend(self.memory.ensure(region, space))
+        for region in self._rows[inst.instance_id].reads:
+            ops.extend(self.memory.ensure(region, space))
         transfer_total = sum(self._transfer_duration(op) for op in ops)
         pending = len(ops) + len(waits)
         if pending == 0:
@@ -607,9 +592,9 @@ class _Run:
         compute_time: float,
         transfer_time: float,
     ) -> None:
-        for region, mode in self._regions(inst):
-            if mode.writes:
-                self.memory.write(region, space)
+        writes = self._rows[inst.instance_id].writes
+        for region in writes:
+            self.memory.write(region, space)
         # an instance followed by a taskwait — explicit, or the program's
         # implicit final sync after the last invocation (only when the run
         # accounts for end-to-end readback at all) — reads its own results
@@ -627,11 +612,10 @@ class _Run:
             and faces_sync
             and space != HOST_SPACE
         ):
-            for region, mode in self._regions(inst):
-                if mode.writes:
-                    for op in self.memory.writeback(region, space):
-                        self._pending_writebacks += 1
-                        self._issue_transfer(op, on_complete=self._writeback_done)
+            for region in writes:
+                for op in self.memory.writeback(region, space):
+                    self._pending_writebacks += 1
+                    self._issue_transfer(op, on_complete=self._writeback_done)
         self.inflight[resource.resource_id] -= 1
         self.scheduler.on_complete(
             inst,

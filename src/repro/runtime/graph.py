@@ -11,7 +11,9 @@ A data-parallel application is represented at two levels:
   leave them unpinned for the scheduler.
 
 The :class:`TaskGraph` holds the instances plus the dependence edges added
-by :func:`repro.runtime.dependence.build_dependences`.
+by :func:`repro.runtime.dependence.build_dependences`, and its
+:attr:`TaskGraph.access_rows` table — the one source of what each
+instance reads and writes, for every consumer of regions.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.errors import ConfigurationError, DependenceError
-from repro.runtime.kernels import Kernel
-from repro.runtime.regions import ArraySpec, Region
+from repro.runtime.kernels import AccessPattern, Kernel
+from repro.runtime.regions import AccessMode, ArraySpec, Region
 
 
 class InstanceKind(enum.Enum):
@@ -177,12 +179,83 @@ class TaskInstance:
         )
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class AccessRow:
+    """The regions one compute instance touches, in every form consumers read.
+
+    ``regions`` is ``inst.regions()`` (kernel access order); ``reads``
+    and ``writes`` split it by direction; ``partial_reads`` holds the
+    non-FULL reads with their element size, and ``in_bytes``/
+    ``out_bytes`` total the non-FULL reads/writes — FULL accesses are
+    fetched once per device, not per chunk, so schedulers leave them out.
+    """
+
+    regions: list[tuple[Region, AccessMode]]
+    reads: tuple[Region, ...]
+    writes: tuple[Region, ...]
+    partial_reads: tuple[tuple[Region, int], ...]
+    in_bytes: int
+    out_bytes: int
+
+    @classmethod
+    def of(cls, inst: TaskInstance) -> "AccessRow":
+        regions = inst.regions()
+        partial_reads = []
+        in_bytes = out_bytes = 0
+        for acc, (region, mode) in zip(inst.kernel.accesses, regions):
+            if acc.pattern is AccessPattern.FULL:
+                continue
+            nbytes = region.nbytes(acc.array.elem_bytes)
+            if mode.reads:
+                partial_reads.append((region, acc.array.elem_bytes))
+                in_bytes += nbytes
+            if mode.writes:
+                out_bytes += nbytes
+        return cls(
+            regions=regions,
+            reads=tuple(region for region, mode in regions if mode.reads),
+            writes=tuple(region for region, mode in regions if mode.writes),
+            partial_reads=tuple(partial_reads),
+            in_bytes=in_bytes,
+            out_bytes=out_bytes,
+        )
+
+
 @dataclass
 class TaskGraph:
     """The fully expanded, dependence-annotated set of task instances."""
 
     program: Program
     instances: list[TaskInstance] = field(default_factory=list)
+    _access_rows: list | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def access_rows(self) -> list[AccessRow | None]:
+        """Per-instance :class:`AccessRow`, indexed by ``instance_id``.
+
+        Built on first use; barriers get ``None``.  Instances with the
+        same ``(kernel object, lo, hi)`` signature share one row object —
+        looped programs re-issue the same chunk every iteration, and the
+        plan compiler's wave classes key on row identity.  The kernel
+        *object* keys the signature: DAG apps emit distinct same-named
+        kernels over different arrays (Cholesky's per-tile gemms).
+        """
+        rows = self._access_rows
+        if rows is None:
+            shared: dict[tuple, AccessRow] = {}
+            rows = self._access_rows = []
+            for inst in self.instances:
+                if inst.kind is not InstanceKind.COMPUTE:
+                    rows.append(None)
+                    continue
+                key = (id(inst.invocation.kernel), inst.lo, inst.hi)
+                row = shared.get(key)
+                if row is None:
+                    row = shared[key] = AccessRow.of(inst)
+                rows.append(row)
+        return rows
 
     def instance(self, instance_id: int) -> TaskInstance:
         inst = self.instances[instance_id]

@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.runtime.graph import TaskGraph, TaskInstance
-from repro.runtime.kernels import AccessPattern
 from repro.runtime.regions import IntervalSet
 from repro.runtime.schedulers.base import Scheduler, SchedulingContext
 
@@ -47,9 +46,11 @@ class AffinityScheduler(Scheduler):
     def __init__(self) -> None:
         #: device id -> array name -> resident element ranges
         self._resident: dict[str, dict[str, IntervalSet]] = {}
+        self._rows: list = []
 
     def start(self, graph: TaskGraph, ctx: SchedulingContext) -> None:
         self._resident = {}
+        self._rows = graph.access_rows
         for resource in ctx.resources:
             self._resident.setdefault(resource.device.device_id, {})
 
@@ -66,35 +67,30 @@ class AffinityScheduler(Scheduler):
         if not arrays:
             return 0
         total = 0
-        for acc in inst.kernel.accesses:
-            if not acc.mode.reads or acc.pattern is AccessPattern.FULL:
-                continue
-            region = acc.region(inst.lo, inst.hi)
+        for region, elem_bytes in self._rows[inst.instance_id].partial_reads:
             resident = arrays.get(region.array)
             if resident is not None:
                 held = resident.intersect(region.start, region.end).total
-                total += held * acc.array.elem_bytes
+                total += held * elem_bytes
         return total
 
     def _record_assignment(self, inst: TaskInstance, device_id: str) -> None:
         """Writes become exclusive to ``device_id``; reads replicate there."""
         home = self._resident.setdefault(device_id, {})
-        for acc in inst.kernel.accesses:
-            if acc.pattern is AccessPattern.FULL:
-                continue
-            region = acc.region(inst.lo, inst.hi)
-            if acc.mode.writes:
-                for other_id, arrays in self._resident.items():
-                    if other_id == device_id:
-                        continue
-                    resident = arrays.get(region.array)
-                    if resident is not None:
-                        resident.remove(region.start, region.end)
-            if acc.mode.reads or acc.mode.writes:
-                target = home.get(region.array)
-                if target is None:
-                    target = home[region.array] = IntervalSet()
-                target.add(region.start, region.end)
+        row = self._rows[inst.instance_id]
+        for region in row.writes:
+            for other_id, arrays in self._resident.items():
+                if other_id == device_id:
+                    continue
+                resident = arrays.get(region.array)
+                if resident is not None:
+                    resident.remove(region.start, region.end)
+        touched = [region for region, _ in row.partial_reads]
+        for region in touched + list(row.writes):
+            target = home.get(region.array)
+            if target is None:
+                target = home[region.array] = IntervalSet()
+            target.add(region.start, region.end)
 
     # -- policy ------------------------------------------------------------
 

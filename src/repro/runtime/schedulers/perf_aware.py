@@ -36,27 +36,7 @@ from repro.errors import SchedulingError
 from repro.platform.topology import ComputeResource
 from repro.runtime.dependence import dependence_chains
 from repro.runtime.graph import TaskGraph, TaskInstance
-from repro.runtime.kernels import AccessPattern
 from repro.runtime.schedulers.base import Scheduler, SchedulingContext
-
-
-def _partitioned_bytes(inst: TaskInstance) -> tuple[int, int]:
-    """``(input, output)`` bytes of the instance's PARTITIONED accesses.
-
-    FULL accesses are excluded: they are fetched once per device, not per
-    chunk, so billing them to every instance would wildly overestimate.
-    """
-    in_b = 0
-    out_b = 0
-    for acc in inst.kernel.accesses:
-        if acc.pattern is AccessPattern.FULL:
-            continue
-        nbytes = acc.region(inst.lo, inst.hi).nbytes(acc.array.elem_bytes)
-        if acc.mode.reads:
-            in_b += nbytes
-        if acc.mode.writes:
-            out_b += nbytes
-    return in_b, out_b
 
 
 @dataclass
@@ -105,12 +85,7 @@ class PerfAwareScheduler(Scheduler):
         #: dependence-chain tracking (shared policy with DP-Dep)
         self._chains: dict[int, int] = {}
         self._chain_device: dict[int, str] = {}
-        #: ``(work_units, in_bytes, out_bytes)`` memoized per
-        #: ``(kernel, lo, hi, n)`` signature — pure functions of the
-        #: instance's range, and iterative apps re-issue the same ranges
-        #: every iteration, so the access-list walk runs once per
-        #: distinct chunk instead of once per instance per resource
-        self._inst_cost: dict[tuple, tuple[float, int, int]] = {}
+        self._rows: list = []
 
     def start(self, graph: TaskGraph, ctx: SchedulingContext) -> None:
         self._graph = graph
@@ -135,7 +110,7 @@ class PerfAwareScheduler(Scheduler):
                         )
         self._chains = dependence_chains(graph)
         self._chain_device.clear()
-        self._inst_cost = {}
+        self._rows = graph.access_rows
 
     # -- estimation -------------------------------------------------------
 
@@ -161,17 +136,15 @@ class PerfAwareScheduler(Scheduler):
         return self._chain_device.get(chain, self._host_id)
 
     def _cost(self, inst: TaskInstance) -> tuple[float, int, int]:
-        """Memoized ``(work_units, in_bytes, out_bytes)`` of an instance."""
-        # keyed by kernel object, not name: DAG apps emit distinct
-        # same-named kernels (different arrays, possibly different work
-        # profiles), while looped apps reuse one Kernel per iteration
-        key = (id(inst.kernel), inst.lo, inst.hi, inst.invocation.n)
-        cost = self._inst_cost.get(key)
-        if cost is None:
-            work = inst.kernel.work_units(inst.lo, inst.hi)
-            in_b, out_b = _partitioned_bytes(inst)
-            cost = self._inst_cost[key] = (work, in_b, out_b)
-        return cost
+        """``(work_units, in_bytes, out_bytes)`` of an instance.
+
+        The byte totals cover non-FULL accesses only: FULL data is
+        fetched once per device, not per chunk, so billing it to every
+        instance would wildly overestimate.
+        """
+        row = self._rows[inst.instance_id]
+        work = inst.kernel.work_units(inst.lo, inst.hi)
+        return work, row.in_bytes, row.out_bytes
 
     def estimate(self, inst: TaskInstance, resource: ComputeResource) -> float:
         """Estimated execution time of ``inst`` on ``resource``.

@@ -219,7 +219,7 @@ def compile_plan(
     resource_ids: list = [None] * n
     writeback_flags = [False] * n
     duration_memo: dict[tuple, float] = {}
-    writes_memo: dict[tuple, bool] = {}
+    rows = graph.access_rows
     drainable = True
     n_compute = 0
     n_barriers = 0
@@ -286,19 +286,11 @@ def compile_plan(
                     and inst.invocation.invocation_id == last_invocation_id
                 )
                 if faces_sync:
-                    wkey = (id(kernel), inst.lo, inst.hi, inst.invocation.n)
-                    writes = writes_memo.get(wkey)
-                    if writes is None:
-                        writes = any(
-                            mode.writes for _, mode in inst.regions()
-                        )
-                        writes_memo[wkey] = writes
-                    writeback_flags[i] = writes
+                    writeback_flags[i] = bool(rows[i].writes)
 
     # hoist the drain walk's per-instance lookups: release order,
-    # regions read and written (shared per signature, like the
-    # executor's memo), and the statically-known cross-resource
-    # dependences
+    # regions read and written (the graph's access rows, shared per
+    # signature), and the statically-known cross-resource dependences
     succs_sorted: list = [()] * n
     reads_of: list = [()] * n
     writes_of: list = [()] * n
@@ -307,30 +299,18 @@ def compile_plan(
     los: list = [0] * n
     his: list = [0] * n
     sizes: list = [0] * n
-    rows_memo: dict[tuple, tuple] = {}
     for inst in graph.instances:
         if inst.is_barrier:
             continue
         i = inst.instance_id
         if inst.succs:
             succs_sorted[i] = tuple(sorted(inst.succs))
-        kernel = inst.kernel
-        kernel_names[i] = kernel.name
+        kernel_names[i] = inst.kernel.name
         los[i] = inst.lo
         his[i] = inst.hi
         sizes[i] = inst.size
-        # keyed by kernel *object*: looped programs reuse one Kernel per
-        # iteration, while DAG apps emit distinct same-named kernels
-        # over different arrays (Cholesky's per-tile gemms)
-        rkey = (id(kernel), inst.lo, inst.hi, inst.invocation.n)
-        rows = rows_memo.get(rkey)
-        if rows is None:
-            regions = list(inst.regions())
-            rows = rows_memo[rkey] = (
-                tuple(region for region, mode in regions if mode.reads),
-                tuple(region for region, mode in regions if mode.writes),
-            )
-        reads_of[i], writes_of[i] = rows
+        reads_of[i] = rows[i].reads
+        writes_of[i] = rows[i].writes
         rid = resource_ids[i]
         crossing = tuple(
             dep for dep in inst.deps if resource_ids[dep] != rid

@@ -7,6 +7,8 @@ import socket
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distrib import protocol
 from repro.distrib.protocol import ConnectionClosedError
@@ -136,3 +138,42 @@ class TestSendLimits:
         # the frame header is part of the cross-version contract
         assert protocol.HEADER.size == struct.calcsize(">4sBBI") == 10
         assert protocol.MAGIC == b"RPRO"
+
+
+@st.composite
+def _wire_bytes(draw):
+    """A header (valid-looking or arbitrary) followed by a body."""
+    body = draw(st.one_of(
+        st.binary(max_size=256),
+        st.builds(pickle.dumps, st.integers() | st.text(max_size=32)),
+    ))
+    header = draw(st.one_of(
+        st.binary(max_size=protocol.HEADER.size),
+        st.builds(
+            protocol.HEADER.pack,
+            st.sampled_from([protocol.MAGIC, b"XXXX"]),
+            st.sampled_from([protocol.PROTOCOL_VERSION, 0, 255]),
+            st.sampled_from([protocol.MSG_BATCH, 0, 255]),
+            st.one_of(
+                st.just(len(body)),
+                st.integers(0, 2 * len(body) + 16),
+                st.just(protocol.MAX_FRAME_BYTES + 1),
+            ),
+        ),
+    ))
+    return header + body
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(wire=_wire_bytes())
+    def test_arbitrary_bytes_return_a_frame_or_a_protocol_error(self, wire):
+        a, b = socket.socketpair()
+        with a, b:
+            b.settimeout(5.0)
+            a.sendall(wire)
+            a.shutdown(socket.SHUT_WR)
+            try:
+                protocol.recv_frame(b)
+            except (WorkerProtocolError, ConnectionClosedError):
+                pass

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.apps.registry import all_applications
 from repro.errors import ConfigurationError, DependenceError
+from repro.partition.base import get_strategy
 from repro.runtime.graph import (
     InstanceKind,
     KernelInvocation,
@@ -172,3 +174,34 @@ class TestValidateAcyclic:
         b.deps.add(a.instance_id); a.succs.add(b.instance_id)
         with pytest.raises(DependenceError):
             graph.validate_acyclic()
+
+
+class TestAccessRows:
+    @pytest.mark.parametrize(
+        "app", all_applications(), ids=lambda app: app.name
+    )
+    def test_rows_match_regions_and_are_shared_per_signature(
+        self, app, paper_platform
+    ):
+        if app.name == "Cholesky":  # one sync-free factorization, 4x4 tiles
+            program = app.program(4)
+        else:
+            program = app.program(256, iterations=2, sync=True)
+        graph = get_strategy("DP-Dep").plan(program, paper_platform).graph
+        rows = graph.access_rows
+        assert len(rows) == len(graph.instances)
+        by_signature: dict[tuple, object] = {}
+        for inst, row in zip(graph.instances, rows):
+            if inst.is_barrier:
+                assert row is None
+                continue
+            assert row.regions == list(inst.regions())
+            shared = by_signature.setdefault(
+                (id(inst.kernel), inst.lo, inst.hi), row
+            )
+            assert row is shared
+        assert len({id(row) for row in by_signature.values()}) == len(
+            by_signature
+        )
+        if app.name != "Cholesky":
+            assert any(inst.is_barrier for inst in graph.instances)
