@@ -20,9 +20,10 @@ Hit/miss counters are kept per store and surfaced
 into their :class:`~repro.partition.base.StrategyDecision` notes and
 ``benchmarks/bench_pipeline_perf.py`` records them in
 ``BENCH_pipeline.json``.  Caching is on by default; set the environment
-variable ``REPRO_CACHE=0`` (or call :func:`configure`) to disable it, e.g.
-when ablating cache behaviour.  Keys, invalidation rules, and the
-worker-process caveat are documented in ``docs/performance.md``.
+variable ``REPRO_CACHE=0`` (read once, at import) or call :func:`configure`
+to disable it, e.g. when ablating cache behaviour.  Keys, invalidation
+rules, and the worker-process caveat are documented in
+``docs/performance.md``.
 
 Stores can also be persisted across CLI invocations:
 :func:`save_snapshot`/:func:`load_snapshot` write/read a version-stamped,
@@ -36,9 +37,13 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import struct
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Hashable
+
+import numpy as np
 
 __all__ = [
     "CacheStats",
@@ -89,8 +94,9 @@ class CacheStats:
         }
 
 
-def _default_enabled() -> bool:
-    return os.environ.get("REPRO_CACHE", "1") not in ("0", "false", "off")
+#: whether stores cache at all: ``REPRO_CACHE`` read once, at import, then
+#: owned by :func:`configure`; stores created later start from it
+_ENABLED = os.environ.get("REPRO_CACHE", "1") not in ("0", "false", "off")
 
 
 class MemoCache:
@@ -106,7 +112,7 @@ class MemoCache:
     def __init__(self, name: str, *, max_entries: int = 65536) -> None:
         self.name = name
         self.max_entries = max_entries
-        self.enabled = _default_enabled()
+        self.enabled = _ENABLED
         self._store: dict[Hashable, Any] = {}
         self._hits = 0
         self._misses = 0
@@ -199,7 +205,8 @@ def clear_all() -> None:
 
 def configure(*, enabled: bool) -> None:
     """Enable or disable all stores (present and future)."""
-    os.environ["REPRO_CACHE"] = "1" if enabled else "0"
+    global _ENABLED
+    _ENABLED = enabled
     for cache in _CACHES.values():
         cache.enabled = enabled
 
@@ -270,8 +277,9 @@ def preload_snapshot(snapshot: dict[str, dict[Hashable, Any]]) -> None:
 # The version stamp guards the pickle layout itself: snapshots written by
 # an incompatible build are ignored wholesale, never half-loaded.
 
-#: bump when the snapshot payload layout (or any pickled value type) changes
-SNAPSHOT_VERSION = 1
+#: bump when the snapshot payload layout, any pickled value type, or the
+#: key encoding changes (2: framed fingerprints)
+SNAPSHOT_VERSION = 2
 
 _SNAPSHOT_FORMAT = "repro-cache-snapshot"
 
@@ -330,16 +338,42 @@ def load_snapshot(path: str | os.PathLike) -> int:
 # A fingerprint digests everything a cached result depends on, so a cache
 # key built from fingerprints is automatically invalidated by any change
 # to the underlying model — there is no explicit invalidation protocol.
+#
+# Keys are framed, not concatenated: every part is fed to the hash as a type
+# tag, a byte length, then its payload, and tuples recurse, so two different
+# part sequences can never produce the same byte stream.  Bytes-like parts
+# and numpy arrays go to the hash as buffers — no ``tobytes()`` copy, never
+# ``repr()`` — so a key costs time in proportion to its metadata plus one
+# pass over any raw payload.  An array's frame carries its dtype and shape.
+
+_LENGTH = struct.Struct("<Q").pack
+
+
+def _feed(update: Callable[[Any], None], part: object) -> None:
+    """Feed one framed part to ``update`` (a hash's ``update`` method)."""
+    if type(part) is tuple:
+        update(b"T" + _LENGTH(len(part)))
+        for item in part:
+            _feed(update, item)
+    elif isinstance(part, np.ndarray):
+        if part.dtype.hasobject:
+            raise TypeError("cannot fingerprint an object array")
+        header = f"{part.dtype.str}{part.shape}".encode()
+        data = np.ascontiguousarray(part)
+        update(b"A" + _LENGTH(len(header)) + header + _LENGTH(data.nbytes))
+        update(data)
+    elif isinstance(part, (bytes, bytearray, memoryview)):
+        update(b"B" + _LENGTH(memoryview(part).nbytes))
+        update(part)
+    else:
+        text = (part if isinstance(part, str) else repr(part)).encode()
+        tag = b"S" if isinstance(part, str) else b"R"
+        update(tag + _LENGTH(len(text)) + text)
 
 
 def _digest(*parts: object) -> str:
     h = hashlib.sha1()
-    for part in parts:
-        if isinstance(part, bytes):
-            h.update(part)
-        else:
-            h.update(repr(part).encode())
-        h.update(b"\x00")
+    _feed(h.update, parts)
     return h.hexdigest()[:16]
 
 
@@ -358,13 +392,29 @@ def platform_fingerprint(platform) -> str:
     )
 
 
+#: ``id(kernel) -> (weak reference, fingerprint)`` for live kernels.  The
+#: memo sits beside the kernel, never in its ``__dict__`` (artifacts and
+#: cells must pickle the same bytes whether or not a kernel was keyed), and
+#: the weak reference's callback drops the entry as the kernel dies, before
+#: its id can be reused.  Kernels are frozen, and their prefix arrays are
+#: treated as immutable once built: editing one in place after the kernel
+#: was fingerprinted would leave a stale key.
+_KERNEL_FPS: dict[int, tuple[weakref.ref, str]] = {}
+
+
 def kernel_fingerprint(kernel) -> str:
     """Digest of a kernel's cost model and access shapes.
 
     The functional body (``impl``/``params``) is excluded — it never
     affects simulated timing.  PREFIX extents and imbalanced work weights
-    do affect probe sizes and work units, so their raw bytes are folded in.
+    do affect probe sizes and work units, so the arrays themselves are
+    framed in (dtype, shape and buffer).  Memoized per kernel object: a
+    matched program is keyed by several stores, and SpMV's arrays are MBs.
     """
+    key = id(kernel)
+    entry = _KERNEL_FPS.get(key)
+    if entry is not None:
+        return entry[1]
     access_parts = []
     for acc in kernel.accesses:
         access_parts.append((
@@ -375,7 +425,13 @@ def kernel_fingerprint(kernel) -> str:
             acc.pattern.value,
             acc.elems_per_index,
             acc.halo,
-            None if acc.prefix is None else acc.prefix.tobytes(),
+            acc.prefix,
         ))
-    work = None if kernel.work_prefix is None else kernel.work_prefix.tobytes()
-    return _digest(kernel.name, kernel.cost, tuple(access_parts), work)
+    fp = _digest(
+        kernel.name, kernel.cost, tuple(access_parts), kernel.work_prefix
+    )
+    _KERNEL_FPS[key] = (
+        weakref.ref(kernel, lambda _, key=key: _KERNEL_FPS.pop(key, None)),
+        fp,
+    )
+    return fp

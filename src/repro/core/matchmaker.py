@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from repro.apps.base import Application
 from repro.artifact import RunArtifact
-from repro.core.analyzer import AnalysisReport, analyze
+from repro.core.analyzer import AnalysisReport, analyze_program
 from repro.core.ranking import RankingProvider, resolve_ranker
 from repro.partition.base import ExecutionPlan, PlanConfig, get_strategy, run_plan
 from repro.platform.topology import Platform
@@ -54,13 +54,16 @@ def match(
 
     ``ranker`` selects who orders the strategies: the paper's Table I
     (``"table"``, default) or a tournament played on *this* platform
-    (``"measured"``) — see :mod:`repro.core.ranking`.
+    (``"measured"``) — see :mod:`repro.core.ranking`.  The program is
+    built once: the same object is analyzed, planned and run.
     """
     cfg = config or PlanConfig()
     provider = resolve_ranker(ranker, platform)
-    report = analyze(app, n=n, iterations=iterations, sync=sync, ranker=provider)
     effective_sync = app.needs_sync if sync is None else sync
     program = app.program(n, iterations=iterations, sync=effective_sync)
+    report = analyze_program(
+        program, name=app.name, needs_sync=effective_sync, ranker=provider
+    )
     strategy = get_strategy(report.best_strategy)
     plan = strategy.plan(program, platform, cfg)
     result = None

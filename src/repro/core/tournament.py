@@ -156,10 +156,10 @@ def default_scenarios(
     return scenarios
 
 
-def _match_key(platform: Platform, scenario: Scenario, strategy: str) -> tuple:
+def _match_key(platform_fp: str, scenario: Scenario, strategy: str) -> tuple:
     return (
         "match",
-        platform_fingerprint(platform),
+        platform_fp,
         scenario.app,
         scenario.needs_sync,
         scenario.n,
@@ -204,12 +204,13 @@ def run_tournament(
             )
         pairs.extend((scenario, name) for name in names)
 
+    platform_fp = platform_fingerprint(platform)
     store = get_cache("tournament")
     known = store.entries()
     records: dict[tuple, MatchRecord] = {}
     todo: list[tuple[Scenario, str]] = []
     for scenario, strategy in pairs:
-        key = _match_key(platform, scenario, strategy)
+        key = _match_key(platform_fp, scenario, strategy)
         if key in known:
             makespan = store.get_or_compute(key, lambda: known[key])
             records[key] = MatchRecord(scenario, strategy, makespan, cached=True)
@@ -233,12 +234,12 @@ def run_tournament(
         for index, artifact in run_sweep_iter(cells, jobs=jobs, workers=workers):
             scenario, strategy = todo[index]
             makespan = artifact.makespan_s
-            key = _match_key(platform, scenario, strategy)
+            key = _match_key(platform_fp, scenario, strategy)
             store.get_or_compute(key, lambda m=makespan: m)
             records[key] = MatchRecord(scenario, strategy, makespan)
 
     matches = tuple(
-        records[_match_key(platform, scenario, strategy)]
+        records[_match_key(platform_fp, scenario, strategy)]
         for scenario, strategy in pairs
     )
     devices = [platform.host.device_id] + [

@@ -7,10 +7,12 @@ The engine wires everything together:
 * an instance's lifecycle is *ready -> assigned -> transfers -> compute ->
   complete*; each stage is driven by typed completion events — small
   ``__slots__`` countdown objects (:class:`_ComputeArm`,
-  :class:`_Transfer`, :class:`_BarrierArm`) and prebound ``(method, arg)``
+  :class:`_Transfer`, :class:`_BarrierArm`) and ``(method, arg)``
   callbacks — rather than per-event closures, so the (default) fast
   engine's slot-dispatched run loop never allocates bookkeeping lambdas
-  on the hot path; transfers serialize on the link channel of the target
+  on the hot path.  No callback is stored on the run itself, so a
+  finished run holds no reference cycle and is freed by reference
+  counting alone; transfers serialize on the link channel of the target
   device and may overlap other instances' compute (dual-stream style
   pipelining);
 * ``taskwait`` barriers flush dirty device data back to the host over the
@@ -92,7 +94,7 @@ class _Transfer:
 
     Replaces the ``start``/``arm``/``finish`` closure triple: upstream
     waiters call the object to count down source hazards, the link
-    occupation completes through the run's prebound ``(method, self)``
+    occupation completes through a ``(run._transfer_done, self)``
     callback, and the inflight entry/key ride along in slots.
     """
 
@@ -360,10 +362,6 @@ class _Run:
         #: per iteration, and durations are pure roofline arithmetic, so
         #: sharing is value-identical to recomputing.
         self._duration_cache: dict[tuple, float] = {}
-        #: prebound completion methods — occupations carry ``(method, arg)``
-        #: tuples instead of a fresh closure each
-        self._complete_cb = self._complete_compute
-        self._transfer_cb = self._transfer_done
 
     # -- helpers --------------------------------------------------------------
 
@@ -562,7 +560,7 @@ class _Run:
             label="",
             category="compute",
             on_complete=(
-                self._complete_cb,
+                self._complete_compute,
                 (inst, resource, space, duration, transfer_total),
             ),
             lane=self.compute_lanes[resource.resource_id],
@@ -581,7 +579,7 @@ class _Run:
         )
 
     def _complete_compute(self, args: tuple) -> None:
-        """Tuple-callback shim: unpack the prebound compute-completion args."""
+        """Tuple-callback shim: unpack the compute-completion args."""
         self._complete(*args)
 
     def _complete(

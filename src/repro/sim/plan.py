@@ -536,7 +536,7 @@ class _EvalRun(_Run):
             label="",
             category="compute",
             on_complete=(
-                self._complete_cb,
+                self._complete_compute,
                 (inst, resource, space, duration, transfer_total),
             ),
             lane=self.compute_lanes[resource.resource_id],

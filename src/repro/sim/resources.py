@@ -17,8 +17,9 @@ sequence number per completion, so event interleaving — and therefore
 every trace row — is identical across engines.
 
 Completion callbacks may be plain zero-argument callables or ``(fn, arg)``
-tuples; the tuple form lets callers (the runtime executor, chiefly) reuse
-one prebound method instead of allocating a closure per occupation.
+tuples; the tuple form lets callers (the runtime executor, chiefly) pass
+a bound method and its argument instead of building a closure per
+occupation.
 
 ``trace=None`` creates an *untraced* resource: occupations run with full
 timing/queueing semantics but append no rows.  Artifact-producing runs

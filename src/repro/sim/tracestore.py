@@ -155,7 +155,6 @@ class TraceLane:
     """
 
     __slots__ = (
-        "_store",
         "resource_id",
         "category",
         # constants interned at creation
@@ -193,7 +192,6 @@ class TraceLane:
         device: Any = _MISSING,
         direction: str | None = None,
     ) -> None:
-        self._store = store
         self.resource_id = resource_id
         self.category = category
         self._resource_code = store.resource_pool.intern(resource_id)
@@ -421,12 +419,15 @@ class TraceLane:
 
     # -- flushing --------------------------------------------------------
 
-    def _flush(self) -> None:
-        """Move the staged rows into the store's columns (bulk extends)."""
+    def _flush(self, store: "TraceStore") -> None:
+        """Move the staged rows into ``store``'s columns (bulk extends).
+
+        The store is passed in, not held: a lane keeping its store would
+        form a store <-> lane cycle that only a full GC pass could free.
+        """
         k = len(self.starts)
         if not k:
             return
-        store = self._store
         store.starts.extend(self.starts)
         store.ends.extend(self.ends)
         store.resource_codes.extend(_const_i(self._resource_code, k))
@@ -591,7 +592,7 @@ class TraceStore:
     def _flush_lanes(self) -> None:
         """Flush every staged lane row into the columns (idempotent)."""
         for lane in self._lanes:
-            lane._flush()
+            lane._flush(self)
 
     def _ensure_flushed(self) -> None:
         """Land staged lane rows before any read/index/pickle use."""

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.apps import get_application
+from repro.apps import all_applications, get_application
+from repro.bench.experiments import scaled_size
+from repro.core.analyzer import analyze
 from repro.core.matchmaker import match, run_best
 from repro.partition import PlanConfig
 
@@ -63,3 +65,21 @@ class TestMatch:
         best = match(app, paper_platform, n=2048).result
         wrong = get_strategy("DP-Dep").run(program, paper_platform)
         assert best.makespan_s < wrong.makespan_s
+
+
+@pytest.mark.parametrize("app", all_applications(), ids=lambda app: app.name)
+def test_match_builds_one_program(app, paper_platform, monkeypatch):
+    """``match`` analyzes, plans and runs one program, built once."""
+    n = scaled_size(app.name, 0.01)
+    built = []
+    program = type(app).program
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        return program(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(app), "program", counting)
+    outcome = match(app, paper_platform, n=n)
+    assert len(built) == 1
+    assert outcome.result is not None
+    assert outcome.report == analyze(app, n=n)

@@ -19,6 +19,23 @@ from repro.distrib import DistributedSweepExecutor, WorkerServer, last_sweep_rep
 
 from tests.distrib.test_distributed import _cells, _spawn_worker, _warm_serial
 
+#: minimum wall time of one cell in the arrival-spread test: warm cells
+#: take a few ms, too little for arrival gaps to outgrow timer noise
+CELL_FLOOR_S = 0.02
+
+_run_cell = harness._run_cell
+
+
+def _floored_run_cell(cell, detail="summary"):
+    """``harness._run_cell`` that takes at least :data:`CELL_FLOOR_S`.
+
+    Module-level, so pool workers unpickle it by name (forked workers
+    inherit it) — the ``WorkerServer(delay_per_cell=...)`` idiom for the
+    local process pool.
+    """
+    time.sleep(CELL_FLOOR_S)
+    return _run_cell(cell, detail)
+
 
 def _light_cells(platform, count=20):
     """Cheap cells (a few ms each) so injected worker delays dominate."""
@@ -100,9 +117,12 @@ class TestFirstCellBeforeLast:
         list(iterator)
         assert len(executed) == len(cells)
 
-    def test_jobs_arrivals_are_spread(self, paper_platform):
+    def test_jobs_arrivals_are_spread(self, paper_platform, monkeypatch):
         cells = _cells(paper_platform) * 2  # 10 cells over 2 workers
         _warm_serial(cells)
+        # 5 rounds of >= 20 ms cells per worker: a streaming pool spreads
+        # arrivals over >= 80 ms
+        monkeypatch.setattr(harness, "_run_cell", _floored_run_cell)
         arrivals = []
         for _ in run_sweep_iter(cells, jobs=2):
             arrivals.append(time.monotonic())

@@ -3,18 +3,24 @@ and the disk-backed snapshots behind ``--cache-dir``."""
 
 import dataclasses
 import functools
+import os
 import pickle
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.apps import get_application
 from repro.bench.harness import SweepCell, run_sweep
 from repro.cache import (
     SNAPSHOT_VERSION,
     MemoCache,
+    _digest,
     cache_stats,
     clear_all,
     configure,
@@ -107,7 +113,7 @@ class TestRegistry:
             cache.get_or_compute("k", lambda: calls.append(1) or 1)
             cache.get_or_compute("k", lambda: calls.append(1) or 1)
             assert len(calls) == 2
-            # newly created stores inherit the setting (via REPRO_CACHE)
+            # newly created stores inherit the setting
             assert get_cache("reg-c").enabled is False
         finally:
             configure(enabled=True)
@@ -145,6 +151,161 @@ class TestFingerprints:
             ),
         )
         assert kernel_fingerprint(recosted) != fp
+
+
+def _cuts(data, cuts):
+    """``data`` split at the (sorted, deduplicated) cut points."""
+    points = sorted({c % (len(data) + 1) for c in cuts})
+    bounds = [0, *points, len(data)]
+    return tuple(data[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
+class TestFramedDigest:
+    """Keys are framed: different part sequences never share a stream."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(data=b"a\x00\x00b", cuts_a=[2], cuts_b=[1], as_text=False)
+    @given(
+        data=st.binary(max_size=24),
+        cuts_a=st.lists(st.integers(min_value=0), max_size=4),
+        cuts_b=st.lists(st.integers(min_value=0), max_size=4),
+        as_text=st.booleans(),
+    )
+    def test_equal_concatenations_digest_differently(
+        self, data, cuts_a, cuts_b, as_text
+    ):
+        parts_a, parts_b = _cuts(data, cuts_a), _cuts(data, cuts_b)
+        if as_text:
+            parts_a = tuple(p.hex() for p in parts_a)
+            parts_b = tuple(p.hex() for p in parts_b)
+        assert (_digest(*parts_a) == _digest(*parts_b)) == (parts_a == parts_b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        parts=st.lists(
+            st.one_of(st.binary(max_size=8), st.text(max_size=8),
+                      st.integers(), st.none()),
+            min_size=1, max_size=5,
+        ),
+        lo=st.integers(min_value=0),
+        width=st.integers(min_value=0),
+    )
+    def test_nested_and_flat_tuples_digest_differently(self, parts, lo, width):
+        lo %= len(parts)
+        hi = lo + width % (len(parts) - lo + 1)
+        nested = (*parts[:lo], tuple(parts[lo:hi]), *parts[hi:])
+        assert _digest(*nested) != _digest(*parts)
+        assert _digest(tuple(parts)) != _digest(*parts)
+
+    def test_type_and_shape_are_framed(self):
+        row = np.arange(6, dtype=np.int64)
+        assert _digest(b"ab") != _digest("ab")
+        assert _digest(b"1\x002") != _digest(1, 2)
+        assert _digest(row) != _digest(row.tobytes())
+        assert _digest(row) != _digest(row.reshape(2, 3))
+        assert _digest(row) != _digest(row.astype(np.uint64))
+        # equal arrays digest equally, whatever their memory layout
+        assert _digest(row) == _digest(row.copy())
+        assert _digest(row[::2]) == _digest(np.array([0, 2, 4]))
+
+    def test_object_arrays_are_refused(self):
+        with pytest.raises(TypeError):
+            _digest(np.array([object()]))
+
+
+def _spmv_kernel(n=64):
+    return get_application("SpMV").program(n).kernels[0]
+
+
+def _with_own_prefixes(kernel):
+    """A copy of ``kernel`` whose every prefix array is its own copy."""
+    accesses = tuple(
+        acc if acc.prefix is None
+        else dataclasses.replace(acc, prefix=acc.prefix.copy())
+        for acc in kernel.accesses
+    )
+    return dataclasses.replace(
+        kernel, accesses=accesses, work_prefix=kernel.work_prefix.copy()
+    )
+
+
+class TestPrefixFingerprints:
+    """SpMV's row-pointer and work prefixes are part of its kernel key."""
+
+    def test_every_prefix_element_is_keyed(self):
+        kernel = _spmv_kernel()
+        base = kernel_fingerprint(kernel)
+        for slot in range(3):  # row pointer (twice), then work prefix
+            for i in range(kernel.work_prefix.size):
+                # fingerprints are memoized per kernel object, so every
+                # flip goes into a freshly built kernel
+                flipped = _with_own_prefixes(kernel)
+                arrays = [acc.prefix for acc in flipped.accesses
+                          if acc.prefix is not None] + [flipped.work_prefix]
+                arrays[slot][i] += 1
+                assert kernel_fingerprint(flipped) != base, (slot, i)
+        assert kernel_fingerprint(_with_own_prefixes(kernel)) == base
+
+    def test_memo_stays_out_of_the_kernel(self):
+        kernel = _spmv_kernel()
+        fields = set(vars(kernel))
+        pickled = pickle.dumps(kernel)
+        kernel_fingerprint(kernel)
+        assert set(vars(kernel)) == fields
+        assert pickle.dumps(kernel) == pickled
+
+    def test_memo_entries_die_with_their_kernels(self):
+        from repro.cache import _KERNEL_FPS
+
+        before = len(_KERNEL_FPS)
+        for _ in range(50):
+            kernel_fingerprint(_with_own_prefixes(_spmv_kernel()))
+        assert len(_KERNEL_FPS) == before
+
+    def test_prefix_dtype_is_keyed(self):
+        kernel = _spmv_kernel()
+        base = kernel_fingerprint(kernel)
+        row_ptr = kernel.accesses[0].prefix
+        narrowed = dataclasses.replace(
+            kernel,
+            accesses=tuple(
+                acc if acc.prefix is None
+                else dataclasses.replace(acc, prefix=row_ptr.astype(np.int32))
+                for acc in kernel.accesses
+            ),
+        )
+        assert kernel_fingerprint(narrowed) != base
+        single = dataclasses.replace(
+            kernel, work_prefix=kernel.work_prefix.astype(np.float32)
+        )
+        assert kernel_fingerprint(single) != base
+        assert kernel_fingerprint(_with_own_prefixes(kernel)) == base
+
+    def test_fingerprints_ignore_hash_seed(self, paper_platform):
+        """A fresh interpreter with another hash seed computes equal keys."""
+        script = (
+            "from repro.apps import get_application\n"
+            "from repro.cache import kernel_fingerprint, platform_fingerprint\n"
+            "from repro.platform import shen_icpp15_platform\n"
+            "for name, n in (('SpMV', 64), ('Cholesky', 4)):\n"
+            "    for k in get_application(name).program(n).kernels:\n"
+            "        print(kernel_fingerprint(k))\n"
+            "print(platform_fingerprint(shen_icpp15_platform()))\n"
+        )
+        expected = [
+            kernel_fingerprint(k)
+            for name, n in (("SpMV", 64), ("Cholesky", 4))
+            for k in get_application(name).program(n).kernels
+        ] + [platform_fingerprint(paper_platform)]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for seed in ("0", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout.split()
+            assert out == expected
 
 
 @functools.lru_cache(maxsize=None)
@@ -240,6 +401,31 @@ class TestDiskSnapshots:
         path.write_bytes(pickle.dumps(payload))
         assert load_snapshot(path) == 0
         assert len(get_cache("snap-e")) == 0
+
+    def test_v1_snapshot_loads_nothing(self, tmp_path):
+        """Version 1 keys used the unframed encoding: never half-trusted."""
+        payload = pickle.loads(_real_snapshot())
+        assert payload["version"] == SNAPSHOT_VERSION == 2
+        payload["version"] = 1
+        path = tmp_path / "snap.pkl"
+        path.write_bytes(pickle.dumps(payload))
+        clear_all()
+        assert load_snapshot(path) == 0
+        assert not any(len(get_cache(name)) for name in payload["stores"])
+
+    def test_v2_round_trip_warms(self, tmp_path):
+        path = tmp_path / "snap.pkl"
+        path.write_bytes(_real_snapshot())
+        clear_all()
+        assert load_snapshot(path) > 0
+        before = counters()
+        run_sweep([SweepCell(app="STREAM-Loop", strategy="DP-Perf",
+                             platform=shen_icpp15_platform(), n=1024,
+                             iterations=1)])
+        delta = stats_delta(before)
+        assert delta and all(
+            d["misses"] == 0 and d["hits"] > 0 for d in delta.values()
+        )
 
     def test_foreign_pickle_is_ignored(self, tmp_path):
         path = tmp_path / "snap.pkl"
