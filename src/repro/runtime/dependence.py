@@ -166,38 +166,75 @@ class _ReaderIndex:
 
     def add(self, start: int, end: int, instance_id: int) -> None:
         """Record ``instance_id`` as a live reader of ``[start, end)``."""
+        if end <= start:
+            return
         lo, hi = self._overlap_range(start, end)
+        mine = (instance_id,)
+        if lo == hi:  # nothing live under the read: one new segment
+            starts, ends, ids = self.starts, self.ends, self.ids
+            if (lo and ends[lo - 1] == start and ids[lo - 1] == mine) or (
+                lo < len(starts) and starts[lo] == end and ids[lo] == mine
+            ):
+                self._splice(lo, hi, [start], [end], [mine])
+            else:
+                starts.insert(lo, start)
+                ends.insert(lo, end)
+                ids.insert(lo, mine)
+            return
+        # the replacement run, as flat pieces: gaps before a segment go
+        # to the new reader alone, the overlapped part of a segment gains
+        # it, the parts of the first and last segment outside the read
+        # keep their owners.  Empty pieces are dropped and equal
+        # neighbours coalesced when the run is written back.
+        pieces: list = []
+        cursor = start
+        for i in range(lo, hi):
+            s, e, owner = self.starts[i], self.ends[i], self.ids[i]
+            if cursor < s:
+                pieces += (cursor, s, mine)
+            split_lo = s if s > start else start
+            split_hi = e if e < end else end
+            pieces += (s, split_lo, owner)
+            pieces += (
+                split_lo, split_hi,
+                owner if instance_id in owner else owner + mine,
+            )
+            pieces += (split_hi, e, owner)
+            if split_hi > cursor:
+                cursor = split_hi
+        pieces += (cursor, end, mine)
         starts: list[int] = []
         ends: list[int] = []
         ids: list[tuple[int, ...]] = []
-
-        def emit(s: int, e: int, owner: tuple[int, ...]) -> None:
+        for k in range(0, len(pieces), 3):
+            s, e, owner = pieces[k], pieces[k + 1], pieces[k + 2]
             if s >= e:
-                return
+                continue
             if ids and ids[-1] == owner and ends[-1] == s:
                 ends[-1] = e  # coalesce equal neighbours
             else:
                 starts.append(s)
                 ends.append(e)
                 ids.append(owner)
+        self._splice(lo, hi, starts, ends, ids)
 
-        cursor = start
-        for i in range(lo, hi):
-            s, e, owner = self.starts[i], self.ends[i], self.ids[i]
-            if cursor < s:
-                emit(cursor, s, (instance_id,))
-                cursor = s
-            # the overlapped part of this segment gains the new reader
-            split_lo = max(s, start)
-            split_hi = min(e, end)
-            emit(s, split_lo, owner)
-            if instance_id in owner:
-                emit(split_lo, split_hi, owner)
-            else:
-                emit(split_lo, split_hi, owner + (instance_id,))
-            emit(split_hi, e, owner)
-            cursor = max(cursor, split_hi)
-        emit(cursor, end, (instance_id,))
+    def _splice(self, lo: int, hi: int, starts: list, ends: list,
+                ids: list) -> None:
+        """Replace segments ``[lo, hi)`` by a coalesced run of new ones.
+
+        The run is merged with a touching outer neighbour that has the
+        same readers, so no two touching segments ever share a tuple.
+        """
+        if lo and self.ends[lo - 1] == starts[0] and self.ids[lo - 1] == ids[0]:
+            lo -= 1
+            starts[0] = self.starts[lo]
+        if (
+            hi < len(self.starts)
+            and self.starts[hi] == ends[-1]
+            and self.ids[hi] == ids[-1]
+        ):
+            ends[-1] = self.ends[hi]
+            hi += 1
         self.starts[lo:hi] = starts
         self.ends[lo:hi] = ends
         self.ids[lo:hi] = ids
@@ -260,9 +297,6 @@ class _ArrayFrontier:
         lo, hi = self._overlap_range(start, end)
         return self.wids[lo:hi]
 
-    def readers_overlapping(self, start: int, end: int) -> list[int]:
-        return self.readers.overlapping(start, end)
-
     def commit_write(self, start: int, end: int, instance_id: int) -> None:
         """Make ``instance_id`` the last writer of ``[start, end)``."""
         self.readers.subtract(start, end)
@@ -304,6 +338,9 @@ def build_dependences(graph: TaskGraph) -> TaskGraph:
     in_flight: list[int] = []
     after_barrier: int | None = None
 
+    # edges are added inline (deps first, then succs, as _add_edge
+    # does).  No self-edge can arise: every source is a barrier or an
+    # instance of an earlier, already committed invocation.
     instances = graph.instances
     rows = graph.access_rows
     total = len(instances)
@@ -311,13 +348,17 @@ def build_dependences(graph: TaskGraph) -> TaskGraph:
     while i < total:
         inst = instances[i]
         if inst.kind is InstanceKind.BARRIER:
+            barrier_id = inst.instance_id
+            deps = inst.deps
             for prior in in_flight:
-                _add_edge(graph, prior, inst.instance_id)
+                deps.add(prior)
+                instances[prior].succs.add(barrier_id)
             if after_barrier is not None and not in_flight:
-                _add_edge(graph, after_barrier, inst.instance_id)
+                deps.add(after_barrier)
+                instances[after_barrier].succs.add(barrier_id)
             frontiers.clear()
             in_flight.clear()
-            after_barrier = inst.instance_id
+            after_barrier = barrier_id
             i += 1
             continue
 
@@ -336,29 +377,28 @@ def build_dependences(graph: TaskGraph) -> TaskGraph:
             ):
                 break
             member_id = member.instance_id
+            deps = member.deps
             if after_barrier is not None:
-                _add_edge(graph, after_barrier, member_id)
+                deps.add(after_barrier)
+                instances[after_barrier].succs.add(member_id)
             for region, mode in rows[member_id].regions:
-                if region.end <= region.start:  # empty PREFIX chunk
+                start, end = region.start, region.end
+                if end <= start:  # empty PREFIX chunk
                     continue
                 frontier = frontiers.get(region.array)
                 if frontier is None:
                     frontier = frontiers[region.array] = _ArrayFrontier()
                 # RAW and WAW both look at the write frontier
-                for src in frontier.writers_overlapping(region.start, region.end):
-                    _add_edge(graph, src, member_id)
+                for src in frontier.writers_overlapping(start, end):
+                    deps.add(src)
+                    instances[src].succs.add(member_id)
                 if mode.writes:
-                    for src in frontier.readers_overlapping(
-                        region.start, region.end
-                    ):
-                        _add_edge(graph, src, member_id)  # WAR
-                    writes.append(
-                        (frontier, region.start, region.end, member_id)
-                    )
+                    for src in frontier.readers.overlapping(start, end):
+                        deps.add(src)  # WAR
+                        instances[src].succs.add(member_id)
+                    writes.append((frontier, start, end, member_id))
                 if mode.reads:
-                    reads.append(
-                        (frontier, region.start, region.end, member_id)
-                    )
+                    reads.append((frontier, start, end, member_id))
             in_flight.append(member_id)
             j += 1
         # writes first, then reads: a read of this invocation survives a

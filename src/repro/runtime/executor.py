@@ -45,6 +45,9 @@ from repro.sim.fast_engine import make_simulator
 from repro.sim.resources import SimResource
 from repro.sim.trace import ExecutionTrace
 
+#: per-run instance classes: how the pump routes a ready instance
+_BARRIER, _PINNED, _FREE = 0, 1, 2
+
 #: lazy trace-label templates for transfer rows — the store packs
 #: (template, array, start, end) instead of interning a per-row f-string
 _TRANSFER_LABEL = {
@@ -291,6 +294,15 @@ class _Run:
         self._resource_by_id: dict[str, ComputeResource] = {
             r.resource_id: r for r in self.resources
         }
+        host_id = platform.host.device_id
+        #: resource id -> the memory space its device computes from
+        self._space_of: dict[str, str] = {
+            r.resource_id: (
+                HOST_SPACE if r.device.device_id == host_id
+                else r.device.device_id
+            )
+            for r in self.resources
+        }
         self.sim_resources: dict[str, SimResource] = {
             r.resource_id: SimResource(self.sim, r.resource_id, self.trace)
             for r in self.resources
@@ -343,6 +355,22 @@ class _Run:
         )
         self.ready: list[TaskInstance] = []
         self.inflight: dict[str, int] = {r.resource_id: 0 for r in self.resources}
+        #: the one context the scheduler sees; the pump advances ``now``
+        self._ctx = SchedulingContext(
+            now=self.sim.now,
+            resources=self.resources,
+            inflight=self.inflight,
+            platform=platform,
+        )
+        #: per-instance pump class: barrier, pinned or free
+        self._cls = [
+            _BARRIER if inst.is_barrier
+            else _PINNED if inst.pinned_resource or inst.pinned_device
+            else _FREE
+            for inst in graph.instances
+        ]
+        #: successor ids in release order
+        self._succs = graph.succs_sorted
         self.done: set[int] = set()
         self.transfer_bytes = {"h2d": 0, "d2h": 0}
         self._pumping = False
@@ -365,26 +393,6 @@ class _Run:
 
     # -- helpers --------------------------------------------------------------
 
-    def _ctx(self) -> SchedulingContext:
-        return SchedulingContext(
-            now=self.sim.now,
-            resources=self.resources,
-            inflight=self.inflight,
-            platform=self.platform,
-        )
-
-    def _resource_obj(self, resource_id: str) -> ComputeResource:
-        try:
-            return self._resource_by_id[resource_id]
-        except KeyError:
-            raise SchedulingError(
-                f"scheduler chose unknown resource {resource_id!r}"
-            ) from None
-
-    def _link_channel(self, op: TransferOp) -> SimResource:
-        direction = "h2d" if op.is_h2d else "d2h"
-        return self.links[f"{op.device_space}:{direction}"]
-
     def _transfer_duration(self, op: TransferOp) -> float:
         link = self.platform.link_for(op.device_space)
         return link.transfer_time(op.nbytes)
@@ -392,7 +400,7 @@ class _Run:
     # -- main loop --------------------------------------------------------------
 
     def go(self, *, detail: str = "full") -> RunArtifact:
-        self.scheduler.start(self.graph, self._ctx())
+        self.scheduler.start(self.graph, self._ctx)
         for inst in self.graph.instances:
             if self.remaining[inst.instance_id] == 0:
                 self.ready.append(inst)
@@ -412,44 +420,63 @@ class _Run:
         return self._result(detail)
 
     def _pump(self) -> None:
-        """Dispatch ready work; safe against reentrant completion events."""
+        """Dispatch ready work; safe against reentrant completion events.
+
+        Each round splits the ready set into barriers (run outside the
+        scheduler), pinned instances (the static scheduler's) and free
+        ones (the run's scheduler's), dispatches every assignment, and
+        keeps the unassigned rest in creation order.  Rounds repeat until
+        one dispatches nothing, so the scheduler sees its leftovers again
+        after its own assignments took effect.
+        """
         if self._pumping:
             return
         self._pumping = True
         try:
-            progress = True
-            while progress:
-                progress = False
-                # barriers run outside the scheduler
-                for inst in list(self.ready):
-                    if inst.is_barrier:
-                        self.ready.remove(inst)
+            cls = self._cls
+            ctx = self._ctx
+            ctx.now = self.sim.now
+            while True:
+                ready = self.ready
+                barriers: list[TaskInstance] = []
+                pinned: list[TaskInstance] = []
+                free: list[TaskInstance] = []
+                for inst in ready:
+                    c = cls[inst.instance_id]
+                    if c == _FREE:
+                        free.append(inst)
+                    elif c == _PINNED:
+                        pinned.append(inst)
+                    else:
+                        barriers.append(inst)
+                if barriers:
+                    self.ready = ready = [
+                        i for i in ready if cls[i.instance_id] != _BARRIER
+                    ]
+                    for inst in barriers:
                         self._run_barrier(inst)
-                        progress = True
-                pinned = [i for i in self.ready if i.pinned_resource or i.pinned_device]
-                unpinned = [
-                    i for i in self.ready
-                    if not (i.pinned_resource or i.pinned_device)
-                ]
                 assignments: list[tuple[TaskInstance, str]] = []
                 if pinned:
                     if self._static is None:
                         self._static = StaticScheduler()
-                    assignments.extend(self._static.assign(pinned, self._ctx()))
-                if unpinned:
-                    assignments.extend(self.scheduler.assign(unpinned, self._ctx()))
-                seen_ids: set[int] = set()
+                    assignments.extend(self._static.assign(pinned, ctx))
+                if free:
+                    assignments.extend(self.scheduler.assign(free, ctx))
+                if not assignments:
+                    if not barriers:
+                        return
+                    continue
+                waiting = {inst.instance_id for inst in ready}
                 for inst, rid in assignments:
-                    if inst.instance_id in seen_ids or inst not in self.ready:
+                    iid = inst.instance_id
+                    if iid not in waiting:
                         raise SchedulingError(
-                            f"scheduler assigned instance "
-                            f"{inst.instance_id} twice or out of the "
-                            "ready set"
+                            f"scheduler assigned instance {iid} twice or "
+                            "out of the ready set"
                         )
-                    seen_ids.add(inst.instance_id)
-                    self.ready.remove(inst)
+                    waiting.discard(iid)
                     self._dispatch(inst, rid)
-                    progress = True
+                self.ready = [i for i in ready if i.instance_id in waiting]
         finally:
             self._pumping = False
 
@@ -472,13 +499,14 @@ class _Run:
         return found
 
     def _dispatch(self, inst: TaskInstance, resource_id: str) -> None:
-        resource = self._resource_obj(resource_id)
+        try:
+            resource = self._resource_by_id[resource_id]
+        except KeyError:
+            raise SchedulingError(
+                f"scheduler chose unknown resource {resource_id!r}"
+            ) from None
         self.inflight[resource_id] += 1
-        space = (
-            HOST_SPACE
-            if resource.device.device_id == self.platform.host.device_id
-            else resource.device.device_id
-        )
+        space = self._space_of[resource_id]
         # collect transfers already on the wire BEFORE issuing our own
         waits = self._pending_overlaps(inst, space)
         ops: list[TransferOp] = []
@@ -656,9 +684,10 @@ class _Run:
 
     def _mark_done(self, inst: TaskInstance) -> None:
         self.done.add(inst.instance_id)
-        for succ in sorted(inst.succs):
-            self.remaining[succ] -= 1
-            if self.remaining[succ] == 0:
+        remaining = self.remaining
+        for succ in self._succs[inst.instance_id]:
+            remaining[succ] -= 1
+            if remaining[succ] == 0:
                 self.ready.append(self.graph.instances[succ])
         self._pump()
 

@@ -13,7 +13,9 @@ A data-parallel application is represented at two levels:
 The :class:`TaskGraph` holds the instances plus the dependence edges added
 by :func:`repro.runtime.dependence.build_dependences`, and its
 :attr:`TaskGraph.access_rows` table — the one source of what each
-instance reads and writes, for every consumer of regions.
+instance reads and writes, for every consumer of regions — and its
+:attr:`TaskGraph.succs_sorted` table, the order completions release
+successors in.
 """
 
 from __future__ import annotations
@@ -230,6 +232,9 @@ class TaskGraph:
     _access_rows: list | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _succs_sorted: list | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def access_rows(self) -> list[AccessRow | None]:
@@ -256,6 +261,21 @@ class TaskGraph:
                     row = shared[key] = AccessRow.of(inst)
                 rows.append(row)
         return rows
+
+    @property
+    def succs_sorted(self) -> list[tuple[int, ...]]:
+        """Per-instance successor ids in ascending order, by ``instance_id``.
+
+        The order in which a completion releases its successors — the
+        engine, the plan evaluator and the plan compiler all read it.
+        Built on first use, so only after the dependences are in place.
+        """
+        table = self._succs_sorted
+        if table is None:
+            table = self._succs_sorted = [
+                tuple(sorted(inst.succs)) for inst in self.instances
+            ]
+        return table
 
     def instance(self, instance_id: int) -> TaskInstance:
         inst = self.instances[instance_id]

@@ -27,13 +27,13 @@ class AccessMode(enum.Enum):
     OUT = "out"
     INOUT = "inout"
 
-    @property
-    def reads(self) -> bool:
-        return self in (AccessMode.IN, AccessMode.INOUT)
-
-    @property
-    def writes(self) -> bool:
-        return self in (AccessMode.OUT, AccessMode.INOUT)
+    def __init__(self, value: str) -> None:
+        # plain member attributes, not properties: the dependence builder
+        # and the access rows test them once per region access
+        #: whether the access reads its region (``in``/``inout``)
+        self.reads = value != "out"
+        #: whether the access writes its region (``out``/``inout``)
+        self.writes = value != "in"
 
 
 @dataclass(frozen=True)
@@ -152,6 +152,21 @@ class IntervalSet:
         """Union ``[lo, hi)`` into the set."""
         if hi <= lo:
             return
+        ivals = self._ivals
+        # fast paths: most sets the directory and the schedulers touch
+        # hold at most one interval
+        if not ivals:
+            self._ivals = [(lo, hi)]
+            return
+        if len(ivals) == 1:
+            a, b = ivals[0]
+            if b < lo:
+                self._ivals = [(a, b), (lo, hi)]
+            elif a > hi:
+                self._ivals = [(lo, hi), (a, b)]
+            else:
+                self._ivals = [(a if a < lo else lo, b if b > hi else hi)]
+            return
         out: list[tuple[int, int]] = []
         placed = False
         for a, b in self._ivals:
@@ -169,7 +184,19 @@ class IntervalSet:
 
     def remove(self, lo: int, hi: int) -> None:
         """Subtract ``[lo, hi)`` from the set."""
-        if hi <= lo:
+        ivals = self._ivals
+        if hi <= lo or not ivals:
+            return
+        if len(ivals) == 1:
+            a, b = ivals[0]
+            if b <= lo or a >= hi:
+                return
+            out = []
+            if a < lo:
+                out.append((a, lo))
+            if b > hi:
+                out.append((hi, b))
+            self._ivals = out
             return
         out: list[tuple[int, int]] = []
         for a, b in self._ivals:
@@ -196,6 +223,20 @@ class IntervalSet:
                 return True
         return False
 
+    def overlap(self, lo: int, hi: int) -> int:
+        """Covered elements of ``[lo, hi)``: ``intersect(lo, hi).total``.
+
+        Allocation-free; the affinity scheduler scores every ready
+        instance against every device with it.
+        """
+        total = 0
+        for a, b in self._ivals:
+            if a >= hi:
+                break
+            if b > lo:
+                total += (b if b < hi else hi) - (a if a > lo else lo)
+        return total
+
     def intersect(self, lo: int, hi: int) -> "IntervalSet":
         """The covered portions of ``[lo, hi)``."""
         out = IntervalSet()
@@ -207,7 +248,22 @@ class IntervalSet:
 
     def missing(self, lo: int, hi: int) -> "IntervalSet":
         """The portions of ``[lo, hi)`` NOT covered by the set."""
-        out = IntervalSet([(lo, hi)]) if hi > lo else IntervalSet()
+        out = IntervalSet()
+        if hi <= lo:
+            return out
+        # one sweep over the sorted intervals; they are disjoint and
+        # non-adjacent, so the gaps come out normalized
+        gaps = out._ivals
+        cursor = lo
         for a, b in self._ivals:
-            out.remove(a, b)
+            if b <= cursor:
+                continue
+            if a >= hi:
+                break
+            if a > cursor:
+                gaps.append((cursor, a))
+            cursor = b
+            if cursor >= hi:
+                return out
+        gaps.append((cursor, hi))
         return out

@@ -70,8 +70,7 @@ class AffinityScheduler(Scheduler):
         for region, elem_bytes in self._rows[inst.instance_id].partial_reads:
             resident = arrays.get(region.array)
             if resident is not None:
-                held = resident.intersect(region.start, region.end).total
-                total += held * elem_bytes
+                total += resident.overlap(region.start, region.end) * elem_bytes
         return total
 
     def _record_assignment(self, inst: TaskInstance, device_id: str) -> None:

@@ -14,6 +14,10 @@ from repro.runtime.graph import TaskGraph, TaskInstance
 class SchedulingContext:
     """The executor-side state a scheduler may inspect when assigning work.
 
+    The executor passes one context per run and advances ``now`` in
+    place, so a scheduler reads it inside ``start``/``assign`` calls and
+    keeps no value it needs later.
+
     Attributes
     ----------
     now:

@@ -86,6 +86,11 @@ class PerfAwareScheduler(Scheduler):
         self._chains: dict[int, int] = {}
         self._chain_device: dict[int, str] = {}
         self._rows: list = []
+        #: per-run resource table: ``(resource, resource id, device-class
+        #: slot, first resource of its class)``
+        self._table: list[tuple[ComputeResource, str, int, bool]] = []
+        #: work units per shared access row (pure in the row's signature)
+        self._work: dict = {}
 
     def start(self, graph: TaskGraph, ctx: SchedulingContext) -> None:
         self._graph = graph
@@ -111,6 +116,17 @@ class PerfAwareScheduler(Scheduler):
         self._chains = dependence_chains(graph)
         self._chain_device.clear()
         self._rows = graph.access_rows
+        self._work = {}
+        # a device class is a (device, share) pair: every resource of one
+        # class gets the same estimate for an instance
+        slots: dict[tuple[str, float], int] = {}
+        self._table = []
+        for r in ctx.resources:
+            cls = (r.device.device_id, r.share)
+            first = cls not in slots
+            if first:
+                slots[cls] = len(slots)
+            self._table.append((r, r.resource_id, slots[cls], first))
 
     # -- estimation -------------------------------------------------------
 
@@ -143,7 +159,9 @@ class PerfAwareScheduler(Scheduler):
         instance would wildly overestimate.
         """
         row = self._rows[inst.instance_id]
-        work = inst.kernel.work_units(inst.lo, inst.hi)
+        work = self._work.get(row)
+        if work is None:
+            work = self._work[row] = inst.kernel.work_units(inst.lo, inst.hi)
         return work, row.in_bytes, row.out_bytes
 
     def estimate(self, inst: TaskInstance, resource: ComputeResource) -> float:
@@ -187,24 +205,27 @@ class PerfAwareScheduler(Scheduler):
         out: list[tuple[TaskInstance, str]] = []
         busy_until = self._busy_until
         now = ctx.now
+        table = self._table
+        # estimate() is a pure function of the instance and the
+        # resource's (device, share) class — identical for every thread
+        # of the same device — so it runs once per class, at the class's
+        # first resource, not once per resource.  It is recomputed for
+        # every instance and every call: completions move the rates
+        # (EWMA) and assignments move the chains' data homes.
+        est_of_slot = [0.0] * len(table)
         for inst in ready:  # creation order, assigned immediately
             best_rid: str | None = None
             best_finish = float("inf")
-            # estimate() is a pure function of the instance and the
-            # resource's (device, share) — identical for every thread of
-            # the same device — so compute it once per device class, not
-            # once per resource (m+1 calls collapse to one per device)
-            est_by_class: dict[tuple[str, float], float] = {}
-            for resource in ctx.resources:
-                cls = (resource.device.device_id, resource.share)
-                est = est_by_class.get(cls)
-                if est is None:
-                    est = est_by_class[cls] = self.estimate(inst, resource)
-                start = max(now, busy_until.get(resource.resource_id, 0.0))
-                finish = start + est
+            for resource, rid, slot, first in table:
+                if first:
+                    est = est_of_slot[slot] = self.estimate(inst, resource)
+                else:
+                    est = est_of_slot[slot]
+                busy = busy_until[rid]
+                finish = (busy if busy > now else now) + est
                 if finish < best_finish - 1e-15:
                     best_finish = finish
-                    best_rid = resource.resource_id
+                    best_rid = rid
             if best_rid is None:
                 raise SchedulingError("no resources available for assignment")
             self._busy_until[best_rid] = best_finish

@@ -35,6 +35,7 @@ query falls back to the pure-Python path.
 from __future__ import annotations
 
 import os
+import weakref
 from typing import TYPE_CHECKING
 
 try:  # pragma: no cover - exercised via the REPRO_NO_NUMPY CI job
@@ -149,7 +150,8 @@ class VecView:
     buffer may reallocate on append), plus per-resource/per-category row
     index arrays derived from the store's group indexes.  A view is only
     valid for the row count it was built at; the store rebuilds it after
-    further appends.
+    further appends.  It holds its store weakly and is only usable while
+    the store lives.
     """
 
     __slots__ = (
@@ -182,7 +184,9 @@ class VecView:
         self.device_codes = np.array(store.device_codes, dtype=np.intp)
         self.direction_codes = np.array(store.direction_codes, dtype=np.intp)
         self.sizes = np.array(store.sizes, dtype=np.int64)
-        self._store = store
+        # weakly: the store caches its view, so a strong reference back
+        # would make every queried store cyclic garbage
+        self._store = weakref.ref(store)
         self._resource_rows: dict[str, object] = {}
         self._category_rows: dict[str, object] = {}
 
@@ -193,7 +197,7 @@ class VecView:
         rows = self._resource_rows.get(resource_id)
         if rows is None:
             rows = _np.asarray(
-                self._store.rows_by_resource(resource_id), dtype=_np.intp
+                self._store().rows_by_resource(resource_id), dtype=_np.intp
             )
             self._resource_rows[resource_id] = rows
         return rows
@@ -203,7 +207,7 @@ class VecView:
         rows = self._category_rows.get(category)
         if rows is None:
             rows = _np.asarray(
-                self._store.rows_by_category(category), dtype=_np.intp
+                self._store().rows_by_category(category), dtype=_np.intp
             )
             self._category_rows[category] = rows
         return rows
@@ -214,7 +218,7 @@ class VecView:
         rows = self.rows_of_resource(resource_id)
         durations = self.durations[rows]
         if category is not None:
-            code = self._store.category_pool.code_of(category)
+            code = self._store().category_pool.code_of(category)
             if code < 0:
                 return 0.0
             durations = durations[self.category_codes[rows] == code]
@@ -224,9 +228,9 @@ class VecView:
         return _seq_sum(self.durations[self.rows_of_category(category)])
 
     def busy_by_resource(self) -> dict[str, dict[str, float]]:
-        table = self._store.category_pool.table
+        table = self._store().category_pool.table
         out: dict[str, dict[str, float]] = {}
-        for rid in self._store.resource_ids_seen():
+        for rid in self._store().resource_ids_seen():
             rows = self.rows_of_resource(rid)
             codes = self.category_codes[rows]
             durations = self.durations[rows]
@@ -241,7 +245,7 @@ class VecView:
         codes = self.direction_codes[rows]
         durations = self.durations[rows]
         out = {"h2d": 0.0, "d2h": 0.0}
-        pool = self._store.direction_pool
+        pool = self._store().direction_pool
         for direction in out:
             code = pool.code_of(direction)
             if code >= 0:
@@ -254,7 +258,7 @@ class VecView:
         sizes = self.sizes[rows]
         valid = (kinds >= 0) & (sizes >= 0)
         kinds, sizes = kinds[valid], sizes[valid]
-        table = self._store.kind_pool.table
+        table = self._store().kind_pool.table
         return {
             table[code]: int(sizes[kinds == code].sum())
             for code in _first_appearance(kinds)
@@ -264,7 +268,7 @@ class VecView:
         rows = self.rows_of_category("compute")
         kinds = self.kind_codes[rows]
         kinds = kinds[kinds >= 0]
-        table = self._store.kind_pool.table
+        table = self._store().kind_pool.table
         return {
             table[code]: int((kinds == code).sum())
             for code in _first_appearance(kinds)
@@ -277,8 +281,8 @@ class VecView:
         sizes = self.sizes[rows]
         valid = (kernels >= 0) & (kinds >= 0) & (sizes >= 0)
         kernels, kinds, sizes = kernels[valid], kinds[valid], sizes[valid]
-        kernel_table = self._store.kernel_pool.table
-        kind_table = self._store.kind_pool.table
+        kernel_table = self._store().kernel_pool.table
+        kind_table = self._store().kind_pool.table
         out: dict[str, dict[str, int]] = {}
         for kcode in _first_appearance(kernels):
             sel = kernels == kcode
@@ -307,8 +311,8 @@ class VecView:
             return None
         device_codes = self.device_codes[rows]
         resource_codes = self.resource_codes[rows]
-        device_table = self._store.device_pool.table
-        resource_table = self._store.resource_pool.table
+        device_table = self._store().device_pool.table
+        resource_table = self._store().resource_pool.table
         # composite code space: device pool entries >= 0, resource
         # fallbacks mapped below -1
         composite = np.where(device_codes >= 0, device_codes,

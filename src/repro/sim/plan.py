@@ -135,9 +135,11 @@ class CompiledPlan:
 
     ``succs_sorted``/``reads_of``/``writes_of``/``cross_deps`` are the
     drain walk's per-instance lookups hoisted to compile time: successor
-    ids in the engine's release order, the regions read and written, and
-    the dependences that live on a *different* resource (barriers
-    included) — the only ones gate G1 must re-check at runtime.
+    ids in the engine's release order (the graph's
+    :attr:`~repro.runtime.graph.TaskGraph.succs_sorted`), the regions
+    read and written, and the dependences that live on a *different*
+    resource (barriers included) — the only ones gate G1 must re-check
+    at runtime.
     ``kernel_names``/``los``/``his``/``sizes`` are the drain commit's
     trace-row columns, precomputed so the bulk lane extend never touches
     instance property descriptors.
@@ -168,7 +170,7 @@ class CompiledPlan:
     drainable: bool
     n_compute: int
     n_barriers: int
-    succs_sorted: tuple
+    succs_sorted: list
     reads_of: tuple
     writes_of: tuple
     cross_deps: tuple
@@ -288,10 +290,11 @@ def compile_plan(
                 if faces_sync:
                     writeback_flags[i] = bool(rows[i].writes)
 
-    # hoist the drain walk's per-instance lookups: release order,
-    # regions read and written (the graph's access rows, shared per
-    # signature), and the statically-known cross-resource dependences
-    succs_sorted: list = [()] * n
+    # hoist the drain walk's per-instance lookups: regions read and
+    # written (the graph's access rows, shared per signature), and the
+    # statically-known cross-resource dependences; the release order is
+    # the graph's own successor table
+    succs_sorted = graph.succs_sorted
     reads_of: list = [()] * n
     writes_of: list = [()] * n
     cross_deps: list = [()] * n
@@ -303,8 +306,6 @@ def compile_plan(
         if inst.is_barrier:
             continue
         i = inst.instance_id
-        if inst.succs:
-            succs_sorted[i] = tuple(sorted(inst.succs))
         kernel_names[i] = inst.kernel.name
         los[i] = inst.lo
         his[i] = inst.hi
@@ -379,7 +380,7 @@ def compile_plan(
         drainable=drainable,
         n_compute=n_compute,
         n_barriers=n_barriers,
-        succs_sorted=tuple(succs_sorted),
+        succs_sorted=succs_sorted,
         reads_of=tuple(reads_of),
         writes_of=tuple(writes_of),
         cross_deps=tuple(cross_deps),
@@ -485,15 +486,6 @@ class _EvalRun(_Run):
         #: _replay_waves); keyed per class because ping-pong loops
         #: alternate between two classes every iteration
         self._tmpls: dict[int, tuple] = {}
-        host_id = platform.host.device_id
-        #: resource id -> memory space
-        self._space_of: dict[str, str] = {
-            r.resource_id: (
-                HOST_SPACE if r.device.device_id == host_id
-                else r.device.device_id
-            )
-            for r in self.resources
-        }
         #: per-resource dispatch-order queues of not-yet-completed
         #: instances (head = currently running occupation)
         self._res_dispatched: dict[str, deque] = {
@@ -506,7 +498,7 @@ class _EvalRun(_Run):
         # mirrors _Run.go with one extra quiet point once the initial
         # dispatch has settled (all-host plans never transfer, so no wire
         # transition would ever offer one)
-        self.scheduler.start(self.graph, self._ctx())
+        self.scheduler.start(self.graph, self._ctx)
         for inst in self.graph.instances:
             if self.remaining[inst.instance_id] == 0:
                 self.ready.append(inst)
@@ -582,7 +574,7 @@ class _EvalRun(_Run):
         # give the drain its chance before the successors dispatch
         self.done.add(inst.instance_id)
         remaining = self.remaining
-        succs = sorted(inst.succs)
+        succs = self._succs[inst.instance_id]
         for succ in succs:
             remaining[succ] -= 1
         compiled = self._compiled

@@ -525,6 +525,8 @@ class TraceStore:
         "_indexed_rows",
         "_max_end",
         "_vec_view",
+        # the cached view refers back weakly
+        "__weakref__",
     )
 
     def __init__(self) -> None:

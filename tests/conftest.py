@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.platform import (
@@ -15,6 +17,27 @@ from repro.platform import (
 from repro.runtime.graph import KernelInvocation, Program
 from repro.runtime.kernels import AccessPattern, AccessSpec, Kernel, KernelCostModel
 from repro.runtime.regions import AccessMode, ArraySpec
+
+
+def _repro_env() -> dict[str, str]:
+    return {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
+
+
+@pytest.fixture(autouse=True)
+def repro_env_unchanged():
+    """Fail any test that leaves a ``REPRO_*`` variable changed.
+
+    CI runs the whole suite under ``REPRO_NO_NUMPY=1`` or
+    ``REPRO_NO_FAST_ENGINE=1``; a test that drops or rewrites the toggle
+    would silently move every later test onto the other path.
+    """
+    before = _repro_env()
+    yield
+    after = _repro_env()
+    if after != before:
+        pytest.fail(
+            f"test changed the REPRO_* environment: {before} -> {after}"
+        )
 
 
 @pytest.fixture

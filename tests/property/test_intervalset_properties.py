@@ -83,3 +83,49 @@ def test_remove_then_add_restores_superset(ivals, hole):
     s.add(lo, hi)
     after = as_set(s.intervals)
     assert before <= after
+
+
+# -- fast paths: every operation against a set-of-ints model -------------
+
+small = st.tuples(st.integers(0, 40), st.integers(0, 40)).map(
+    lambda t: (min(t), max(t))
+)
+#: starts the fast paths branch on: empty, one interval, several
+starts = st.one_of(
+    st.just([]), st.lists(small, min_size=1, max_size=1),
+    st.lists(small, max_size=6),
+)
+ops = st.lists(
+    st.tuples(st.sampled_from(("add", "remove", "missing", "overlap")), small),
+    max_size=20,
+)
+
+
+def assert_normal(ivals):
+    for lo, hi in ivals:
+        assert lo < hi
+    for (_, b), (c, _) in zip(ivals, ivals[1:]):
+        assert b < c
+
+
+@given(starts, ops)
+def test_operations_match_int_set_model(start, operations):
+    s = IntervalSet(start)
+    model = as_set(start)
+    for op, (lo, hi) in operations:
+        query = set(range(lo, hi))
+        if op == "add":
+            s.add(lo, hi)
+            model |= query
+        elif op == "remove":
+            s.remove(lo, hi)
+            model -= query
+        elif op == "missing":
+            gaps = s.missing(lo, hi).intervals
+            assert_normal(gaps)
+            assert as_set(gaps) == query - model
+        else:
+            assert s.overlap(lo, hi) == len(query & model)
+            assert s.overlap(lo, hi) == s.intersect(lo, hi).total
+        assert_normal(s.intervals)
+        assert as_set(s.intervals) == model

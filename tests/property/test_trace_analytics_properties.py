@@ -11,6 +11,10 @@ bit-identical (``==``, never approx) across three routes:
   pre-columnar oracle).
 """
 
+import os
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 
 pytest.importorskip("numpy")
@@ -22,6 +26,20 @@ from repro.sim.analysis import analyze_trace, compute_overlap_fraction
 from repro.sim.trace import ExecutionTrace
 
 RESOURCES = ("cpu:0", "gpu:0", "link:h2d", "dev")
+
+
+def scalar_path():
+    """Force the pure-Python path inside the block, then restore the
+    toggle to whatever it was (a whole run may hold it set)."""
+    return mock.patch.dict(os.environ, {"REPRO_NO_NUMPY": "1"})
+
+
+@contextmanager
+def numpy_path():
+    """Unset the toggle inside the block, then restore it."""
+    with mock.patch.dict(os.environ):
+        os.environ.pop("REPRO_NO_NUMPY", None)
+        yield
 CATEGORIES = ("compute", "transfer", "overhead")
 
 
@@ -94,10 +112,7 @@ def test_python_path_matches_record_scan(trace):
     store = trace.store
     records = list(trace)
     oracle = record_scan_aggregates(records)
-    import os
-
-    os.environ["REPRO_NO_NUMPY"] = "1"
-    try:
+    with scalar_path():
         assert {
             rid: store.busy_time(rid) for rid in store.resource_ids_seen()
         } == oracle["busy"]
@@ -105,18 +120,13 @@ def test_python_path_matches_record_scan(trace):
         assert store.transfer_time_by_direction() == oracle["transfer"]
         assert store.elements_by_device() == oracle["elements"]
         assert store.ratio_by_kernel() == oracle["ratio"]
-    finally:
-        del os.environ["REPRO_NO_NUMPY"]
 
 
 @settings(max_examples=150, deadline=None)
 @given(traces())
 def test_vec_path_matches_python_path(trace):
     store = trace.store
-    import os
-
-    os.environ["REPRO_NO_NUMPY"] = "1"
-    try:
+    with scalar_path():
         python = {
             "busy": {
                 rid: store.busy_time(rid) for rid in store.resource_ids_seen()
@@ -129,28 +139,27 @@ def test_vec_path_matches_python_path(trace):
             "overlap": compute_overlap_fraction(store),
             "stats": analyze_trace(store),
         }
-    finally:
-        del os.environ["REPRO_NO_NUMPY"]
 
-    vec = store.vec_view(force=True)
-    assert vec is not None
-    assert {
-        rid: vec.busy_time(rid) for rid in store.resource_ids_seen()
-    } == python["busy"]
-    assert vec.busy_by_resource() == python["by_resource"]
-    assert vec.transfer_time_by_direction() == python["transfer"]
-    assert vec.elements_by_kind("compute") == python["elements"]
-    assert vec.instance_count_by_kind() == python["instances"]
-    assert vec.ratio_by_kernel("compute") == python["ratio"]
+    with numpy_path():
+        vec = store.vec_view(force=True)
+        assert vec is not None
+        assert {
+            rid: vec.busy_time(rid) for rid in store.resource_ids_seen()
+        } == python["busy"]
+        assert vec.busy_by_resource() == python["by_resource"]
+        assert vec.transfer_time_by_direction() == python["transfer"]
+        assert vec.elements_by_kind("compute") == python["elements"]
+        assert vec.instance_count_by_kind() == python["instances"]
+        assert vec.ratio_by_kernel("compute") == python["ratio"]
 
-    # route analyze/overlap through the view regardless of store size
-    old_min = _vec.VEC_MIN_ROWS
-    _vec.VEC_MIN_ROWS = 0
-    try:
-        assert compute_overlap_fraction(store) == python["overlap"]
-        assert analyze_trace(store) == python["stats"]
-    finally:
-        _vec.VEC_MIN_ROWS = old_min
+        # route analyze/overlap through the view regardless of store size
+        old_min = _vec.VEC_MIN_ROWS
+        _vec.VEC_MIN_ROWS = 0
+        try:
+            assert compute_overlap_fraction(store) == python["overlap"]
+            assert analyze_trace(store) == python["stats"]
+        finally:
+            _vec.VEC_MIN_ROWS = old_min
 
 
 @settings(max_examples=60, deadline=None)

@@ -91,3 +91,28 @@ def test_full_run_is_freed_once_artifact_is_dropped(
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("strategy,app_name,n,iterations", CASES)
+def test_queried_full_trace_is_freed_once_artifact_is_dropped(
+    paper_platform, strategy, app_name, n, iterations
+):
+    """The store's cached vectorized view does not pin the store."""
+    pytest.importorskip("numpy")
+    plan, engine = _plan_and_engine(
+        paper_platform, strategy, app_name, n, iterations
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        artifact = engine.execute(plan.graph, plan.scheduler, detail="full")
+        store = artifact.trace.store
+        view = store.vec_view(force=True)
+        if view is None:  # the run holds REPRO_NO_NUMPY set
+            pytest.skip("vectorized analytics disabled")
+        assert view.busy_by_resource() == store.busy_by_resource()
+        assert store.vec_view(force=True) is view  # cached on the store
+        del artifact, store, view
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -8,7 +8,7 @@ from repro.runtime.executor import RuntimeConfig, RuntimeEngine
 from repro.runtime.graph import chunk_ranges, expand_program
 from repro.runtime.schedulers.base import Scheduler
 
-from tests.conftest import single_kernel_program
+from tests.conftest import chain_program, single_kernel_program
 
 EXACT = RuntimeConfig(
     task_creation_overhead_s=0.0,
@@ -45,6 +45,33 @@ class DoubleAssignScheduler(Scheduler):
         return [(inst, rid), (inst, rid)]
 
 
+class BlockedInstanceScheduler(Scheduler):
+    """Assigns an instance whose dependences have not run yet."""
+
+    name = "broken-blocked"
+
+    def start(self, graph, ctx):
+        self._last = graph.instances[-1]
+
+    def assign(self, ready, ctx):
+        assert self._last not in ready
+        return [(self._last, ctx.resources[0].resource_id)]
+
+
+class ReassignScheduler(Scheduler):
+    """Assigns the first ready instance, then hands it out once more."""
+
+    name = "broken-reassign"
+
+    def __init__(self):
+        self._first = None
+
+    def assign(self, ready, ctx):
+        if self._first is None:
+            self._first = ready[0]
+        return [(self._first, ctx.resources[0].resource_id)]
+
+
 class LazyScheduler(Scheduler):
     """Never assigns anything: the run must end in a deadlock error."""
 
@@ -62,9 +89,26 @@ class TestFaultySchedulers:
             )
 
     def test_double_assignment_raises(self, tiny_platform):
-        with pytest.raises(SchedulingError):
+        with pytest.raises(SchedulingError, match="twice or out of the ready"):
             RuntimeEngine(tiny_platform, config=EXACT).execute(
                 graph_of(), DoubleAssignScheduler()
+            )
+
+    def test_reassigning_a_dispatched_instance_raises(self, tiny_platform):
+        with pytest.raises(SchedulingError, match="twice or out of the ready"):
+            RuntimeEngine(tiny_platform, config=EXACT).execute(
+                graph_of(), ReassignScheduler()
+            )
+
+    def test_assigning_a_blocked_instance_raises(self, tiny_platform):
+        graph = build_dependences(expand_program(
+            chain_program(3),
+            lambda inv: [(0, inv.n, None, None)],
+        ))
+        assert graph.instances[-1].deps  # not ready at the start
+        with pytest.raises(SchedulingError, match="twice or out of the ready"):
+            RuntimeEngine(tiny_platform, config=EXACT).execute(
+                graph, BlockedInstanceScheduler()
             )
 
     def test_lazy_scheduler_detected_as_deadlock(self, tiny_platform):

@@ -19,6 +19,13 @@ from repro.sim.tracestore import TraceStore
 from tests.sim.test_tracestore import random_trace
 
 
+@pytest.fixture(autouse=True)
+def numpy_path(monkeypatch):
+    """Start every test on the numpy path, even in a run that holds
+    ``REPRO_NO_NUMPY`` set; tests set it themselves for the scalar side."""
+    monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
+
+
 @pytest.fixture
 def no_numpy_env(monkeypatch):
     """Force the pure-Python path for code under this fixture."""
