@@ -15,15 +15,12 @@ with) through both simulation engines and records events/sec:
 * ``fast_traced_lane`` — the executor's shape after the staged-ingestion
   PR: per-event ``occupy()`` completions writing through pre-interned
   :class:`~repro.sim.tracestore.TraceLane` staging buffers (constants
-  interned once per stream, no per-row ``dict(meta)`` copy);
-* ``traced_batch`` — the bulk traced intake: one ``occupy_stream`` per
-  resource, one heap event + one cumsum + one block-extend per whole
-  stream (timed including the lane flush).
+  interned once per stream, no per-row ``dict(meta)`` copy).
 
-The traced production path's ``traced_batch_speedup`` over
-``oracle_traced`` must clear ``TRACED_BATCH_FLOOR``.  The per-event
-ratios are recorded alongside so the number's composition stays honest:
-part engine loop, part shed tracing machinery, part batching.
+The headline is ``traced_lane_speedup`` over ``oracle_traced``, because
+the lane shape is the path the executor runs; ``traced_speedup`` is
+recorded alongside so the number's composition stays honest: part
+engine loop, part shed tracing machinery.
 
 Also measures end-to-end wall clock of the full scenario under both
 engines (``run_speedup``), verifies their artifacts pickle byte-identical
@@ -73,11 +70,6 @@ ROUNDS = 10
 #: engine rounds interleaved so frequency drift hits both sides alike
 RUN_ROUNDS = 5
 
-#: acceptance floor: bulk traced intake (``occupy_stream`` + lane flush)
-#: vs the seed's traced replay path — the tentpole "traced production
-#: path >= 3x over the oracle" criterion
-TRACED_BATCH_FLOOR = 3.0
-
 #: acceptance floor: the fast engine must not lose end to end — the
 #: full ``repro run`` scenario under the fast engine must be at least as
 #: fast (best-of-rounds) as under the oracle
@@ -98,7 +90,6 @@ WAVE_DRAIN_FLOOR = 5.0
 #: back-to-back on the same box regress together unless the code did
 BASELINE_RATIOS = (
     "traced_lane_speedup",
-    "traced_batch_speedup",
 )
 
 #: nested-section ratios ``--check-baseline`` also verifies: section
@@ -205,33 +196,6 @@ def _replay_engine_lane(streams, *, fast: bool) -> float:
     return time.perf_counter() - t0
 
 
-def _replay_stream_batches(streams) -> float:
-    """Bulk traced replay: one ``occupy_stream`` per resource; seconds.
-
-    The bulk traced intake: a whole resource stream costs one heap
-    event, one cumulative-bounds computation, and one columnar
-    block-extend (plus the final flush, timed).  Rows carry the same
-    formatted labels as the per-event variants; per-row metadata dicts
-    are deliberately absent — shedding them is what the bulk API is for.
-    Each scenario resource's stream is single-category, so one lane per
-    resource suffices.
-    """
-    durations = {
-        rid: [d for d, _ in occs] for rid, occs in streams.items()
-    }
-    sim = FastSimulator()
-    trace = ExecutionTrace()
-    t0 = time.perf_counter()
-    for rid, occs in streams.items():
-        res = SimResource(sim, rid, trace)
-        lane = trace.lane(rid, occs[0][1], "replay {} {}")
-        ds = durations[rid]
-        res.occupy_stream(ds, lane, str_arg=rid, args=range(len(ds)))
-    sim.run()
-    trace.store._ensure_flushed()
-    return time.perf_counter() - t0
-
-
 def _best_of(fn, *args, **kwargs) -> float:
     """Minimum of ``ROUNDS`` timed calls, after one untimed warm-up."""
     fn(*args, **kwargs)
@@ -248,7 +212,6 @@ def measure_event_core(artifact=None) -> dict:
     oracle_traced = _best_of(_replay_engine, streams, fast=False)
     fast_traced = _best_of(_replay_engine, streams, fast=True)
     fast_traced_lane = _best_of(_replay_engine_lane, streams, fast=True)
-    traced_batch = _best_of(_replay_stream_batches, streams)
 
     return {
         "events": events,
@@ -257,12 +220,10 @@ def measure_event_core(artifact=None) -> dict:
         "oracle_traced_events_per_sec": events / oracle_traced,
         "fast_traced_events_per_sec": events / fast_traced,
         "fast_traced_lane_events_per_sec": events / fast_traced_lane,
-        "traced_batch_events_per_sec": events / traced_batch,
-        # the traced production path in its three shapes (per-row
-        # record, per-event lanes, bulk occupy_stream)
+        # the traced production path in its two shapes (per-row
+        # record, per-event lanes)
         "traced_speedup": oracle_traced / fast_traced,
         "traced_lane_speedup": oracle_traced / fast_traced_lane,
-        "traced_batch_speedup": oracle_traced / traced_batch,
     }
 
 
@@ -549,7 +510,6 @@ def measure_sim_core() -> dict:
 
 def check(payload: dict) -> None:
     assert payload["events"] > 1000, payload
-    assert payload["traced_batch_speedup"] >= TRACED_BATCH_FLOOR, payload
     assert payload["parity"], payload
     check_plan_eval(payload["plan_eval"])
     check_wave_drain(payload["wave_drain"])
@@ -646,12 +606,10 @@ def _format(payload: dict) -> str:
         f"{payload['oracle_traced_events_per_sec']:,.0f} ev/s traced\n"
         f"fast engine:          "
         f"{payload['fast_traced_events_per_sec']:,.0f} ev/s traced, "
-        f"{payload['fast_traced_lane_events_per_sec']:,.0f} ev/s lane-traced, "
-        f"{payload['traced_batch_events_per_sec']:,.0f} ev/s batch-traced\n"
-        f"traced path:          {payload['traced_batch_speedup']:9.1f}x "
-        f"batch (floor {TRACED_BATCH_FLOOR:g}x; per-event rows "
-        f"{payload['traced_speedup']:.1f}x, per-event lanes "
-        f"{payload['traced_lane_speedup']:.1f}x)\n"
+        f"{payload['fast_traced_lane_events_per_sec']:,.0f} ev/s lane-traced\n"
+        f"traced path:          {payload['traced_lane_speedup']:9.1f}x "
+        f"per-event lanes (per-event rows "
+        f"{payload['traced_speedup']:.1f}x)\n"
         f"end-to-end run:       {payload['fast_run_s']:.2f} s fast vs "
         f"{payload['oracle_run_s']:.2f} s oracle "
         f"({payload['run_speedup']:.2f}x, floor {RUN_SPEEDUP_FLOOR:g}x, "

@@ -709,7 +709,6 @@ BASELINE_CHECKS = [
     ("sweep_streaming.first_cell_fraction", "max", 1.5),
     ("sim_core.traced_speedup", "min", 0.5),
     ("sim_core.traced_lane_speedup", "min", 0.5),
-    ("sim_core.traced_batch_speedup", "min", 0.5),
     ("sim_core.plan_eval.plans_vs_simulate_speedup", "min", 0.5),
     ("sim_core.wave_drain.synced_plans_vs_simulate_speedup", "min", 0.5),
     ("matchmaking.table_agreement", "min", 0.05),
@@ -824,11 +823,10 @@ def test_pipeline_perf(benchmark):
         f"{memory['label_packed_fraction']:.0%} rows packed "
         f"({memory['label_shrink_ratio']:.1f}x vs formatted strings)\n"
         f"event core:           "
-        f"{payload['sim_core']['traced_batch_events_per_sec']:,.0f} ev/s "
-        f"batch-traced vs "
+        f"{payload['sim_core']['fast_traced_lane_events_per_sec']:,.0f} ev/s "
+        f"lane-traced vs "
         f"{payload['sim_core']['oracle_traced_events_per_sec']:,.0f} ev/s "
-        f"oracle ({payload['sim_core']['traced_batch_speedup']:.1f}x, "
-        f"floor {bench_event_core.TRACED_BATCH_FLOOR:g}x), "
+        f"oracle ({payload['sim_core']['traced_lane_speedup']:.1f}x), "
         f"run {payload['sim_core']['run_speedup']:.2f}x, parity "
         f"{'ok' if payload['sim_core']['parity'] else 'DIVERGED'}\n"
         f"matchmaking:          "
@@ -875,7 +873,7 @@ def main(argv: list[str] | None = None) -> int:
         f"{payload['sweep_streaming']['time_to_first_cell_s'] * 1e3:.0f} ms "
         f"(adaptive {payload['sweep_streaming']['adaptive_vs_fixed_speedup']:.1f}x "
         f"vs fixed), "
-        f"event core {payload['sim_core']['traced_batch_speedup']:.1f}x "
+        f"event core {payload['sim_core']['traced_lane_speedup']:.1f}x "
         f"(parity {'ok' if payload['sim_core']['parity'] else 'DIVERGED'}), "
         f"matchmaking {payload['matchmaking']['matches_per_sec']:,.1f} "
         f"matches/s with "

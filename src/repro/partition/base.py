@@ -201,23 +201,6 @@ def run_plan(
 # -- program rewriting helpers shared by strategies -----------------------
 
 
-def strip_sync(program: Program) -> Program:
-    """A copy of ``program`` with all ``taskwait`` markers removed."""
-    return Program(
-        invocations=[
-            KernelInvocation(
-                invocation_id=inv.invocation_id,
-                kernel=inv.kernel,
-                n=inv.n,
-                iteration=inv.iteration,
-                sync_after=False,
-            )
-            for inv in program.invocations
-        ],
-        arrays=dict(program.arrays),
-    )
-
-
 def force_sync(program: Program) -> Program:
     """A copy of ``program`` with a ``taskwait`` after every invocation.
 

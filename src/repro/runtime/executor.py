@@ -142,7 +142,6 @@ class _Transfer:
                 "direction": self.direction,
                 "device": op.device_space,
             },
-            own_meta=True,
         )
 
 
@@ -603,7 +602,6 @@ class _Run:
                 "invocation": inst.invocation.invocation_id,
                 "iteration": inst.invocation.iteration,
             },
-            own_meta=True,
         )
 
     def _complete_compute(self, args: tuple) -> None:

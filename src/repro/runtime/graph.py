@@ -166,20 +166,6 @@ class TaskInstance:
             return f"taskwait#{self.instance_id}"
         return f"{self.kernel.name}[{self.lo}:{self.hi})#{self.instance_id}"
 
-    def label_lazy(self) -> tuple:
-        """:meth:`label` as an unformatted ``(template, *args)`` tuple.
-
-        The trace store packs this into fixed-width columns and formats
-        the text only if the row is materialized — same rendered label,
-        no per-instance string on the simulation hot path.
-        """
-        if self.is_barrier:
-            return ("taskwait#{}", self.instance_id)
-        return (
-            "{}[{}:{})#{}",
-            self.kernel.name, self.lo, self.hi, self.instance_id,
-        )
-
 
 @dataclass(frozen=True, slots=True, eq=False)
 class AccessRow:
@@ -282,10 +268,6 @@ class TaskGraph:
         if inst.instance_id != instance_id:
             raise DependenceError("task graph instance ids out of order")
         return inst
-
-    @property
-    def compute_instances(self) -> list[TaskInstance]:
-        return [i for i in self.instances if i.kind is InstanceKind.COMPUTE]
 
     @property
     def n_edges(self) -> int:

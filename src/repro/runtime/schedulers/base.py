@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.errors import SchedulingError
 from repro.platform.topology import ComputeResource
@@ -133,10 +133,3 @@ class StaticScheduler(Scheduler):
         assert best is not None
         self._rr[device_id] = (start + 1) % len(candidates)
         return best.resource_id
-
-
-def resources_of_kind(
-    resources: Sequence[ComputeResource], predicate: Callable[[ComputeResource], bool]
-) -> list[ComputeResource]:
-    """Filter helper shared by the dynamic schedulers."""
-    return [r for r in resources if predicate(r)]

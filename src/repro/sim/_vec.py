@@ -51,11 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 VEC_MIN_ROWS = 512
 
 
-def numpy_installed() -> bool:
-    """Whether numpy could be imported at all."""
-    return _np is not None
-
-
 def enabled() -> bool:
     """Whether the vectorized path may be used right now.
 
@@ -68,23 +63,16 @@ def enabled() -> bool:
 
 
 def lane_bounds(t0: float, durations):
-    """Cumulative completion bounds of a serial occupation stream.
+    """Cumulative completion bounds of a serial occupation chain.
 
     Returns ``k + 1`` cumulative times ``[t0, t0 + d0, (t0 + d0) + d1,
-    ...]`` — row ``i`` of the stream spans ``bounds[i]`` to
-    ``bounds[i + 1]``.  On the vectorized path this is one
-    ``np.cumsum`` over ``[t0, *durations]`` (an ndarray); with numpy
-    unavailable or ``REPRO_NO_NUMPY=1`` it is the pure-Python
-    sequential chain (an ``array('d')``).  ``cumsum`` is numpy's naive
-    left-to-right recurrence, so both paths produce bit-identical
-    floats: each partial sum *is* the previous occupation's end time,
-    exactly as the per-event engines compute it.
+    ...]`` as an ``array('d')`` — row ``i`` of the chain spans
+    ``bounds[i]`` to ``bounds[i + 1]``.  This is the pure-Python
+    sequential chain — :func:`chain_bounds`' scalar fallback and the
+    reference its vectorized path must match: each partial sum *is* the
+    previous occupation's end time, exactly as the per-event engines
+    compute it.
     """
-    if enabled() and len(durations) >= 1:
-        seed = _np.empty(len(durations) + 1, dtype=_np.float64)
-        seed[0] = t0
-        seed[1:] = durations
-        return _np.cumsum(seed)
     from array import array
 
     bounds = array("d", (0.0,)) * (len(durations) + 1)

@@ -25,24 +25,14 @@ small integer ``kind`` inside an inlined run loop:
     re-schedules the next completion *inline* — no per-event closure, no
     Event allocation, and tuple comparisons run at C level in the heap.
     This is the executor's hot path.
-``_K_FINISH_BATCH``
-    A whole occupation *stream* scheduled through
-    :meth:`schedule_stream` (the engine half of
-    ``SimResource.occupy_stream``): ``a0`` is the resource, ``a1`` a
-    ``_StreamBlock`` carrying precomputed cumulative bounds for a run of
-    back-to-back rows.  One heap event and one sequence number cover the
-    entire run; at fire time the resource block-extends its trace lane
-    and frees itself.  This is the traced production path's bulk drain.
 ``_K_CALL``
     A closure-free deferred call scheduled through
     :meth:`schedule_call`: ``a0`` is a callable, ``a1`` its single
-    argument, and the loop simply runs ``a0(a1)``.  The cross-resource
-    generalization of ``_K_FINISH_BATCH``: where a stream event commits
-    one resource's run of rows, a call event anchors an entire epoch
-    whose rows were committed analytically by the plan evaluator's
-    drain — one heap tuple and one sequence number stand in for every
-    completion of the epoch.  Not
-    cancellable (no handle is allocated), which is what keeps it free.
+    argument, and the loop simply runs ``a0(a1)``.  A call event anchors
+    an entire epoch whose rows were committed analytically by the plan
+    evaluator's drain — one heap tuple and one sequence number stand in
+    for every completion of the epoch.  Not cancellable (no handle is
+    allocated), which is what keeps it free.
 
 Because both engines drive the *same* executor and
 :class:`~repro.sim.resources.SimResource` code and consume sequence
@@ -75,7 +65,6 @@ from repro.sim.engine import (
 #: event kinds (the ``kind`` slot of a heap tuple)
 _K_CALLBACK = 0
 _K_FINISH = 1
-_K_FINISH_BATCH = 3
 _K_CALL = 4
 
 
@@ -235,21 +224,6 @@ class FastSimulator:
             (time, PRIORITY_COMPLETION, seq, _K_FINISH, resource, occupation),
         )
 
-    def schedule_stream(self, time: float, resource, block) -> None:
-        """Schedule a whole occupation stream's single completion event.
-
-        The engine half of ``SimResource.occupy_stream``: one heap tuple
-        and one sequence number for the entire run of rows, matching the
-        single ``sim.at`` closure the oracle engine schedules — so event
-        interleaving stays identical across engines.
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(
-            self._heap,
-            (time, PRIORITY_COMPLETION, seq, _K_FINISH_BATCH, resource, block),
-        )
-
     def schedule_call(
         self,
         time: float,
@@ -337,15 +311,13 @@ class FastSimulator:
                     end = t + nxt.duration
                     if not queue:
                         res._busy_until = end
-                    record = res._record
-                    if record is not None:
-                        lane = nxt.lane
-                        if lane is not None:
-                            lane.append(t, end, nxt.args, nxt.size,
-                                        nxt.kernel, nxt.meta)
-                        else:
-                            record(res.resource_id, nxt.label, nxt.category,
-                                   t, end, nxt.meta, nxt.own_meta)
+                    lane = nxt.lane
+                    if lane is not None:
+                        lane.append(t, end, nxt.args, nxt.size,
+                                    nxt.kernel, nxt.meta)
+                    else:
+                        res._record(res.resource_id, nxt.label, nxt.category,
+                                    t, end, nxt.meta)
                     seq = self._seq
                     self._seq = seq + 1
                     push(heap, (end, PRIORITY_COMPLETION, seq, _K_FINISH,
@@ -372,15 +344,6 @@ class FastSimulator:
                 handle._sim = None
                 self._now = t
                 handle.callback()
-            elif kind == _K_FINISH_BATCH:
-                # one event for a whole occupation stream: the resource
-                # block-extends its trace lane and frees itself (or hands
-                # over to work that queued up during the run)
-                if processed >= max_events:
-                    raise max_events_error(max_events)
-                processed += 1
-                self._now = t
-                ev[4]._finish_stream(ev[5])
             else:  # _K_CALL
                 # one event for a whole barrier-epoch wave: the plan
                 # evaluator committed every row analytically and left a

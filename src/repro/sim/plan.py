@@ -543,7 +543,6 @@ class _EvalRun(_Run):
                 "invocation": inst.invocation.invocation_id,
                 "iteration": inst.invocation.iteration,
             },
-            own_meta=True,
         )
 
     def _complete_compute(self, args):

@@ -20,11 +20,6 @@ Completion callbacks may be plain zero-argument callables or ``(fn, arg)``
 tuples; the tuple form lets callers (the runtime executor, chiefly) pass
 a bound method and its argument instead of building a closure per
 occupation.
-
-``trace=None`` creates an *untraced* resource: occupations run with full
-timing/queueing semantics but append no rows.  Artifact-producing runs
-always trace; the untraced mode serves replay and schedule-search
-workloads that only need the clock.
 """
 
 from __future__ import annotations
@@ -34,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import SimulationError
-from repro.sim import _vec
 from repro.sim.engine import PRIORITY_COMPLETION, Simulator
 from repro.sim.trace import ExecutionTrace
 from repro.sim.tracestore import TraceLane
@@ -56,26 +50,6 @@ class _Occupation:
     args: tuple = ()
     size: int = -1
     kernel: str | None = None
-    #: meta is a throwaway dict the store may keep without copying
-    own_meta: bool = False
-
-
-@dataclass(slots=True)
-class _StreamBlock:
-    """Deferred bulk-trace payload for :meth:`SimResource.occupy_stream`.
-
-    Carries everything :meth:`SimResource._finish_stream` needs to write
-    the whole run of rows at the stream's single completion event.
-    """
-
-    lane: TraceLane
-    #: ``k + 1`` cumulative bounds; row ``i`` spans ``bounds[i]`` to
-    #: ``bounds[i + 1]`` (see :func:`repro.sim._vec.lane_bounds`)
-    bounds: Any
-    str_arg: str | None
-    args: Any
-    metas: list | None
-    on_complete: Callable[[], Any] | tuple | None
 
 
 class SimResource:
@@ -88,27 +62,23 @@ class SimResource:
     resource_id:
         Unique identifier; appears in trace records.
     trace:
-        Shared :class:`ExecutionTrace` that collects occupation records,
-        or ``None`` for an untraced resource.
+        Shared :class:`ExecutionTrace` that collects occupation records.
     """
 
     def __init__(
         self,
         sim: Simulator,
         resource_id: str,
-        trace: ExecutionTrace | None,
+        trace: ExecutionTrace,
     ) -> None:
         self.sim = sim
         self.resource_id = resource_id
         self.trace = trace
-        #: prebound row appender (or None): one attribute load per row
-        #: instead of two, and the untraced check is a None test
-        self._record = trace.record if trace is not None else None
+        #: prebound row appender: one attribute load per row instead of two
+        self._record = trace.record
         #: engines that inline completion handling expose
         #: ``schedule_completion``; the oracle path allocates a closure
         self._schedule_completion = getattr(sim, "schedule_completion", None)
-        #: fast-engine hook for one-event stream completions
-        self._schedule_stream = getattr(sim, "schedule_stream", None)
         self._queue: deque[_Occupation] = deque()
         self._busy = False
         self._busy_until = 0.0
@@ -145,7 +115,6 @@ class SimResource:
         args: tuple = (),
         size: int = -1,
         kernel: str | None = None,
-        own_meta: bool = False,
     ) -> None:
         """Enqueue an occupation of ``duration`` seconds.
 
@@ -159,8 +128,7 @@ class SimResource:
         ``TraceStore.record``: ``label``/``category`` are ignored for the
         row (the lane's template and constants win) and ``args``, ``size``
         and ``kernel`` become the per-row lane payload.  The lane must
-        belong to this resource's trace store.  ``own_meta=True`` marks
-        ``meta`` as a throwaway dict the store may keep without copying.
+        belong to this resource's trace store.
         """
         if duration < 0:
             raise SimulationError(
@@ -168,7 +136,7 @@ class SimResource:
             )
         occ = _Occupation(
             duration, label, category, on_complete, meta or {},
-            lane, args, size, kernel, own_meta,
+            lane, args, size, kernel,
         )
         if self._busy:
             self._queue.append(occ)
@@ -183,18 +151,14 @@ class SimResource:
         if not self._queue:
             self._busy_until = end
         # columnar append: no TraceRecord allocation on the hot path
-        record = self._record
-        if record is not None:
-            lane = occ.lane
-            if lane is not None:
-                lane.append(
-                    start, end, occ.args, occ.size, occ.kernel, occ.meta
-                )
-            else:
-                record(
-                    self.resource_id, occ.label, occ.category, start, end,
-                    occ.meta, occ.own_meta,
-                )
+        lane = occ.lane
+        if lane is not None:
+            lane.append(start, end, occ.args, occ.size, occ.kernel, occ.meta)
+        else:
+            self._record(
+                self.resource_id, occ.label, occ.category, start, end,
+                occ.meta,
+            )
         schedule = self._schedule_completion
         if schedule is not None:
             schedule(end, self, occ)
@@ -211,103 +175,6 @@ class SimResource:
             self._busy = False
             self._busy_until = self.sim.now
         cb = occ.on_complete
-        if cb is not None:
-            if type(cb) is tuple:
-                cb[0](cb[1])
-            else:
-                cb()
-
-    def occupy_stream(
-        self,
-        durations,
-        lane: TraceLane,
-        *,
-        str_arg: str | None = None,
-        args=None,
-        metas: list | None = None,
-        on_complete: Callable[[], Any] | tuple | None = None,
-    ) -> None:
-        """Occupy with a back-to-back run of ``len(durations)`` rows.
-
-        The bulk traced intake: where :meth:`occupy` costs one event and
-        one row append per occupation, this schedules **one** completion
-        event for the whole run and writes all rows with a single
-        block-extend into ``lane`` when it fires.  Cumulative bounds come
-        from :func:`repro.sim._vec.lane_bounds` (numpy ``cumsum``, or the
-        bit-identical sequential fallback under ``REPRO_NO_NUMPY=1``), so
-        every row's start/end matches what ``len(durations)`` chained
-        :meth:`occupy` calls would have produced.
-
-        The resource must be idle with an empty queue — the stream
-        models an uninterruptible run, so interleaving with queued
-        occupations has no meaning.  (Work *arriving* during the stream
-        queues behind it as usual.)  ``str_arg``/``args``/``metas`` are
-        the per-run lane payload (see
-        :class:`~repro.sim.tracestore.TraceLane.extend_block`).  Both
-        engines consume exactly one sequence number for the completion,
-        keeping event interleaving — and artifact bytes — identical.
-        """
-        if self.trace is None:
-            raise SimulationError(
-                f"{self.resource_id}: occupy_stream requires a traced resource"
-            )
-        if self._busy or self._queue:
-            raise SimulationError(
-                f"{self.resource_id}: occupy_stream requires an idle resource"
-            )
-        k = len(durations)
-        if args is not None and len(args) != k:
-            raise SimulationError(
-                f"{self.resource_id}: occupy_stream args length {len(args)}"
-                f" != {k} durations"
-            )
-        if metas is not None and len(metas) != k:
-            raise SimulationError(
-                f"{self.resource_id}: occupy_stream metas length {len(metas)}"
-                f" != {k} durations"
-            )
-        if k == 0:
-            # empty run: no occupation, fire the callback at the current
-            # time without consuming an event
-            if on_complete is not None:
-                if type(on_complete) is tuple:
-                    on_complete[0](on_complete[1])
-                else:
-                    on_complete()
-            return
-        if min(durations) < 0:
-            raise SimulationError(
-                f"{self.resource_id}: occupation duration must be >= 0"
-            )
-        bounds = _vec.lane_bounds(self.sim.now, durations)
-        end = float(bounds[k])
-        self._busy = True
-        self._busy_until = end
-        block = _StreamBlock(lane, bounds, str_arg, args, metas, on_complete)
-        schedule = self._schedule_stream
-        if schedule is not None:
-            schedule(end, self, block)
-        else:
-            self.sim.at(
-                end,
-                lambda: self._finish_stream(block),
-                priority=PRIORITY_COMPLETION,
-            )
-
-    def _finish_stream(self, block: _StreamBlock) -> None:
-        # mirrors _finish: free the resource (or hand over to work queued
-        # *during* the stream), then fire the callback.  The fast engine
-        # calls this directly for _K_FINISH_BATCH events.
-        block.lane.extend_block(
-            block.bounds, block.str_arg, block.args, block.metas
-        )
-        if self._queue:
-            nxt = self._queue.popleft()
-            self._start(nxt)
-        else:
-            self._busy = False
-            self._busy_until = self.sim.now
-        cb = block.on_complete
         if cb is not None:
             if type(cb) is tuple:
                 cb[0](cb[1])

@@ -87,16 +87,13 @@ class ExecutionTrace:
         start: float,
         end: float,
         meta: dict[str, Any] | None = None,
-        own_meta: bool = False,
     ) -> None:
         """Append one occupation column-wise (no record allocation).
 
         ``label`` may be a display string or a lazy ``(template, *args)``
-        tuple the store formats only on row materialization.  Pass
-        ``own_meta=True`` when ``meta`` is a throwaway dict the store may
-        keep without copying.
+        tuple the store formats only on row materialization.
         """
-        self.store.record(resource_id, label, category, start, end, meta, own_meta)
+        self.store.record(resource_id, label, category, start, end, meta)
 
     def lane(self, resource_id: str, category: str, template: str, **kwargs):
         """Open a staging :class:`~repro.sim.tracestore.TraceLane`.

@@ -24,28 +24,24 @@ never hit the intern pool unless someone actually materializes the row
 (:meth:`TraceStore.label_at` formats on demand; the formatted text is
 identical to the old eager f-strings).
 
-Ingestion has three entry points, fastest last:
+Ingestion has one entry point per caller shape:
 
 * :meth:`TraceStore.record` — one row per call, full generality (the
-  original API).  ``own_meta=True`` lets a caller that hands over a
-  throwaway metadata dict skip the defensive ``dict(meta)`` copy.
-* :meth:`TraceStore.record_batch` — a homogeneous *run* of rows for one
-  ``(resource, category)`` stream in one call: the resource and category
-  codes are resolved once, the numeric columns are extended in blocks,
-  and only labels/metadata are handled per row.  Byte-identical to the
-  equivalent sequence of :meth:`record` calls (enforced by
-  ``tests/sim/test_trace_ingestion.py``).
+  original API).  The metadata dict is copied, so callers may keep
+  mutating it.
 * :meth:`TraceStore.lane` — a persistent :class:`TraceLane` staging
   buffer for one fully pre-declared stream (resource, category, label
   template, and the constant hot metadata keys are interned *once at
-  lane creation*).  Appends go into small parallel ``array`` buffers
-  with no interning and no dict traffic; the staged rows are flushed
-  into the store's columns in C-speed blocks the first time anything
-  reads, pickles, or indexes the store.  Staged rows are therefore
-  *deferred*: they take their row numbers at flush time (lane
-  registration order), not append time — identical under every engine
-  and backend, which is what keeps cross-engine artifact pickles
-  byte-identical.
+  lane creation*).  :meth:`TraceLane.append` stages one row per event
+  (the executor and the plan evaluator), :meth:`TraceLane.extend_rows`
+  a whole run of rows (the evaluator's drains).  Staged rows go into
+  small parallel ``array`` buffers with no interning and no dict
+  traffic; they are flushed into the store's columns in C-speed blocks
+  the first time anything reads, pickles, or indexes the store.  Staged
+  rows are therefore *deferred*: they take their row numbers at flush
+  time (lane registration order), not append time — identical under
+  every engine and backend, which is what keeps cross-engine artifact
+  pickles byte-identical.
 
 Aggregate queries run in one of two observationally identical ways:
 
@@ -136,9 +132,8 @@ class TraceLane:
     ``device``, ``direction``) are interned exactly once, at creation.
     :meth:`append` then costs a handful of ``array`` pushes per row —
     no interning, no ``dict(meta)`` copy, no per-row branching on the
-    metadata shape — and :meth:`extend_block` ingests a whole
-    precomputed completion block with ``array.extend``/``frombytes``
-    bulk copies.
+    metadata shape — and :meth:`extend_rows` ingests a whole run of
+    rows with ``array.extend``/``frombytes`` bulk copies.
 
     Contract (checked by the differential ingestion suite, not per
     append): label ``args`` are at most one leading ``str`` plus up to
@@ -146,7 +141,7 @@ class TraceLane:
     are **owned** by the store once appended (never mutated by the
     caller afterwards) and any hot keys they carry must agree with the
     lane's declared constants and the explicit ``size``/``kernel``
-    arguments.  The runtime executor and the replay benches satisfy
+    arguments.  The runtime executor and the plan evaluator satisfy
     this by construction.
 
     Staged rows become real store rows — in lane registration order —
@@ -268,61 +263,6 @@ class TraceLane:
         if end > self.max_end:
             self.max_end = end
 
-    def extend_block(
-        self,
-        bounds,
-        str_arg: str | None = None,
-        args=None,
-        metas: list[dict[str, Any]] | None = None,
-    ) -> None:
-        """Stage a whole completion block in bulk.
-
-        ``bounds`` holds ``k + 1`` cumulative times — row ``i`` spans
-        ``bounds[i]`` to ``bounds[i + 1]`` (the cumsum layout
-        :func:`repro.sim._vec.lane_bounds` produces).  ``str_arg`` is a
-        constant string label argument for every row; ``args`` an
-        optional length-``k`` int sequence feeding the first int label
-        slot; ``metas`` an optional length-``k`` list of owned per-row
-        dicts (all rows carry one, or none do).
-        """
-        k = len(bounds) - 1
-        if k <= 0:
-            return
-        if isinstance(bounds, array):
-            self.starts.extend(bounds[:-1])
-            self.ends.extend(bounds[1:])
-        else:  # ndarray from the vectorized path: raw memcpy
-            self.starts.frombytes(bounds[:-1].tobytes())
-            self.ends.frombytes(bounds[1:].tobytes())
-        code = -1 if str_arg is None else self._intern_arg(str_arg)
-        self.str_codes.extend(_const_i(code, k))
-        if args is None:
-            self.arg_a.extend(_const_q(0, k))
-        else:
-            if not isinstance(args, array):
-                args = array("q", args)
-            if len(args) != k:
-                raise ValueError(
-                    f"extend_block: {len(args)} args for {k} rows"
-                )
-            self.arg_a.extend(args)
-        self.arg_b.extend(_const_q(0, k))
-        self.arg_c.extend(_const_q(0, k))
-        self.sizes.extend(_const_q(-1, k))
-        self.kernel_codes.extend(_const_i(-1, k))
-        if metas is None:
-            self.metas.extend([None] * k)
-        else:
-            if len(metas) != k:
-                raise ValueError(
-                    f"extend_block: {len(metas)} metas for {k} rows"
-                )
-            self.metas.extend(metas)
-            self.meta_count += len(metas)
-        last = float(bounds[-1])
-        if last > self.max_end:
-            self.max_end = last
-
     def extend_rows(
         self,
         starts,
@@ -338,10 +278,7 @@ class TraceLane:
     ) -> None:
         """Stage ``k`` fully heterogeneous rows in bulk.
 
-        Where :meth:`extend_block` ingests a completion run whose rows
-        share one string argument and vary only in the first int slot,
-        this is the general bulk intake: every label/metadata slot may
-        vary per row.  Numeric columns are extended with
+        Every label/metadata slot may vary per row.  Numeric columns are extended with
         ``array.extend``/``frombytes`` bulk copies; only the genuinely
         varying strings (``str_args``, ``kernels``) pay a per-row intern
         lookup.  A ``None`` sequence fills its column with the same
@@ -666,7 +603,6 @@ class TraceStore:
         start: float,
         end: float,
         meta: Mapping[str, Any] | None = None,
-        own_meta: bool = False,
     ) -> int:
         """Append one occupation; returns its row number.
 
@@ -674,12 +610,8 @@ class TraceStore:
         tuple formatted only when the row is materialized (see
         :meth:`_append_label`).
 
-        ``meta`` is defensively copied by default, so callers may keep
-        mutating a shared dict.  A caller handing over a throwaway dict
-        it will never touch again passes ``own_meta=True`` and the
-        store keeps the dict itself — the executor's per-occupation
-        metadata takes this path.  Pickles are identical either way
-        (both store one distinct dict per row).
+        ``meta`` is defensively copied, so callers may keep mutating a
+        shared dict.
         """
         row = len(self.starts)
         self.starts.append(start)
@@ -689,7 +621,7 @@ class TraceStore:
         self.category_codes.append(self.category_pool.intern(category))
         if meta:
             self.meta_idx.append(len(self.metas))
-            self.metas.append(meta if own_meta else dict(meta))
+            self.metas.append(dict(meta))
             size = meta.get("size")
             if size is None:
                 self.sizes.append(-1)
@@ -726,114 +658,6 @@ class TraceStore:
         if end > self._max_end:
             self._max_end = end
         return row
-
-    def record_batch(
-        self,
-        resource_id: str,
-        category: str,
-        starts,
-        ends,
-        labels,
-        metas=None,
-        *,
-        own_meta: bool = False,
-    ) -> range:
-        """Append a homogeneous run of rows in one call; returns its rows.
-
-        Equivalent — byte-for-byte, pickle included — to calling
-        :meth:`record` once per row with the same ``resource_id`` and
-        ``category``, but the resource and category codes are resolved
-        once and the numeric columns are extended in C-speed blocks;
-        only labels and metadata are still handled per row (with full
-        :meth:`record` fidelity, hot-key extraction included).
-
-        ``starts``/``ends`` are float sequences, ``labels`` a sequence
-        of display strings or lazy ``(template, *args)`` tuples, and
-        ``metas`` ``None`` (no row carries metadata) or a per-row
-        sequence of dicts/``None``.  ``own_meta`` has :meth:`record`'s
-        meaning, applied to every dict in ``metas``.
-        """
-        k = len(starts)
-        if len(ends) != k or len(labels) != k:
-            raise ValueError(
-                f"record_batch: column lengths differ "
-                f"({k} starts, {len(ends)} ends, {len(labels)} labels)"
-            )
-        if metas is not None and len(metas) != k:
-            raise ValueError(
-                f"record_batch: {len(metas)} metas for {k} rows"
-            )
-        row0 = len(self.starts)
-        if not k:
-            return range(row0, row0)
-        if not isinstance(starts, array):
-            starts = array("d", starts)
-        if not isinstance(ends, array):
-            ends = array("d", ends)
-        self.starts.extend(starts)
-        self.ends.extend(ends)
-        self.resource_codes.extend(
-            _const_i(self.resource_pool.intern(resource_id), k)
-        )
-        self.category_codes.extend(
-            _const_i(self.category_pool.intern(category), k)
-        )
-        append_label = self._append_label
-        for label in labels:
-            append_label(label)
-        if metas is None:
-            self.meta_idx.extend(_const_q(-1, k))
-            self.sizes.extend(_const_q(-1, k))
-            self.kind_codes.extend(_const_i(-1, k))
-            self.kernel_codes.extend(_const_i(-1, k))
-            self.device_codes.extend(_const_i(-1, k))
-            self.direction_codes.extend(_const_i(-1, k))
-        else:
-            # per-row metadata handling, kept operation-for-operation
-            # identical to record()'s branch (same per-pool intern order)
-            for meta in metas:
-                if meta:
-                    self.meta_idx.append(len(self.metas))
-                    self.metas.append(meta if own_meta else dict(meta))
-                    size = meta.get("size")
-                    if size is None:
-                        self.sizes.append(-1)
-                    else:
-                        try:
-                            self.sizes.append(int(size))
-                        except (TypeError, ValueError):
-                            self.sizes.append(-1)
-                    kind = meta.get("device_kind")
-                    self.kind_codes.append(
-                        -1 if kind is None
-                        else self.kind_pool.intern(str(kind))
-                    )
-                    kernel = meta.get("kernel")
-                    self.kernel_codes.append(
-                        -1 if kernel is None
-                        else self.kernel_pool.intern(str(kernel))
-                    )
-                    device = meta.get("device", _MISSING)
-                    self.device_codes.append(
-                        -1 if device is _MISSING
-                        else self.device_pool.intern(str(device))
-                    )
-                    direction = meta.get("direction")
-                    self.direction_codes.append(
-                        self.direction_pool.intern(direction)
-                        if isinstance(direction, str) else -1
-                    )
-                else:
-                    self.meta_idx.append(-1)
-                    self.sizes.append(-1)
-                    self.kind_codes.append(-1)
-                    self.kernel_codes.append(-1)
-                    self.device_codes.append(-1)
-                    self.direction_codes.append(-1)
-        last = max(ends)
-        if last > self._max_end:
-            self._max_end = last
-        return range(row0, row0 + k)
 
     # -- pickling --------------------------------------------------------
     #
@@ -985,10 +809,6 @@ class TraceStore:
         self._ensure_flushed()
         idx = self.meta_idx[row]
         return self.metas[idx] if idx >= 0 else _NO_META
-
-    def duration_at(self, row: int) -> float:
-        self._ensure_flushed()
-        return self.ends[row] - self.starts[row]
 
     def device_key_at(self, row: int) -> str:
         """Device grouping key: ``meta["device"]`` or the resource id.

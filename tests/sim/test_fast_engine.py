@@ -224,7 +224,7 @@ class TestInlineCompletions:
     def test_tuple_on_complete_dispatch(self):
         # the executor passes (fn, arg) pairs to skip closure allocation
         sim = FastSimulator()
-        res = SimResource(sim, "r0", None)
+        res = SimResource(sim, "r0", ExecutionTrace())
         got = []
         res.occupy(1.0, label="x", category="compute",
                    on_complete=(got.append, "payload"))

@@ -1,13 +1,13 @@
-"""Differential tests of the batched trace-ingestion paths.
+"""Differential tests of the staged trace-ingestion path.
 
-``record_batch`` and :class:`TraceLane` staging exist purely for speed:
-they must be observationally identical to row-at-a-time ``record()`` —
-same pickle bytes for grouped streams, same ``analyze_trace`` output,
-same labels and metadata — for randomized occupation streams, with and
-without numpy (``REPRO_NO_NUMPY=1`` exercises the pure-Python
-``lane_bounds`` and aggregate fallbacks).  ``occupy_stream`` must
-additionally behave identically across the two simulation engines: one
-completion event, one sequence number, byte-identical stores.
+:class:`TraceLane` staging exists purely for speed: it must be
+observationally identical to row-at-a-time ``record()`` — same pickle
+bytes for grouped streams, same ``analyze_trace`` output, same labels
+and metadata — for randomized occupation streams, with and without
+numpy (``REPRO_NO_NUMPY=1`` exercises the pure-Python aggregate
+fallbacks).  ``SimResource.occupy(..., lane=...)`` must additionally
+write byte-identical stores under both simulation engines, queued
+occupations included.
 """
 
 import pickle
@@ -15,8 +15,6 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim import _vec
 from repro.sim.analysis import analyze_trace
 from repro.sim.engine import Simulator
 from repro.sim.fast_engine import FastSimulator
@@ -32,42 +30,23 @@ KERNELS = ("copy", "scale", "triad")
 def _random_runs(seed: int, runs: int = 12, max_rows: int = 40):
     """Randomized homogeneous (resource, category) occupation runs.
 
-    Each run is ``(resource_id, category, starts, ends, labels, metas)``
-    with a mix of plain-string and lazy-tuple labels and rows with and
-    without metadata — the full shape space ``record`` accepts.
+    Each run is ``(resource_id, category, starts, ends)`` with
+    back-to-back rows of random duration.
     """
     rng = np.random.default_rng(seed)
     out = []
-    for r in range(runs):
+    for _ in range(runs):
         rid = f"{KINDS[int(rng.integers(2))]}:{int(rng.integers(3))}"
         category = CATEGORIES[int(rng.integers(len(CATEGORIES)))]
         k = int(rng.integers(1, max_rows))
-        starts, ends, labels, metas = [], [], [], []
+        starts, ends = [], []
         t = float(rng.uniform(0.0, 5.0))
-        for i in range(k):
+        for _ in range(k):
             dur = float(rng.uniform(0.0, 2.0))
             starts.append(t)
             ends.append(t + dur)
             t += dur
-            if rng.random() < 0.4:
-                labels.append(f"run{r} row{i}")
-            else:
-                labels.append(("{}[{}:{})#{}", rid, i, i + 1, r))
-            if rng.random() < 0.3:
-                metas.append(None)
-            elif category == "compute":
-                metas.append({
-                    "size": int(rng.integers(1, 10_000)),
-                    "device_kind": KINDS[int(rng.integers(2))],
-                    "kernel": KERNELS[int(rng.integers(3))],
-                    "iteration": i,
-                })
-            else:
-                metas.append({
-                    "direction": ("h2d", "d2h")[int(rng.integers(2))],
-                    "bytes": int(rng.integers(1, 1 << 20)),
-                })
-        out.append((rid, category, starts, ends, labels, metas))
+        out.append((rid, category, starts, ends))
     return out
 
 
@@ -76,52 +55,6 @@ def maybe_no_numpy(request, monkeypatch):
     if request.param:
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
     return request.param
-
-
-class TestRecordBatch:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_pickle_and_analysis_identical_to_per_row(
-        self, seed, maybe_no_numpy
-    ):
-        runs = _random_runs(seed)
-        per_row, batched = TraceStore(), TraceStore()
-        for rid, category, starts, ends, labels, metas in runs:
-            for s, e, label, meta in zip(starts, ends, labels, metas):
-                per_row.record(rid, label, category, s, e, meta)
-            batched.record_batch(rid, category, starts, ends, labels, metas)
-        assert pickle.dumps(per_row, 5) == pickle.dumps(batched, 5)
-
-        a = ExecutionTrace(per_row)
-        b = ExecutionTrace(batched)
-        assert analyze_trace(a) == analyze_trace(b)
-        assert [per_row.label_at(r) for r in per_row.iter_rows()] == \
-               [batched.label_at(r) for r in batched.iter_rows()]
-
-    def test_all_meta_none_fast_path(self):
-        per_row, batched = TraceStore(), TraceStore()
-        for i in range(4):
-            per_row.record("r", f"l{i}", "compute", float(i), i + 1.0)
-        batched.record_batch(
-            "r", "compute", [0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0],
-            ["l0", "l1", "l2", "l3"],
-        )
-        assert pickle.dumps(per_row, 5) == pickle.dumps(batched, 5)
-
-    def test_returns_row_range(self):
-        store = TraceStore()
-        store.record("a", "x", "compute", 0.0, 1.0)
-        rows = store.record_batch(
-            "b", "compute", [1.0, 2.0], [2.0, 3.0], ["y", "z"]
-        )
-        assert rows == range(1, 3)
-        assert store.record_batch("b", "compute", [], [], []) == range(3, 3)
-
-    def test_length_validation(self):
-        store = TraceStore()
-        with pytest.raises(ValueError, match="column lengths differ"):
-            store.record_batch("r", "c", [0.0], [1.0, 2.0], ["x"])
-        with pytest.raises(ValueError, match="metas"):
-            store.record_batch("r", "c", [0.0], [1.0], ["x"], [{}, {}])
 
 
 class TestLaneParity:
@@ -133,7 +66,7 @@ class TestLaneParity:
         """
         runs = _random_runs(3, runs=6)
         recorded, laned = TraceStore(), TraceStore()
-        for run_no, (rid, category, starts, ends, _, _) in enumerate(runs):
+        for run_no, (rid, category, starts, ends) in enumerate(runs):
             kind = KINDS[run_no % 2]
             lane = laned.lane(
                 rid, category, "{}#{}", device_kind=kind, device=rid,
@@ -215,140 +148,58 @@ class TestMetaOwnership:
         shared["injected"] = True
         assert store.meta_at(0) == {"size": 1, "device_kind": "cpu"}
 
-    def test_own_meta_skips_the_copy(self):
-        store = TraceStore()
-        handed_over = {"size": 1}
-        store.record("r", "x", "compute", 0.0, 1.0, handed_over, True)
-        assert store.meta_at(0) is handed_over
 
-    def test_record_batch_own_meta(self):
-        default, owned = TraceStore(), TraceStore()
-        metas = [{"size": 1}, None, {"size": 2}]
-        default.record_batch(
-            "r", "c", [0.0, 1.0, 2.0], [1.0, 2.0, 3.0], ["a", "b", "c"],
-            metas,
-        )
-        owned.record_batch(
-            "r", "c", [0.0, 1.0, 2.0], [1.0, 2.0, 3.0], ["a", "b", "c"],
-            metas, own_meta=True,
-        )
-        assert default.meta_at(0) is not metas[0]
-        assert owned.meta_at(0) is metas[0]
-        assert pickle.dumps(default, 5) == pickle.dumps(owned, 5)
+def _laned_run(engine_cls, seed: int):
+    """Randomized per-event lane occupations on three busy resources.
 
-
-def _stream_setup(engine_cls):
+    Bursts land on resources that are still busy, so occupations queue
+    and the fast engine's inline completion loop writes their lane rows;
+    completions chain follow-up work from inside that loop.  Returns the
+    trace pickle and the final clock.
+    """
+    rng = np.random.default_rng(seed)
     trace = ExecutionTrace()
     sim = engine_cls()
-    res = SimResource(sim, "res", trace)
-    lane = trace.lane("res", "compute", "row {} {}", device_kind="cpu")
-    return trace, sim, res, lane
+    rids = ("cpu:0", "gpu:0", "link:0")
+    resources = {rid: SimResource(sim, rid, trace) for rid in rids}
+    lanes = {
+        rid: trace.lane(rid, "compute", "{}[{}:{})#{}", device_kind="cpu")
+        for rid in rids
+    }
+    issued = []
+    max_queued = 0
+
+    def issue(rid):
+        nonlocal max_queued
+        i = len(issued)
+        issued.append(rid)
+        follow = None
+        if i < 150 and rng.random() < 0.5:
+            follow = (issue, rids[int(rng.integers(len(rids)))])
+        resources[rid].occupy(
+            float(rng.uniform(0.0, 2.0)),
+            label="", category="compute", on_complete=follow,
+            lane=lanes[rid], args=(rid, i, i + 1, i), size=i + 1,
+            kernel=KERNELS[i % 3],
+            meta={"size": i + 1, "kernel": KERNELS[i % 3], "idx": i},
+        )
+        max_queued = max(max_queued, resources[rid].queued)
+
+    for _ in range(40):
+        t = float(rng.uniform(0.0, 10.0))
+        burst = [rids[int(rng.integers(len(rids)))]
+                 for _ in range(int(rng.integers(1, 4)))]
+        sim.at(t, lambda burst=burst: [issue(rid) for rid in burst])
+    now = sim.run()
+    assert max_queued > 1  # work really queued behind busy resources
+    assert len(trace) == len(issued)
+    return pickle.dumps(trace, 5), now
 
 
-class TestOccupyStream:
+class TestLanedOccupations:
     @pytest.mark.parametrize("seed", range(3))
-    def test_cross_engine_byte_parity(self, seed, maybe_no_numpy):
-        rng = np.random.default_rng(seed)
-        durations = [float(d) for d in rng.uniform(0.0, 2.0, size=50)]
-        blobs = {}
-        for engine_cls in (FastSimulator, Simulator):
-            trace, sim, res, lane = _stream_setup(engine_cls)
-            res.occupy_stream(
-                durations, lane, str_arg="res", args=range(len(durations))
-            )
-            sim.run()
-            blobs[engine_cls.__name__] = pickle.dumps(trace, 5)
-        assert blobs["FastSimulator"] == blobs["Simulator"]
-
-    def test_rows_identical_to_per_event_occupies(self, maybe_no_numpy):
-        """The bulk intake writes the exact rows k occupy() calls would."""
-        durations = [0.25, 1.5, 0.0, 3.125]
-        per_event, sim_a, res_a, lane_a = _stream_setup(FastSimulator)
-        for i, d in enumerate(durations):
-            res_a.occupy(d, label="", category="compute", lane=lane_a,
-                         args=("res", i))
-        sim_a.run()
-        bulk, sim_b, res_b, lane_b = _stream_setup(FastSimulator)
-        res_b.occupy_stream(
-            durations, lane_b, str_arg="res", args=range(len(durations))
-        )
-        sim_b.run()
-        assert pickle.dumps(per_event, 5) == pickle.dumps(bulk, 5)
-        assert sim_a.now == sim_b.now
-
-    def test_numpy_and_fallback_bounds_bit_identical(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        durations = [float(d) for d in rng.uniform(0.0, 1e-3, size=200)]
-        vec = _vec.lane_bounds(1.0 / 3.0, durations)
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        seq = _vec.lane_bounds(1.0 / 3.0, durations)
-        assert list(vec) == list(seq)
-
-    def test_one_event_one_seq(self):
-        _, sim, res, lane = _stream_setup(FastSimulator)
-        res.occupy_stream([1.0, 2.0, 3.0], lane)
-        assert sim.pending == 1
-        with pytest.raises(SimulationError, match="max_events"):
-            sim.run(max_events=0)
-        # the whole stream fits a ONE-event budget on a fresh simulator
-        _, sim, res, lane = _stream_setup(FastSimulator)
-        res.occupy_stream([1.0, 2.0, 3.0], lane)
-        assert sim.run(max_events=1) == 6.0
-
-    def test_completion_callback_and_busy_bookkeeping(self):
-        _, sim, res, lane = _stream_setup(FastSimulator)
-        seen = []
-        res.occupy_stream(
-            [1.0, 1.0], lane, on_complete=lambda: seen.append(sim.now)
-        )
-        assert res.busy
-        assert res.busy_until == 2.0
-        sim.run()
-        assert seen == [2.0]
-        assert not res.busy
-
-    def test_busy_resource_rejected(self):
-        _, sim, res, lane = _stream_setup(FastSimulator)
-        res.occupy(1.0, label="x", category="compute")
-        with pytest.raises(SimulationError, match="idle"):
-            res.occupy_stream([1.0], lane)
-
-    def test_untraced_resource_rejected(self):
-        sim = FastSimulator()
-        res = SimResource(sim, "res", None)
-        store = TraceStore()
-        with pytest.raises(SimulationError, match="traced"):
-            res.occupy_stream([1.0], store.lane("res", "compute", "x"))
-
-    def test_negative_duration_rejected(self):
-        _, sim, res, lane = _stream_setup(FastSimulator)
-        with pytest.raises(SimulationError, match=">= 0"):
-            res.occupy_stream([1.0, -0.5], lane)
-
-    def test_length_validation(self):
-        _, sim, res, lane = _stream_setup(FastSimulator)
-        with pytest.raises(SimulationError, match="args length"):
-            res.occupy_stream([1.0, 2.0], lane, args=[1])
-        with pytest.raises(SimulationError, match="metas length"):
-            res.occupy_stream([1.0], lane, metas=[{}, {}])
-
-    def test_empty_stream_fires_callback_immediately(self):
-        trace, sim, res, lane = _stream_setup(FastSimulator)
-        seen = []
-        res.occupy_stream([], lane, on_complete=lambda: seen.append(True))
-        assert seen == [True]
-        assert not res.busy
-        assert sim.pending == 0
-        assert len(trace) == 0
-
-    def test_work_arriving_mid_stream_queues_behind(self):
-        """occupy() during a stream waits for the whole run, both engines."""
-        for engine_cls in (FastSimulator, Simulator):
-            trace, sim, res, lane = _stream_setup(engine_cls)
-            res.occupy_stream([1.0, 2.0], lane, str_arg="res")
-            sim.at(0.5, lambda: res.occupy(
-                0.25, label="tail", category="compute"
-            ))
-            assert sim.run() == 3.25
-            assert trace.store.starts[-1] == 3.0
-            assert not res.busy
+    def test_cross_engine_byte_parity(self, seed):
+        fast_blob, fast_now = _laned_run(FastSimulator, seed)
+        oracle_blob, oracle_now = _laned_run(Simulator, seed)
+        assert fast_blob == oracle_blob
+        assert fast_now == oracle_now
