@@ -23,6 +23,12 @@ every figure/table number lives in the precomputed
 fraction of the full-trace size (``benchmarks/bench_pipeline_perf.py``
 records the ratio).  Pass ``detail="full"`` to keep the traces.
 
+A serial sweep runs its cells inside one
+:class:`~repro.partition.base.SweepScope`: consecutive cells of a
+scenario share its program, and cells that chunk it the same way (the
+dynamic strategies) share one read-only task graph.  Pool and remote
+cells build their own, with the same results.
+
 Parallel sweeps also ship a read-only snapshot of the parent's
 :mod:`repro.cache` stores to every worker through the pool initializer,
 so workers replay the probes/predictions the parent already has instead
@@ -43,7 +49,13 @@ import repro.cache as _cache
 from repro.apps.base import Application
 from repro.apps.registry import get_application
 from repro.artifact import RunArtifact, check_detail
-from repro.partition.base import PlanConfig, get_strategy
+from repro.partition.base import (
+    SWEEP_SCOPE,
+    PlanConfig,
+    SweepScope,
+    get_strategy,
+    sweep_scope,
+)
 from repro.platform.topology import Platform
 from repro.runtime.executor import RuntimeConfig
 
@@ -142,10 +154,24 @@ class SweepCell:
 
 
 def _run_cell(cell: SweepCell, detail: str = "summary") -> RunArtifact:
-    """Execute one cell (module-level so worker processes can unpickle it)."""
+    """Execute one cell (module-level so worker processes can unpickle it).
+
+    Inside a :class:`~repro.partition.base.SweepScope` the scenario's
+    program comes from the scope, so consecutive cells of one scenario
+    share it (and, through ``finalize_graph``, their unpinned graphs).
+    """
     app = get_application(cell.app)
     sync = app.needs_sync if cell.sync is None else cell.sync
-    program = app.program(cell.n, iterations=cell.iterations, sync=sync)
+
+    def build():
+        return app.program(cell.n, iterations=cell.iterations, sync=sync)
+
+    scope = SWEEP_SCOPE.get()
+    if scope is None:
+        program = build()
+    else:
+        key = (app.name, cell.n, cell.iterations, sync)
+        program = scope.scenario_program(key, build)
     strategy = get_strategy(cell.strategy)
     return strategy.run(
         program, cell.platform,
@@ -155,8 +181,13 @@ def _run_cell(cell: SweepCell, detail: str = "summary") -> RunArtifact:
 
 
 def _init_worker(snapshot) -> None:
-    """Pool initializer: warm this worker from the parent's memo stores."""
+    """Pool initializer: warm this worker from the parent's memo stores.
+
+    A forked worker inherits the parent's active sweep scope; it is
+    dropped, so pool cells build their own programs and graphs.
+    """
     _cache.preload_snapshot(snapshot)
+    SWEEP_SCOPE.set(None)
 
 
 def _canonicalize(obj):
@@ -250,8 +281,16 @@ def run_sweep_iter(
     if jobs <= 0:
         jobs = default_jobs()
     if jobs == 1 or len(cells) <= 1:
-        for index, cell in enumerate(cells):
-            yield index, _canonicalize(_run_cell(cell, detail))
+        # one scope for the whole loop, active only while a cell runs:
+        # the consumer's code between yields never sees it
+        scope = SweepScope()
+        try:
+            for index, cell in enumerate(cells):
+                with sweep_scope(scope):
+                    artifact = _run_cell(cell, detail)
+                yield index, _canonicalize(artifact)
+        finally:
+            scope.clear()
         return
     pool_size = min(jobs, len(cells))
     snapshot = _cache.snapshot_stores() if share_cache else {}

@@ -9,8 +9,10 @@ sync variants — and orders strategies per ``(class, sync)`` group by the
 geometric mean of their makespan ratio to the per-scenario winner.
 
 Matches are dispatched through :func:`repro.bench.harness.run_sweep_iter`,
-so a tournament parallelizes exactly like any other sweep (``--jobs``,
-``--workers``, fused batches).  Outcomes are memoized in the
+so a tournament parallelizes exactly like any other sweep (``--jobs``
+process pools, ``--workers`` remote batches); run serially, the matches
+of one scenario share its program and dynamic task graphs (see
+:class:`~repro.partition.base.SweepScope`).  Outcomes are memoized in the
 ``"tournament"`` cache store keyed by platform/scenario/strategy
 fingerprints; because named stores ride the :mod:`repro.cache` snapshot
 machinery, a ``--cache-dir`` warm start replays previous tournaments

@@ -15,8 +15,10 @@ from __future__ import annotations
 import abc
 import difflib
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import repro.cache as _cache
 from repro.artifact import RunArtifact
@@ -228,16 +230,111 @@ def has_inter_kernel_sync(program: Program) -> bool:
     return any(inv.sync_after for inv in program.invocations[:-1])
 
 
+class SweepScope:
+    """One scenario's program and unpinned task graphs, shared by a sweep.
+
+    The cells of a sweep run many strategies over few scenarios, and
+    every dynamic strategy chunks a program the same way (``m``
+    unpinned instances per invocation).  While a scope is active,
+    :meth:`scenario_program` builds each scenario's :class:`Program` once and
+    :func:`finalize_graph` builds each unpinned graph of that program
+    once per chunking; later cells get the same read-only
+    :class:`TaskGraph`.  Pinned graphs are never kept: every forced
+    split is its own graph, so they would only cost memory.
+
+    The scope holds one scenario at a time — moving to another key drops
+    the previous program and its graphs — and :meth:`clear` drops
+    everything, so no program or graph outlives the sweep.
+    """
+
+    __slots__ = ("key", "program", "graphs")
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        self.key: tuple | None = None
+        self.program: Program | None = None
+        self.graphs: dict[tuple, TaskGraph] = {}
+
+    def scenario_program(
+        self, key: tuple, build: Callable[[], Program]
+    ) -> Program:
+        """The scenario program for ``key``, built on first request."""
+        if self.program is None or key != self.key:
+            self.clear()
+            self.program = build()
+            self.key = key
+        return self.program
+
+
+#: the active sweep scope; a context variable, so other threads never
+#: see it (a forked pool worker inherits it and resets it at start-up)
+SWEEP_SCOPE: ContextVar[SweepScope | None] = ContextVar(
+    "repro_sweep_scope", default=None
+)
+
+
+@contextmanager
+def sweep_scope(scope: SweepScope | None = None) -> Iterator[None]:
+    """Run the block inside a :class:`SweepScope`.
+
+    An already-active scope is joined, so a search's scope covers the
+    sweeps it runs.  Otherwise ``scope`` (a fresh one by default) is
+    activated for the block; a fresh scope is cleared on exit, while a
+    caller that passes its own — the serial sweep loop, which activates
+    it around each cell but never across a ``yield`` — clears it itself.
+    """
+    if SWEEP_SCOPE.get() is not None:
+        yield
+        return
+    owned = scope is None
+    if owned:
+        scope = SweepScope()
+    token = SWEEP_SCOPE.set(scope)
+    try:
+        yield
+    finally:
+        SWEEP_SCOPE.reset(token)
+        if owned:
+            scope.clear()
+
+
 def finalize_graph(
     program: Program,
     chunker: Callable[[KernelInvocation], list[tuple[int, int, str | None, str | None]]],
 ) -> TaskGraph:
-    """Expand, build dependences, and sanity-check a task graph."""
-    graph = expand_program(program, chunker)
+    """Expand, build dependences, and sanity-check a task graph.
+
+    The chunker runs for every invocation even when the graph is shared,
+    because chunkers may record per-kernel decisions as they go
+    (``forced_plan``'s fractions).  Inside a :class:`SweepScope`, a graph
+    of the scope's program whose chunks carry no pin is built once per
+    chunking and returned to every later caller; such a graph is
+    read-only from here on.
+    """
+    chunks = tuple(tuple(chunker(inv)) for inv in program.invocations)
+    scope = SWEEP_SCOPE.get()
+    shared = (
+        scope is not None
+        and program is scope.program
+        and all(
+            dev is None and res is None
+            for rows in chunks for _lo, _hi, dev, res in rows
+        )
+    )
+    if shared:
+        graph = scope.graphs.get(chunks)
+        if graph is not None:
+            return graph
+    pending = iter(chunks)
+    graph = expand_program(program, lambda _inv: next(pending))
     build_dependences(graph)
     graph.validate_acyclic()
     if not graph.instances:
         raise PartitioningError("plan produced an empty task graph")
+    if shared:
+        scope.graphs[chunks] = graph
     return graph
 
 

@@ -35,9 +35,11 @@ from repro.errors import (
     StrategyInapplicableError,
 )
 from repro.partition.base import (
+    SWEEP_SCOPE,
     PlanConfig,
     get_strategy,
     strategies_for_class,
+    sweep_scope,
 )
 from repro.platform.topology import Platform
 from repro.runtime.executor import RuntimeConfig
@@ -285,6 +287,7 @@ def _evaluate(
     ]
 
 
+@sweep_scope()
 def search_plan(
     app_name: str,
     platform: Platform,
@@ -311,13 +314,20 @@ def search_plan(
     candidates through the compiled-plan evaluator (the default; an
     already-set ``REPRO_PLAN_EVAL`` environment variable overrides it in
     both directions).
+
+    The probes and every round run in one
+    :class:`~repro.partition.base.SweepScope`: they share the scenario's
+    program, and the dynamic candidates one graph per chunking.
     """
     if grid < 2:
         raise PartitioningError(f"grid={grid} needs at least 2 points")
     app = get_application(app_name)
     base_config = config or PlanConfig()
     effective_sync = app.needs_sync if sync is None else sync
-    program = app.program(n, iterations=iterations, sync=effective_sync)
+    program = SWEEP_SCOPE.get().scenario_program(
+        (app.name, n, iterations, effective_sync),
+        lambda: app.program(n, iterations=iterations, sync=effective_sync),
+    )
     space = _build_space(app, platform, program, base_config, grid)
     if not space.seed_strategies:
         raise PartitioningError(

@@ -32,6 +32,17 @@ def paper_tournament():
     return run_tournament(shen_icpp15_platform())
 
 
+@pytest.fixture
+def empty_tournament_store():
+    """The ``"tournament"`` store, emptied for one test and then restored."""
+    store = get_cache("tournament")
+    saved = store.entries()
+    store.clear()
+    yield store
+    store.clear()
+    store.preload(saved)
+
+
 class TestScenarios:
     def test_mk_apps_play_both_sync_variants(self):
         scenarios = default_scenarios()
@@ -90,6 +101,22 @@ class TestTournament:
         assert {k: v.ranking for k, v in replay.rankings.items()} == {
             k: v.ranking for k, v in paper_tournament.rankings.items()
         }
+
+    def test_process_pool_matches_serial(self, empty_tournament_store):
+        """The pool builds every cell's program and graph on its own (no
+        sweep scope); its matches and rankings must equal the serial
+        run's, which shares them."""
+        platform = shen_icpp15_platform()
+        serial = run_tournament(platform, scale=0.02)
+        empty_tournament_store.clear()
+        pooled = run_tournament(platform, scale=0.02, jobs=2)
+        for result in (serial, pooled):
+            assert result.simulated == len(result.matches) > 0
+        key = lambda r: [
+            (m.scenario, m.strategy, m.makespan_s.hex()) for m in r.matches
+        ]
+        assert key(pooled) == key(serial)
+        assert pooled.rankings == serial.rankings
 
     def test_snapshot_round_trip(self, paper_tournament, tmp_path):
         path = tmp_path / "memo.pkl"

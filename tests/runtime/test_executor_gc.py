@@ -116,3 +116,66 @@ def test_queried_full_trace_is_freed_once_artifact_is_dropped(
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.fixture
+def scoped_refs(monkeypatch):
+    """Weak references to every scoped program and every finalized graph."""
+    from repro.partition import base
+
+    refs = []
+    scenario_program = base.SweepScope.scenario_program
+    expand_program = base.expand_program
+
+    def tracking_program(self, key, build):
+        program = scenario_program(self, key, build)
+        refs.append(weakref.ref(program))
+        return program
+
+    def tracking_expand(program, chunker):
+        graph = expand_program(program, chunker)
+        refs.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(base.SweepScope, "scenario_program", tracking_program)
+    monkeypatch.setattr(base, "expand_program", tracking_expand)
+    return refs
+
+
+def _sweep_leaves_nothing_behind(refs, sweep):
+    gc.collect()
+    gc.disable()
+    try:
+        result = sweep()
+        assert refs, "the sweep built no scoped program or graph"
+        alive = [ref() for ref in refs if ref() is not None]
+        assert alive == []
+        del result, alive
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_tournament_frees_its_scoped_programs_and_graphs(
+    paper_platform, scoped_refs
+):
+    from repro.core.tournament import run_tournament
+
+    # a scale no other test plays, so no match is replayed from the store
+    _sweep_leaves_nothing_behind(
+        scoped_refs, lambda: run_tournament(paper_platform, scale=0.017)
+    )
+
+
+def test_search_frees_its_scoped_programs_and_graphs(
+    paper_platform, scoped_refs
+):
+    from repro.partition.search import search_plan
+
+    _sweep_leaves_nothing_behind(
+        scoped_refs,
+        lambda: search_plan(
+            "HotSpot", paper_platform, n=192, iterations=2, sync=True,
+            grid=3, rounds=1,
+        ),
+    )
