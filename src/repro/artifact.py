@@ -9,12 +9,15 @@ bundle:
 
 * :class:`TraceSummary` — every number the reporting layers derive from a
   trace (makespan, per-resource busy times, per-direction transfer times,
-  per-kernel split ratios, element/instance counts), computed **once**
-  from the columnar :class:`~repro.sim.tracestore.TraceStore` in
-  group-index order.  The accumulation order matches the old filtered
-  record scans exactly, so every figure/table number derived from a
-  summary is bit-identical to the pre-refactor path (enforced by
-  ``tests/integration/test_artifact_differential.py``).
+  per-kernel split ratios, element/instance counts).  A run folds each
+  trace row into its :class:`~repro.sim.tracestore.TraceLane` as the row
+  happens, and :meth:`TraceSummary.from_lanes` merges the lanes in
+  registration order, at either detail, without reading any store.
+  The accumulation order matches the old filtered record scans exactly,
+  so every figure/table number derived from a summary is bit-identical
+  to :meth:`TraceSummary.from_store` over the full trace (enforced by
+  ``tests/integration/test_artifact_differential.py`` and
+  ``tests/sim/test_summary_fold.py``).
 * :class:`RunArtifact` — a frozen, cheaply-picklable bundle of the
   summary, the strategy's :class:`~repro.partition.base.StrategyDecision`,
   and the run's cache hit/miss deltas.  The raw trace rides along only
@@ -32,10 +35,10 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.sim.trace import ExecutionTrace
-from repro.sim.tracestore import TraceStore
+from repro.sim.tracestore import SUMMARY_DIRECTIONS, TraceLane, TraceStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.partition.base import StrategyDecision
@@ -57,9 +60,11 @@ def check_detail(detail: str) -> str:
 class TraceSummary:
     """Every reported aggregate of one trace, computed once.
 
-    All float aggregates accumulate in the store's insertion order per
-    group — the same order the old per-query record scans used — so the
-    values are bit-identical to querying the raw trace.
+    All float aggregates accumulate in trace-row order per group — the
+    same order the old per-query record scans used — so the values are
+    bit-identical to querying the raw trace.  Runs build it with
+    :meth:`from_lanes`; :meth:`from_store` condenses a stored trace and
+    is the differential oracle the fold is checked against.
     """
 
     #: latest end time across all records (trace-only; the artifact's
@@ -77,6 +82,68 @@ class TraceSummary:
     transfer_time_s: dict[str, float]
     #: resource id -> category -> occupied seconds
     busy_by_resource: dict[str, dict[str, float]]
+
+    @classmethod
+    def from_lanes(cls, lanes: Iterable[TraceLane]) -> "TraceSummary":
+        """Merge a run's folded lanes, in registration order.
+
+        Equal to :meth:`from_store` of the trace the lanes would stage
+        when they are its only producers: a flushed store holds each
+        lane's rows as one block, in registration order, so every dict
+        takes its keys in first-appearance order over the lanes, and a
+        float group fed by several lanes continues one sequential sum
+        through them (:meth:`~repro.sim.tracestore.TraceLane.resume`) —
+        per-lane totals added together would round differently.
+        """
+        makespan = 0.0
+        count = 0
+        elements: dict[str, int] = {}
+        instances: dict[str, int] = {}
+        ratio: dict[str, dict[str, int]] = {}
+        transfer: dict[str, float] = {}
+        busy: dict[str, dict[str, float]] = {}
+        for lane in lanes:
+            n = lane.rows
+            if not n:
+                continue
+            count += n
+            if lane.max_end > makespan:
+                makespan = lane.max_end
+            category = lane.category
+            per_cat = busy.setdefault(lane.resource_id, {})
+            total = per_cat.get(category)
+            per_cat[category] = (
+                lane.busy if total is None else lane.resume(total)
+            )
+            direction = lane.direction
+            if category == "transfer" and direction in SUMMARY_DIRECTIONS:
+                total = transfer.get(direction)
+                transfer[direction] = (
+                    lane.busy if total is None else lane.resume(total)
+                )
+            kind = lane.device_kind
+            if category != "compute" or kind is None:
+                continue
+            instances[kind] = instances.get(kind, 0) + n
+            if lane.elements:
+                elements[kind] = (
+                    elements.get(kind, 0) + sum(lane.elements.values())
+                )
+            for kernel, size in lane.elements.items():
+                if kernel is not None:
+                    per_kind = ratio.setdefault(kernel, {})
+                    per_kind[kind] = per_kind.get(kind, 0) + size
+        return cls(
+            trace_makespan_s=makespan,
+            record_count=count,
+            elements_by_device=elements,
+            instances_by_device=instances,
+            ratio_by_kernel=ratio,
+            transfer_time_s={
+                d: transfer.get(d, 0.0) for d in SUMMARY_DIRECTIONS
+            },
+            busy_by_resource=busy,
+        )
 
     @classmethod
     def from_store(cls, store: TraceStore) -> "TraceSummary":

@@ -44,6 +44,7 @@ from repro.sim.engine import DEFAULT_MAX_EVENTS
 from repro.sim.fast_engine import make_simulator
 from repro.sim.resources import SimResource
 from repro.sim.trace import ExecutionTrace
+from repro.sim.tracestore import TraceLane
 
 #: per-run instance classes: how the pump routes a ready instance
 _BARRIER, _PINNED, _FREE = 0, 1, 2
@@ -126,22 +127,28 @@ class _Transfer:
         run = self.run
         op = self.op
         key = f"{op.device_space}:{self.direction}"
-        # lane path: label/category come from the lane's pre-interned
-        # template and constants; the varying args pack into the lazy
-        # label columns and the meta dict is handed over un-copied
+        # lane path: label/category come from the lane's constants; at
+        # full detail the varying args pack into the lazy label columns
+        # and the meta dict is handed over un-copied, at summary detail
+        # the lane only folds the row, so neither is built
+        if run.trace is None:
+            args, meta = (), None
+        else:
+            args = (op.array, op.start, op.end)
+            meta = {
+                "array": op.array,
+                "bytes": op.nbytes,
+                "direction": self.direction,
+                "device": op.device_space,
+            }
         run.links[key].occupy(
             self.duration,
             label="",
             category="transfer",
             on_complete=(run._transfer_done, self),
             lane=run.transfer_lanes[key],
-            args=(op.array, op.start, op.end),
-            meta={
-                "array": op.array,
-                "bytes": op.nbytes,
-                "direction": self.direction,
-                "device": op.device_space,
-            },
+            args=args,
+            meta=meta,
         )
 
 
@@ -264,12 +271,20 @@ class RuntimeEngine:
         precomputed :class:`~repro.artifact.TraceSummary` — the cheap
         form sweeps ship between processes.
         """
-        run = _Run(self.platform, self.config, graph, scheduler)
-        return run.go(detail=check_detail(detail))
+        run = _Run(self.platform, self.config, graph, scheduler,
+                   detail=check_detail(detail))
+        return run.go()
 
 
 class _Run:
-    """Single-use execution state (the engine itself stays reusable)."""
+    """Single-use execution state (the engine itself stays reusable).
+
+    ``detail`` decides what the run keeps of its trace: at ``"full"``
+    its lanes stage every row into an :class:`ExecutionTrace`, at
+    ``"summary"`` there is no trace (``self.trace is None``) and the
+    lanes only fold.  Either way the lanes are the only producer of the
+    run's :class:`~repro.artifact.TraceSummary`.
+    """
 
     def __init__(
         self,
@@ -277,14 +292,17 @@ class _Run:
         config: RuntimeConfig,
         graph: TaskGraph,
         scheduler: Scheduler,
+        *,
+        detail: str,
     ) -> None:
         self.platform = platform
         self.config = config
         self.graph = graph
         self.scheduler = scheduler
+        self.detail = detail
 
         self.sim = make_simulator()
-        self.trace = ExecutionTrace()
+        self.trace = ExecutionTrace() if detail == "full" else None
         self.memory = MemoryManager(platform, graph.program.arrays)
 
         self.resources: list[ComputeResource] = platform.compute_resources(
@@ -321,14 +339,18 @@ class _Run:
                 self.links[f"{acc.device_id}:h2d"] = shared
                 self.links[f"{acc.device_id}:d2h"] = shared
 
-        # staged trace lanes, one per pre-declared homogeneous stream:
-        # resource/category/template and the constant hot metadata keys
-        # are interned once here instead of once per occupation.  Every
+        # trace lanes, one per pre-declared homogeneous stream, in
+        # registration order: each folds its rows into the summary and,
+        # at full detail, stages them for the trace with its constants
+        # interned once here instead of once per occupation.  Every
         # compute resource carries exactly one stream (kernel-instance
         # rows); every link channel one per direction (a half-duplex
         # link's shared SimResource gets two lanes, one per direction).
+        self.lanes: list[TraceLane] = []
+        #: float summary groups the fold-only lanes feed (see TraceLane)
+        self._fed: set = set()
         self.compute_lanes = {
-            r.resource_id: self.trace.lane(
+            r.resource_id: self._lane(
                 r.resource_id, "compute", "{}[{}:{})#{}",
                 device_kind=r.device.kind.value,
                 device=r.device.device_id,
@@ -339,7 +361,7 @@ class _Run:
         for acc in platform.accelerators:
             for direction in ("h2d", "d2h"):
                 key = f"{acc.device_id}:{direction}"
-                self.transfer_lanes[key] = self.trace.lane(
+                self.transfer_lanes[key] = self._lane(
                     self.links[key].resource_id, "transfer",
                     _TRANSFER_LABEL[direction],
                     device=acc.device_id, direction=direction,
@@ -392,13 +414,26 @@ class _Run:
 
     # -- helpers --------------------------------------------------------------
 
+    def _lane(self, resource_id: str, category: str, template: str,
+              **consts) -> TraceLane:
+        """Register the run's next lane: staging into the trace at full
+        detail, fold-only at summary detail."""
+        if self.trace is not None:
+            lane = self.trace.lane(resource_id, category, template, **consts)
+        else:
+            lane = TraceLane(None, resource_id, category, template,
+                             fed=self._fed, **consts)
+        self.lanes.append(lane)
+        return lane
+
     def _transfer_duration(self, op: TransferOp) -> float:
         link = self.platform.link_for(op.device_space)
         return link.transfer_time(op.nbytes)
 
     # -- main loop --------------------------------------------------------------
 
-    def go(self, *, detail: str = "full") -> RunArtifact:
+    def go(self) -> RunArtifact:
+        """Run to completion; returns the artifact at the run's detail."""
         self.scheduler.start(self.graph, self._ctx)
         for inst in self.graph.instances:
             if self.remaining[inst.instance_id] == 0:
@@ -416,7 +451,7 @@ class _Run:
         if self.config.final_flush:
             self._final_flush()
             self.sim.run(max_events=self.config.max_events)
-        return self._result(detail)
+        return self._result()
 
     def _pump(self) -> None:
         """Dispatch ready work; safe against reentrant completion events.
@@ -565,23 +600,40 @@ class _Run:
         resource: ComputeResource,
         space: str,
         transfer_total: float,
+        duration: float | None = None,
     ) -> None:
+        """Occupy ``resource`` with ``inst``'s compute; ``duration`` is
+        the roofline time plus overheads unless given."""
         kernel = inst.kernel
-        key = (id(kernel), resource.resource_id, inst.lo, inst.hi,
-               inst.invocation.n)
-        duration = self._duration_cache.get(key)
+        name = kernel.name
         if duration is None:
-            duration = kernel.chunk_time(
-                resource.device,
-                kernel.work_units(inst.lo, inst.hi),
-                inst.invocation.n,
-                share=resource.share,
-            ) + self.config.task_creation_overhead_s
-            self._duration_cache[key] = duration
-        if self.scheduler.dynamic and inst.pinned_resource is None \
-                and inst.pinned_device is None:
-            duration += self.config.dynamic_decision_overhead_s
-
+            key = (id(kernel), resource.resource_id, inst.lo, inst.hi,
+                   inst.invocation.n)
+            duration = self._duration_cache.get(key)
+            if duration is None:
+                duration = kernel.chunk_time(
+                    resource.device,
+                    kernel.work_units(inst.lo, inst.hi),
+                    inst.invocation.n,
+                    share=resource.share,
+                ) + self.config.task_creation_overhead_s
+                self._duration_cache[key] = duration
+            if self.scheduler.dynamic and inst.pinned_resource is None \
+                    and inst.pinned_device is None:
+                duration += self.config.dynamic_decision_overhead_s
+        # summary detail: the lane folds size and kernel, nothing else
+        if self.trace is None:
+            args, meta = (), None
+        else:
+            args = (name, inst.lo, inst.hi, inst.instance_id)
+            meta = {
+                "kernel": name,
+                "size": inst.size,
+                "device_kind": resource.device.kind.value,
+                "device": resource.device.device_id,
+                "invocation": inst.invocation.invocation_id,
+                "iteration": inst.invocation.iteration,
+            }
         self.sim_resources[resource.resource_id].occupy(
             duration,
             label="",
@@ -591,17 +643,10 @@ class _Run:
                 (inst, resource, space, duration, transfer_total),
             ),
             lane=self.compute_lanes[resource.resource_id],
-            args=(kernel.name, inst.lo, inst.hi, inst.instance_id),
+            args=args,
             size=inst.size,
-            kernel=kernel.name,
-            meta={
-                "kernel": kernel.name,
-                "size": inst.size,
-                "device_kind": resource.device.kind.value,
-                "device": resource.device.device_id,
-                "invocation": inst.invocation.invocation_id,
-                "iteration": inst.invocation.iteration,
-            },
+            kernel=name,
+            meta=meta,
         )
 
     def _complete_compute(self, args: tuple) -> None:
@@ -698,8 +743,8 @@ class _Run:
 
     # -- result assembly --------------------------------------------------------
 
-    def _result(self, detail: str) -> RunArtifact:
-        summary = TraceSummary.from_store(self.trace.store)
+    def _result(self) -> RunArtifact:
+        summary = TraceSummary.from_lanes(self.lanes)
         return RunArtifact(
             # a trailing barrier's quiescence is a pure event (no resource
             # occupation), so the clock — not just the trace — bounds the run
@@ -708,6 +753,6 @@ class _Run:
             instance_count=len(self.graph.instances),
             summary=summary,
             transfer_bytes=dict(self.transfer_bytes),
-            detail=detail,
-            trace=self.trace if detail == "full" else None,
+            detail=self.detail,
+            trace=self.trace,
         )

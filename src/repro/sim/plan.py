@@ -140,9 +140,9 @@ class CompiledPlan:
     read and written, and the dependences that live on a *different*
     resource (barriers included) — the only ones gate G1 must re-check
     at runtime.
-    ``kernel_names``/``los``/``his``/``sizes`` are the drain commit's
-    trace-row columns, precomputed so the bulk lane extend never touches
-    instance property descriptors.
+    ``kernel_names``/``sizes`` are the columns the drain commit folds into
+    its lanes, precomputed so the bulk lane extend never touches instance
+    property descriptors.
 
     ``epochs[k]`` holds the compute instances of epoch ``k`` in program
     order (= id order) and ``fences[k]`` the id of the barrier closing
@@ -175,8 +175,6 @@ class CompiledPlan:
     writes_of: tuple
     cross_deps: tuple
     kernel_names: tuple
-    los: tuple
-    his: tuple
     sizes: tuple
     epochs: tuple
     fences: tuple
@@ -385,8 +383,6 @@ def compile_plan(
         writes_of=tuple(writes_of),
         cross_deps=tuple(cross_deps),
         kernel_names=tuple(kernel_names),
-        los=tuple(los),
-        his=tuple(his),
         sizes=tuple(sizes),
         epochs=tuple(epochs),
         fences=tuple(fences),
@@ -424,7 +420,7 @@ class PlanEvaluator:
         detail = check_detail(detail)
         _STATS["evaluations"] += 1
         run = _EvalRun(self.platform, self.compiled, detail)
-        return run.go(detail=detail)
+        return run.go()
 
 
 class _EpochAnchor:
@@ -469,11 +465,13 @@ class _EvalRun(_Run):
     def __init__(self, platform: Platform, compiled: CompiledPlan,
                  detail: str) -> None:
         super().__init__(platform, compiled.config, compiled.graph,
-                         compiled.scheduler)
+                         compiled.scheduler, detail=detail)
         self._compiled = compiled
         # full-detail runs stay on the pure event loop: per-row metadata
         # dicts and exact event interleaving make the artifact
-        # byte-identical to the general engine with zero special cases
+        # byte-identical to the general engine with zero special cases.
+        # The drain therefore only ever feeds fold-only lanes, and hands
+        # them just what the fold reads: bounds, kernels and sizes
         self._drain_enabled = detail == "summary" and compiled.drainable
         self._wires = 0
         #: the current epoch and how many of its compute instances the
@@ -494,7 +492,7 @@ class _EvalRun(_Run):
 
     # -- engine hooks: exact behavior preserved, quiet points added ------
 
-    def go(self, *, detail: str = "full") -> RunArtifact:
+    def go(self) -> RunArtifact:
         # mirrors _Run.go with one extra quiet point once the initial
         # dispatch has settled (all-host plans never transfer, so no wire
         # transition would ever offer one)
@@ -517,33 +515,12 @@ class _EvalRun(_Run):
         if self.config.final_flush:
             self._final_flush()
             self.sim.run(max_events=self.config.max_events)
-        return self._result(detail)
+        return self._result()
 
     def _start_compute(self, inst, resource, space, transfer_total):
         self._res_dispatched[resource.resource_id].append(inst)
-        kernel = inst.kernel
-        duration = self._compiled.durations[inst.instance_id]
-        self.sim_resources[resource.resource_id].occupy(
-            duration,
-            label="",
-            category="compute",
-            on_complete=(
-                self._complete_compute,
-                (inst, resource, space, duration, transfer_total),
-            ),
-            lane=self.compute_lanes[resource.resource_id],
-            args=(kernel.name, inst.lo, inst.hi, inst.instance_id),
-            size=inst.size,
-            kernel=kernel.name,
-            meta={
-                "kernel": kernel.name,
-                "size": inst.size,
-                "device_kind": resource.device.kind.value,
-                "device": resource.device.device_id,
-                "invocation": inst.invocation.invocation_id,
-                "iteration": inst.invocation.iteration,
-            },
-        )
+        super()._start_compute(inst, resource, space, transfer_total,
+                               self._compiled.durations[inst.instance_id])
 
     def _complete_compute(self, args):
         inst = args[0]
@@ -817,16 +794,16 @@ class _EvalRun(_Run):
                 end = start + self._transfer_duration(op)
                 link_busy[link] = end
                 transfer_bytes[direction] += op.nbytes
-                lanes[key].append(start, end, (op.array, op.start, op.end))
+                lanes[key].append(start, end)
                 if end > land:
                     land = end
             return land
 
-        # chain anchors: a running head's row is its lane's last staged
-        # append, so its end is the exact float the pending completion
-        # carries; a fetching chain starts where its copies land (real
-        # ensure() calls for the ops — the shadow already holds their
-        # effect); anything else starts now
+        # chain anchors: a running head's row is the last its lane took
+        # in, so the lane's ``last_end`` is the exact float the pending
+        # completion carries; a fetching chain starts where its copies
+        # land (real ensure() calls for the ops — the shadow already
+        # holds their effect); anything else starts now
         heads: list[int] = []
         t0s: list[float] = []
         rows: list[array] = []
@@ -834,7 +811,7 @@ class _EvalRun(_Run):
             head = 1 if res_dispatched[rid] else 0
             heads.append(head)
             if head:
-                t0s.append(self.compute_lanes[rid].ends[-1])
+                t0s.append(self.compute_lanes[rid].last_end)
             elif rid in fetchers:
                 space = space_of[rid]
                 ops = []
@@ -859,24 +836,17 @@ class _EvalRun(_Run):
             real[arr][sp] = entry
 
         kernel_names = compiled.kernel_names
-        los = compiled.los
-        his = compiled.his
         sizes = compiled.sizes
         t_ready = now
         wb_land = now
         for (rid, chain), head, b in zip(chains.items(), heads, bounds):
             ids = chain[head:]
             if ids:
-                names = [kernel_names[i] for i in ids]
                 self.compute_lanes[rid].extend_rows(
                     b[:-1],
                     b[1:],
-                    str_args=names,
-                    args_a=[los[i] for i in ids],
-                    args_b=[his[i] for i in ids],
-                    args_c=ids,
                     sizes=[sizes[i] for i in ids],
-                    kernels=names,
+                    kernels=[kernel_names[i] for i in ids],
                 )
             last = float(b[-1])
             if last > t_ready:
@@ -956,9 +926,9 @@ class _EvalRun(_Run):
         """Freeze this wave's resolved commit into a replayable template.
 
         Everything a wave commit touches is reduced to plain tuples:
-        per-chain member positions, duration chains, and trace-row
-        columns, plus the resolved transfer ops as ``(lane_key, link,
-        duration, nbytes, direction, array, lo, hi)`` rows.  Validity
+        per-chain member positions, duration chains, and the kernel and
+        size columns the lanes fold, plus the resolved transfer ops as
+        ``(lane_key, link, duration, nbytes, direction)`` rows.  Validity
         rests on the canonical post-flush state: an invalidating barrier
         wipes device residency and revalidates the host, so an
         isomorphic wave resolves ensure, write-back, and flush ops to
@@ -967,8 +937,6 @@ class _EvalRun(_Run):
         compiled = self._compiled
         durations = compiled.durations
         kernel_names = compiled.kernel_names
-        los = compiled.los
-        his = compiled.his
         sizes = compiled.sizes
         links = self.links
         pos_of = {i: p for p, i in enumerate(members)}
@@ -980,27 +948,25 @@ class _EvalRun(_Run):
                 key = f"{op.device_space}:{direction}"
                 rows.append((
                     key, links[key], self._transfer_duration(op),
-                    op.nbytes, direction, op.array, op.start, op.end,
+                    op.nbytes, direction,
                 ))
             return tuple(rows)
 
         groups = tuple(
             (
                 rid,
-                tuple(pos_of[i] for i in chain),
                 tuple(durations[i] for i in chain),
                 op_rows(p1_ops.get(rid, ())),
                 [kernel_names[i] for i in chain],
-                [los[i] for i in chain],
-                [his[i] for i in chain],
                 [sizes[i] for i in chain],
+                tuple(pos_of[i] for i in chain),
             )
             for rid, chain in chains.items()
         )
         wbs = tuple((pos_of[i], op_rows(ops)) for i, ops in wb_log)
         flush = op_rows(flush_ops)
         nbytes = {"h2d": 0, "d2h": 0}
-        for _, _, _, ops, _, _, _, _ in groups:
+        for _, _, ops, _, _, _ in groups:
             for row in ops:
                 nbytes[row[4]] += row[3]
         for _, ops in wbs:
@@ -1037,12 +1003,30 @@ class _EvalRun(_Run):
         fences = compiled.fences
         instances = self.graph.instances
         done = self.done
-        #: lane_key -> (starts, ends, str_args, args_a, args_b)
+        #: lane_key -> (starts, ends)
         xfer_acc: dict[str, tuple] = {}
-        #: rid -> (starts, ends, str_args, args_a, args_b, args_c, sizes)
+        #: rid -> (starts, ends, kernels, sizes)
         comp_acc: dict[str, tuple] = {}
         nb_h2d_total = 0
         nb_d2h_total = 0
+
+        def on_links(ops, t0, link_busy):
+            # serial occupation on each op's link channel from ``t0``;
+            # returns the last landing (``t0`` without ops)
+            land = t0
+            for key, link, dur, _nb, _d in ops:
+                cursor = link_busy.get(link, t0)
+                start = cursor if cursor > t0 else t0
+                end = start + dur
+                link_busy[link] = end
+                acc = xfer_acc.get(key)
+                if acc is None:
+                    acc = xfer_acc[key] = ([], [])
+                acc[0].append(start)
+                acc[1].append(end)
+                if end > land:
+                    land = end
+            return land
 
         t_prev = self.sim.now
         k = self._epoch
@@ -1056,80 +1040,31 @@ class _EvalRun(_Run):
             link_busy: dict = {}
             t_ready = t0
             member_end = [0.0] * len(members)
-            for rid, positions, durs, ops, names, glos, ghis, gszs in groups:
-                anchor = t0
-                for key, link, dur, _nb, _d, arr, lo, hi in ops:
-                    cursor = link_busy.get(link, t0)
-                    start = cursor if cursor > t0 else t0
-                    end = start + dur
-                    link_busy[link] = end
-                    acc = xfer_acc.get(key)
-                    if acc is None:
-                        acc = xfer_acc[key] = ([], [], [], [], [])
-                    acc[0].append(start)
-                    acc[1].append(end)
-                    acc[2].append(arr)
-                    acc[3].append(lo)
-                    acc[4].append(hi)
-                    if end > anchor:
-                        anchor = end
+            for rid, durs, ops, names, gszs, positions in groups:
+                anchor = on_links(ops, t0, link_busy)
                 acc = comp_acc.get(rid)
                 if acc is None:
-                    acc = comp_acc[rid] = ([], [], [], [], [], [], [])
-                starts, ends, strs, aas, abs_, args_c, szs = acc
-                strs.extend(names)
-                aas.extend(glos)
-                abs_.extend(ghis)
+                    acc = comp_acc[rid] = ([], [], [], [])
+                starts, ends, kernels, szs = acc
+                kernels.extend(names)
                 szs.extend(gszs)
                 bprev = anchor
                 for pos, dur in zip(positions, durs):
                     bend = bprev + dur
                     starts.append(bprev)
                     ends.append(bend)
-                    args_c.append(members[pos])
                     member_end[pos] = bend
                     bprev = bend
                 if bprev > t_ready:
                     t_ready = bprev
             wb_land = t0
             for pos, ops in wbs:
-                end_i = member_end[pos]
-                land = end_i
-                for key, link, dur, _nb, _d, arr, lo, hi in ops:
-                    cursor = link_busy.get(link, end_i)
-                    start = cursor if cursor > end_i else end_i
-                    end = start + dur
-                    link_busy[link] = end
-                    acc = xfer_acc.get(key)
-                    if acc is None:
-                        acc = xfer_acc[key] = ([], [], [], [], [])
-                    acc[0].append(start)
-                    acc[1].append(end)
-                    acc[2].append(arr)
-                    acc[3].append(lo)
-                    acc[4].append(hi)
-                    if end > land:
-                        land = end
+                land = on_links(ops, member_end[pos], link_busy)
                 if land > wb_land:
                     wb_land = land
             t_done = t_ready + self._barrier_overhead(instances[fence])
             if flush:
-                land = t_ready
-                for key, link, dur, _nb, _d, arr, lo, hi in flush:
-                    cursor = link_busy.get(link, t_ready)
-                    start = cursor if cursor > t_ready else t_ready
-                    end = start + dur
-                    link_busy[link] = end
-                    acc = xfer_acc.get(key)
-                    if acc is None:
-                        acc = xfer_acc[key] = ([], [], [], [], [])
-                    acc[0].append(start)
-                    acc[1].append(end)
-                    acc[2].append(arr)
-                    acc[3].append(lo)
-                    acc[4].append(hi)
-                    if end > land:
-                        land = end
+                land = on_links(flush, t_ready, link_busy)
                 if land > t_done:
                     t_done = land
             if wb_land > t_done:
@@ -1150,23 +1085,13 @@ class _EvalRun(_Run):
         self._epoch_undone = 0
 
         compute_lanes = self.compute_lanes
-        for rid, acc in comp_acc.items():
-            starts, ends, strs, aas, abs_, args_c, szs = acc
+        for rid, (starts, ends, kernels, szs) in comp_acc.items():
             compute_lanes[rid].extend_rows(
-                starts,
-                ends,
-                str_args=strs,
-                args_a=aas,
-                args_b=abs_,
-                args_c=args_c,
-                sizes=szs,
-                kernels=strs,
+                starts, ends, sizes=szs, kernels=kernels,
             )
         lanes = self.transfer_lanes
-        for key, (starts, ends, strs, aas, abs_) in xfer_acc.items():
-            lanes[key].extend_rows(
-                starts, ends, str_args=strs, args_a=aas, args_b=abs_,
-            )
+        for key, (starts, ends) in xfer_acc.items():
+            lanes[key].extend_rows(starts, ends)
         if nb_h2d_total:
             self.transfer_bytes["h2d"] += nb_h2d_total
         if nb_d2h_total:

@@ -2,8 +2,9 @@
 
 A :class:`SimResource` executes one occupation at a time.  Occupations are
 either started immediately (if the resource is idle) or queued FIFO.  Each
-occupation appends one row to the shared trace's columnar
-:class:`~repro.sim.tracestore.TraceStore` — no per-occupation
+occupation hands one row to its :class:`~repro.sim.tracestore.TraceLane`
+(or, lane-less, to the shared trace's columnar
+:class:`~repro.sim.tracestore.TraceStore`) — no per-occupation
 :class:`~repro.sim.trace.TraceRecord` object is allocated on this hot
 path — and fires a completion callback through the owning simulator.
 
@@ -25,7 +26,7 @@ occupation.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -42,7 +43,7 @@ class _Occupation:
     label: str | tuple
     category: str
     on_complete: Callable[[], Any] | tuple | None
-    meta: dict[str, Any] = field(default_factory=dict)
+    meta: dict[str, Any] | None = None
     #: staging lane this occupation's row goes to instead of
     #: ``TraceStore.record`` (resource/category/template pre-interned)
     lane: TraceLane | None = None
@@ -62,20 +63,22 @@ class SimResource:
     resource_id:
         Unique identifier; appears in trace records.
     trace:
-        Shared :class:`ExecutionTrace` that collects occupation records.
+        Shared :class:`ExecutionTrace` that collects occupation records,
+        or ``None`` when every occupation passes a fold-only ``lane``.
     """
 
     def __init__(
         self,
         sim: Simulator,
         resource_id: str,
-        trace: ExecutionTrace,
+        trace: ExecutionTrace | None,
     ) -> None:
         self.sim = sim
         self.resource_id = resource_id
         self.trace = trace
         #: prebound row appender: one attribute load per row instead of two
-        self._record = trace.record
+        #: (absent without a trace: every occupation then goes to a lane)
+        self._record = trace.record if trace is not None else None
         #: engines that inline completion handling expose
         #: ``schedule_completion``; the oracle path allocates a closure
         self._schedule_completion = getattr(sim, "schedule_completion", None)
@@ -135,7 +138,7 @@ class SimResource:
                 f"{self.resource_id}: occupation duration must be >= 0"
             )
         occ = _Occupation(
-            duration, label, category, on_complete, meta or {},
+            duration, label, category, on_complete, meta,
             lane, args, size, kernel,
         )
         if self._busy:

@@ -29,19 +29,25 @@ Ingestion has one entry point per caller shape:
 * :meth:`TraceStore.record` — one row per call, full generality (the
   original API).  The metadata dict is copied, so callers may keep
   mutating it.
-* :meth:`TraceStore.lane` — a persistent :class:`TraceLane` staging
-  buffer for one fully pre-declared stream (resource, category, label
-  template, and the constant hot metadata keys are interned *once at
-  lane creation*).  :meth:`TraceLane.append` stages one row per event
-  (the executor and the plan evaluator), :meth:`TraceLane.extend_rows`
-  a whole run of rows (the evaluator's drains).  Staged rows go into
-  small parallel ``array`` buffers with no interning and no dict
-  traffic; they are flushed into the store's columns in C-speed blocks
-  the first time anything reads, pickles, or indexes the store.  Staged
-  rows are therefore *deferred*: they take their row numbers at flush
-  time (lane registration order), not append time — identical under
-  every engine and backend, which is what keeps cross-engine artifact
-  pickles byte-identical.
+* :class:`TraceLane` — a run's persistent intake for one fully
+  pre-declared stream (resource, category, label template, constant hot
+  metadata).  :meth:`TraceLane.append` takes one row per event (the
+  executor and the plan evaluator), :meth:`TraceLane.extend_rows` a
+  whole run of rows (the evaluator's drains).  Every lane **folds** each
+  row into running aggregates as it arrives — row count, latest and last
+  end, the ``end - start`` sum in intake order, element sums per kernel
+  — and :meth:`repro.artifact.TraceSummary.from_lanes` merges a run's
+  lanes into its summary; no store is read for it.  A lane opened with
+  :meth:`TraceStore.lane` (full detail) additionally *stages* its rows:
+  its constants are interned once at creation, staged rows go into small
+  parallel ``array`` buffers with no interning and no dict traffic, and
+  they are flushed into the store's columns in C-speed blocks the first
+  time anything reads, pickles, or indexes the store.  Staged rows are
+  therefore *deferred*: they take their row numbers at flush time (lane
+  registration order), not append time — identical under every engine
+  and backend, which is what keeps cross-engine artifact pickles
+  byte-identical.  A lane built without a store (summary detail) only
+  folds: no row, label or metadata dict is kept.
 
 Aggregate queries run in one of two observationally identical ways:
 
@@ -76,6 +82,7 @@ facade over a store, materializing :class:`TraceRecord` rows on demand.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from typing import Any, Iterator, Mapping
 
 from repro.sim import _vec
@@ -123,17 +130,39 @@ def _const_q(value: int, k: int) -> array:
     return array("q", (value,)) * k
 
 
+def _as_floats(values) -> list:
+    """``values`` as a list of Python floats (arrays and ndarrays via
+    ``tolist``, which unboxes numpy scalars)."""
+    if type(values) is list:
+        return values
+    tolist = getattr(values, "tolist", None)
+    return tolist() if tolist is not None else list(values)
+
+
+#: transfer directions the summary reports (``transfer_time_s`` keys)
+SUMMARY_DIRECTIONS = ("h2d", "d2h")
+
+
 class TraceLane:
-    """Staged columnar intake for one pre-declared occupation stream.
+    """A run's intake for one pre-declared occupation stream.
 
     A lane is created once per homogeneous ``(resource, category)``
-    stream via :meth:`TraceStore.lane`; the resource id, category, label
-    template, and the constant hot metadata columns (``device_kind``,
-    ``device``, ``direction``) are interned exactly once, at creation.
-    :meth:`append` then costs a handful of ``array`` pushes per row —
-    no interning, no ``dict(meta)`` copy, no per-row branching on the
-    metadata shape — and :meth:`extend_rows` ingests a whole run of
-    rows with ``array.extend``/``frombytes`` bulk copies.
+    stream; its resource id, category, label template, and constant hot
+    metadata (``device_kind``, ``device``, ``direction``) are fixed at
+    creation.  Every row it takes in is **folded** into running
+    aggregates on the spot — row count, latest end, last end, the
+    ``end - start`` sum in intake order, and element sums per kernel —
+    from which :meth:`repro.artifact.TraceSummary.from_lanes` assembles
+    the run's summary by merging the lanes in registration order.
+
+    A lane opened through :meth:`TraceStore.lane` additionally *stages*
+    each row for its store: the constants are interned exactly once, at
+    creation, and :meth:`append` costs a handful of ``array`` pushes per
+    row — no interning, no ``dict(meta)`` copy, no per-row branching on
+    the metadata shape — while :meth:`extend_rows` ingests a whole run
+    of rows with ``array.extend``/``frombytes`` bulk copies.  A lane
+    built with ``store=None`` only folds: label arguments and metadata
+    are ignored and no row is ever kept.
 
     Contract (checked by the differential ingestion suite, not per
     append): label ``args`` are at most one leading ``str`` plus up to
@@ -146,20 +175,29 @@ class TraceLane:
 
     Staged rows become real store rows — in lane registration order —
     the first time the store is read, indexed, or pickled; see
-    ``TraceStore._flush_lanes``.
+    ``TraceStore._flush_lanes``.  The fold is never reset by a flush.
     """
 
     __slots__ = (
         "resource_id",
         "category",
-        # constants interned at creation
+        "device_kind",
+        "direction",
+        # fold: running aggregates over every row taken in
+        "rows",
+        "busy",
+        "max_end",
+        "last_end",
+        "elements",
+        "durations",
+        # staging (store lanes only)
+        "staging",
         "_resource_code",
         "_category_code",
         "_tmpl_code",
         "_kind_code",
         "_device_code",
         "_direction_code",
-        # staged per-row columns
         "starts",
         "ends",
         "str_codes",
@@ -170,7 +208,6 @@ class TraceLane:
         "kernel_codes",
         "metas",
         "meta_count",
-        "max_end",
         # bound intern methods (one attribute load per varying string)
         "_intern_arg",
         "_intern_kernel",
@@ -178,7 +215,7 @@ class TraceLane:
 
     def __init__(
         self,
-        store: "TraceStore",
+        store: "TraceStore | None",
         resource_id: str,
         category: str,
         template: str,
@@ -186,9 +223,35 @@ class TraceLane:
         device_kind: str | None = None,
         device: Any = _MISSING,
         direction: str | None = None,
+        fed: set | None = None,
     ) -> None:
         self.resource_id = resource_id
         self.category = category
+        self.device_kind = None if device_kind is None else str(device_kind)
+        self.direction = direction if isinstance(direction, str) else None
+        self.rows = 0
+        #: ``end - start`` summed from 0.0 in intake order
+        self.busy = 0.0
+        self.max_end = 0.0
+        #: end of the row taken in last (drain anchors read this)
+        self.last_end = 0.0
+        #: kernel name (``None`` for kernel-less rows) -> summed sizes of
+        #: the rows carrying a size, in first-appearance order
+        self.elements: defaultdict[str | None, int] = defaultdict(int)
+        #: per-row durations, kept only when an earlier lane of the run
+        #: (``fed`` holds the float groups they feed) already feeds one of
+        #: this lane's: the summary must continue that group's one
+        #: sequential sum through these rows
+        groups = [(resource_id, category)]
+        if category == "transfer" and self.direction in SUMMARY_DIRECTIONS:
+            groups.append((self.direction,))
+        if fed is None:
+            fed = set()
+        self.durations = None if fed.isdisjoint(groups) else array("d")
+        fed.update(groups)
+        self.staging = store is not None
+        if store is None:
+            return
         self._resource_code = store.resource_pool.intern(resource_id)
         self._category_code = store.category_pool.intern(category)
         self._tmpl_code = store.label_tmpl_pool.intern(template)
@@ -205,6 +268,9 @@ class TraceLane:
         )
         self._intern_arg = store.label_arg_pool.intern
         self._intern_kernel = store.kernel_pool.intern
+        self._reset_staged()
+
+    def _reset_staged(self) -> None:
         self.starts = array("d")
         self.ends = array("d")
         self.str_codes = array("i")
@@ -215,11 +281,18 @@ class TraceLane:
         self.kernel_codes = array("i")
         self.metas: list[dict[str, Any] | None] = []
         self.meta_count = 0
-        self.max_end = 0.0
 
     def __len__(self) -> int:
         """Rows currently staged (not yet flushed into the store)."""
-        return len(self.starts)
+        return len(self.starts) if self.staging else 0
+
+    def resume(self, total: float) -> float:
+        """Continue a group's sequential sum ``total`` through this
+        lane's rows; only lanes registered after another feeder of the
+        group (``durations`` kept) are ever asked to."""
+        for d in self.durations:
+            total += d
+        return total
 
     # -- writing ---------------------------------------------------------
 
@@ -232,13 +305,29 @@ class TraceLane:
         kernel: str | None = None,
         meta: dict[str, Any] | None = None,
     ) -> None:
-        """Stage one occupation row.
+        """Take in one occupation row.
 
-        ``args`` are the varying label arguments for the lane's template
-        (an optional leading string plus up to three ints); ``size`` and
-        ``kernel`` feed the hot metadata columns directly; ``meta`` is
-        the row's full metadata dict, owned by the store from here on.
+        ``size`` and ``kernel`` feed the fold (and the hot metadata
+        columns); on a staging lane ``args`` are the varying label
+        arguments for the lane's template (an optional leading string
+        plus up to three ints) and ``meta`` is the row's full metadata
+        dict, owned by the store from here on.
         """
+        durations = self.durations
+        if durations is None:
+            self.busy += end - start
+        else:
+            d = end - start
+            self.busy += d
+            durations.append(d)
+        self.rows += 1
+        if end > self.max_end:
+            self.max_end = end
+        self.last_end = end
+        if size >= 0:
+            self.elements[kernel] += size
+        if not self.staging:
+            return
         self.starts.append(start)
         self.ends.append(end)
         if args and type(args[0]) is str:
@@ -260,8 +349,6 @@ class TraceLane:
             self.meta_count += 1
         else:
             self.metas.append(None)
-        if end > self.max_end:
-            self.max_end = end
 
     def extend_rows(
         self,
@@ -276,26 +363,63 @@ class TraceLane:
         kernels: list[str] | None = None,
         metas: list[dict[str, Any] | None] | None = None,
     ) -> None:
-        """Stage ``k`` fully heterogeneous rows in bulk.
+        """Take in ``k`` fully heterogeneous rows in bulk.
 
-        Every label/metadata slot may vary per row.  Numeric columns are extended with
+        Every label/metadata slot may vary per row.  A ``None`` sequence
+        stands for the defaults :meth:`append` would use (``0`` int args,
+        ``-1`` size, no kernel, no meta).  Equivalent to ``k``
+        :meth:`append` calls with the same payload, fold and staged
+        bytes alike.  The fold reads the bounds as Python floats, so
+        numpy ``float64`` bounds never leak into the summary.
+
+        On a staging lane the numeric columns are extended with
         ``array.extend``/``frombytes`` bulk copies; only the genuinely
         varying strings (``str_args``, ``kernels``) pay a per-row intern
-        lookup.  A ``None`` sequence fills its column with the same
-        defaults :meth:`append` would use (``0`` int args, ``-1`` size,
-        no kernel, no meta).  Byte-identical to ``k`` :meth:`append`
-        calls with the same payload.
+        lookup.
         """
         k = len(starts)
         if k == 0:
             return
-        if len(ends) != k:
-            raise ValueError(f"extend_rows: {len(ends)} ends for {k} starts")
+        for name, values in (
+            ("ends", ends), ("str_args", str_args), ("args_a", args_a),
+            ("args_b", args_b), ("args_c", args_c), ("sizes", sizes),
+            ("kernels", kernels), ("metas", metas),
+        ):
+            if values is not None and len(values) != k:
+                raise ValueError(
+                    f"extend_rows: {len(values)} {name} for {k} rows"
+                )
+
+        fs = _as_floats(starts)
+        fe = _as_floats(ends)
+        busy = self.busy
+        durations = self.durations
+        if durations is None:
+            for s, e in zip(fs, fe):
+                busy += e - s
+        else:
+            for s, e in zip(fs, fe):
+                d = e - s
+                busy += d
+                durations.append(d)
+        self.busy = busy
+        self.rows += k
+        top = max(fe)
+        if top > self.max_end:
+            self.max_end = top
+        self.last_end = fe[-1]
+        if sizes is not None:
+            elements = self.elements
+            for kernel, size in zip(
+                kernels if kernels is not None else (None,) * k, sizes
+            ):
+                if size >= 0:
+                    elements[kernel] += size
+        if not self.staging:
+            return
 
         def _ext_d(col, values):
-            if isinstance(values, array):
-                col.extend(values)
-            elif type(values).__name__ == "ndarray":
+            if type(values).__name__ == "ndarray":
                 col.frombytes(values.tobytes())
             else:
                 col.extend(values)
@@ -303,12 +427,7 @@ class TraceLane:
         def _ext_q(col, values, default):
             if values is None:
                 col.extend(_const_q(default, k))
-                return
-            if len(values) != k:
-                raise ValueError(
-                    f"extend_rows: {len(values)} values for {k} rows"
-                )
-            if isinstance(values, array) and values.typecode == "q":
+            elif isinstance(values, array) and values.typecode == "q":
                 col.extend(values)
             else:
                 col.extend(array("q", values))
@@ -318,10 +437,6 @@ class TraceLane:
         if str_args is None:
             self.str_codes.extend(_const_i(-1, k))
         else:
-            if len(str_args) != k:
-                raise ValueError(
-                    f"extend_rows: {len(str_args)} str_args for {k} rows"
-                )
             intern = self._intern_arg
             self.str_codes.extend(
                 array("i", [intern(s) for s in str_args])
@@ -333,10 +448,6 @@ class TraceLane:
         if kernels is None:
             self.kernel_codes.extend(_const_i(-1, k))
         else:
-            if len(kernels) != k:
-                raise ValueError(
-                    f"extend_rows: {len(kernels)} kernels for {k} rows"
-                )
             intern = self._intern_kernel
             self.kernel_codes.extend(
                 array("i", [-1 if s is None else intern(s) for s in kernels])
@@ -344,15 +455,8 @@ class TraceLane:
         if metas is None:
             self.metas.extend([None] * k)
         else:
-            if len(metas) != k:
-                raise ValueError(
-                    f"extend_rows: {len(metas)} metas for {k} rows"
-                )
             self.metas.extend(metas)
             self.meta_count += sum(1 for m in metas if m)
-        last = float(max(ends))
-        if last > self.max_end:
-            self.max_end = last
 
     # -- flushing --------------------------------------------------------
 
@@ -397,17 +501,7 @@ class TraceLane:
                     store_metas.append(meta)
         if self.max_end > store._max_end:
             store._max_end = self.max_end
-        self.starts = array("d")
-        self.ends = array("d")
-        self.str_codes = array("i")
-        self.arg_a = array("q")
-        self.arg_b = array("q")
-        self.arg_c = array("q")
-        self.sizes = array("q")
-        self.kernel_codes = array("i")
-        self.metas = []
-        self.meta_count = 0
-        self.max_end = 0.0
+        self._reset_staged()
 
 
 class TraceStore:
@@ -454,8 +548,10 @@ class TraceStore:
         "label_arg_pool",
         # metadata side table
         "metas",
-        # staging lanes (flushed lazily, in registration order)
+        # staging lanes (flushed lazily, in registration order) and the
+        # float summary groups they feed
         "_lanes",
+        "_fed",
         # lazy state
         "_by_resource",
         "_by_category",
@@ -494,6 +590,7 @@ class TraceStore:
         self.label_arg_pool = _StringPool()
         self.metas: list[dict[str, Any]] = []
         self._lanes: list[TraceLane] = []
+        self._fed: set = set()
         self._by_resource: dict[str, list[int]] = {}
         self._by_category: dict[str, list[int]] = {}
         self._indexed_rows = 0
@@ -519,11 +616,14 @@ class TraceStore:
         :meth:`TraceLane.append` never touches an intern table except
         for genuinely varying strings.  Staged rows land in the store —
         in lane registration order — the first time it is read, indexed,
-        or pickled.
+        or pickled.  The lane folds every row as well (see
+        :class:`TraceLane`); lanes opened here share the store's record
+        of which summary groups they feed.
         """
         lane = TraceLane(
             self, resource_id, category, template,
             device_kind=device_kind, device=device, direction=direction,
+            fed=self._fed,
         )
         self._lanes.append(lane)
         return lane
@@ -695,6 +795,7 @@ class TraceStore:
             self.metas, self._max_end,
         ) = state
         self._lanes = []
+        self._fed = set()
         self._by_resource = {}
         self._by_category = {}
         self._indexed_rows = 0

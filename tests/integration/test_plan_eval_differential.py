@@ -211,7 +211,7 @@ def test_drain_engages_on_sync_free_loop(paper_platform, strategy,
     compiled = build()
     assert compiled.drainable
     before = drain_stats()["terminal_drains"]
-    ev = _EvalRun(paper_platform, compiled, "summary").go(detail="summary")
+    ev = _EvalRun(paper_platform, compiled, "summary").go()
     assert drain_stats()["terminal_drains"] == before + 1
     assert len(commits) == 1 and commits[0][1] is None
     if strategy == "Only-CPU":
@@ -221,7 +221,7 @@ def test_drain_engages_on_sync_free_loop(paper_platform, strategy,
 
     compiled = build()  # fresh graph/scheduler: runs are single-use
     ref = _Run(paper_platform, compiled.config, compiled.graph,
-               compiled.scheduler).go(detail="summary")
+               compiled.scheduler, detail="summary").go()
     assert ev.makespan_ms == ref.makespan_ms
     assert ev.summary == ref.summary
 
@@ -272,27 +272,60 @@ def test_wave_drain_engages_on_synced_loop(paper_platform):
     assert after["wave_fallbacks"] == before["wave_fallbacks"]
 
 
-def _lanes_of(trace):
-    """Trace rows grouped per resource lane, in firing order."""
-    lanes = {}
-    for rec in trace:
-        lanes.setdefault(rec.resource_id, []).append(
-            (rec.start, rec.end, rec.label, rec.category)
+@contextmanager
+def _lane_intake(monkeypatch):
+    """Log every row the trace lanes take in, per lane, in intake order.
+
+    Keys are ``(resource_id, category, direction)``; rows are ``(start,
+    end, kernel, size)`` — everything a summary-detail lane receives, for
+    per-event appends and bulk ``extend_rows`` alike.
+    """
+    from repro.sim.tracestore import TraceLane
+
+    log = {}
+    append = TraceLane.append
+    extend_rows = TraceLane.extend_rows
+
+    def rows_of(lane):
+        return log.setdefault(
+            (lane.resource_id, lane.category, lane.direction), []
         )
-    return lanes
+
+    def logged_append(lane, start, end, args=(), size=-1, kernel=None,
+                      meta=None):
+        rows_of(lane).append((start, end, kernel, size))
+        append(lane, start, end, args, size, kernel, meta)
+
+    def logged_extend(lane, starts, ends, **cols):
+        k = len(starts)
+        sizes = cols.get("sizes") or [-1] * k
+        kernels = cols.get("kernels") or [None] * k
+        rows_of(lane).extend(
+            zip(_as_floats(starts), _as_floats(ends), kernels, sizes)
+        )
+        extend_rows(lane, starts, ends, **cols)
+
+    with monkeypatch.context() as m:
+        m.setattr(TraceLane, "append", logged_append)
+        m.setattr(TraceLane, "extend_rows", logged_extend)
+        yield log
+
+
+def _as_floats(values):
+    return [float(v) for v in values]
 
 
 @pytest.mark.parametrize("app,n,iterations", SYNCED_APPS)
 @pytest.mark.parametrize("strategy", ("SP-Single", "SP-Unified", "SP-Varied"))
 def test_wave_commits_never_reorder_lanes(paper_platform, app, n, iterations,
-                                          strategy):
-    """Property: wave commits append rows in the oracle's firing order.
+                                          strategy, monkeypatch):
+    """Property: wave commits feed rows in the oracle's firing order.
 
-    The committed wave writes each resource lane in one bulk
-    ``extend_rows``; this checks row-by-row (start, end, label, category)
-    equality against the pure event loop's lane contents, which is
-    stronger than the summary equality the matrix tests assert (summaries
-    aggregate, so they could mask two reorderings that cancel).
+    The committed wave feeds each lane in one bulk ``extend_rows``; this
+    checks row-by-row (start, end, kernel, size) equality of every
+    lane's intake against the pure event loop's, which is stronger than
+    the summary equality the matrix tests assert (summaries aggregate,
+    so they could mask two reorderings that cancel).
     """
     from repro.apps import get_application
     from repro.partition.base import get_strategy
@@ -312,16 +345,14 @@ def test_wave_commits_never_reorder_lanes(paper_platform, app, n, iterations,
     compiled = build()
     if compiled is None:
         pytest.skip(f"{strategy} inapplicable to {app}")
-    oracle = _Run(paper_platform, compiled.config, compiled.graph,
-                  compiled.scheduler)
-    oracle.go(detail="summary")
+    with _lane_intake(monkeypatch) as ref_lanes:
+        _Run(paper_platform, compiled.config, compiled.graph,
+             compiled.scheduler, detail="summary").go()
 
     compiled = build()  # fresh graph/scheduler: runs are single-use
-    ev = _EvalRun(paper_platform, compiled, "summary")
-    ev.go(detail="summary")
+    with _lane_intake(monkeypatch) as ev_lanes:
+        _EvalRun(paper_platform, compiled, "summary").go()
 
-    ref_lanes = _lanes_of(oracle.trace)
-    ev_lanes = _lanes_of(ev.trace)
     assert set(ev_lanes) == set(ref_lanes)
     for key in ref_lanes:
         assert ev_lanes[key] == ref_lanes[key], key
