@@ -24,10 +24,11 @@ engine loop, part shed tracing machinery.
 
 Also measures end-to-end wall clock of the full scenario under both
 engines (``run_speedup``), verifies their artifacts pickle byte-identical
-(``parity``), and measures the plan-evaluator inner loop of the
-schedule×partition search (``plan_eval``): prebuilt compiled plans
-replayed through :class:`~repro.sim.plan.PlanEvaluator` vs the serial
-``run_sweep`` executor path on the same candidate cells.  Every
+(``parity``), and measures the epoch drain on the schedule×partition
+search's inner loop: prebuilt forced-fraction plans run through
+``run_plan`` at summary detail with the drain on vs
+``RuntimeConfig(drain=False)``, sync-free (``drain``) and synced
+(``wave_drain``).  Every
 ``*_speedup`` ratio is a best-of-rounds ratio (minimum elapsed per
 variant), never a mean — a single slow round on a noisy runner must not
 fail the CI band.
@@ -65,7 +66,7 @@ ITERATIONS = 79
 #: round runs untimed
 ROUNDS = 10
 
-#: rounds for the heavier end-to-end / plan-eval sections; their
+#: rounds for the heavier end-to-end / drain sections; their
 #: ``*_speedup`` ratios are best-of (minimum elapsed per variant), with
 #: engine rounds interleaved so frequency drift hits both sides alike
 RUN_ROUNDS = 5
@@ -75,15 +76,17 @@ RUN_ROUNDS = 5
 #: fast (best-of-rounds) as under the oracle
 RUN_SPEEDUP_FLOOR = 1.0
 
-#: acceptance floor: compiled-plan evaluation vs the serial
-#: ``run_sweep`` executor path on the same candidate cells — the
-#: search engine's reason to exist
-PLAN_EVAL_FLOOR = 10.0
+#: acceptance floor: prebuilt sync-free plans (the scenario, 79
+#: iterations) drained vs drain-refused — the drain's reason to exist
+#: on long loops
+DRAIN_FLOOR = 2.3
 
-#: acceptance floor: compiled-plan evaluation of *per-iteration-sync*
-#: plans (the wave drain's territory — every epoch fenced by a barrier,
-#: so the terminal drain never fires) vs the serial executor path
-WAVE_DRAIN_FLOOR = 5.0
+#: acceptance floor: prebuilt *per-iteration-sync* plans (the wave
+#: drain's territory — every epoch fenced by a barrier, so the terminal
+#: drain never fires) drained vs drain-refused: the median ratio that
+#: the former stand-alone plan evaluator held over the engine on these
+#: plans (5.09x over 3 runs), less ``BASELINE_TOLERANCE``
+WAVE_DRAIN_FLOOR = 4.07
 
 #: metrics ``--check-baseline`` verifies, all same-process ratios: raw
 #: events/sec shifts with runner hardware, but two engine variants timed
@@ -96,7 +99,7 @@ BASELINE_RATIOS = (
 #: key -> ratio key within that section (skipped when either file's
 #: payload lacks the section)
 BASELINE_SECTION_RATIOS = (
-    ("wave_drain", "synced_plans_vs_simulate_speedup"),
+    ("wave_drain", "drain_vs_refused_speedup"),
 )
 
 #: allowed relative shortfall below a baseline ratio before the smoke
@@ -287,212 +290,124 @@ def measure_run_parity() -> dict:
     }, fast_art
 
 
-#: forced-split candidate grid for the plan-eval measurement — the
-#: schedule×partition search's inner loop shape (SP-Unified on the
-#: scenario app across a ``gpu_fraction`` grid)
-PLAN_EVAL_FRACTIONS = 8
-
-
-def measure_plan_eval() -> dict:
-    """Search inner loop: prebuilt compiled plans vs serial ``run_sweep``.
-
-    Builds the same forced-fraction candidate cells the search engine
-    sweeps, runs them through the serial executor path once (cells/sec),
-    then compiles each cell's plan once and replays it through
-    :class:`~repro.sim.plan.PlanEvaluator` (plans/sec, best of
-    ``RUN_ROUNDS``).  Parity bits compare evaluator makespans against
-    the executor's, on the vectorized drain and again on the
-    ``REPRO_NO_NUMPY=1`` scalar fallback.
-    """
-    from dataclasses import replace
-
-    from repro.apps import get_application
-    from repro.partition.base import PlanConfig, get_strategy
-    from repro.sim.plan import PlanEvaluator, compile_plan
-
-    platform = shen_icpp15_platform()
-    base = PlanConfig()
-    fractions = [
-        i / (PLAN_EVAL_FRACTIONS - 1) for i in range(PLAN_EVAL_FRACTIONS)
-    ]
-    cells = [
-        SweepCell(
-            app="STREAM-Loop", strategy="SP-Unified", platform=platform,
-            n=N, iterations=ITERATIONS, sync=False,
-            config=replace(base, gpu_fraction=f),
-        )
-        for f in fractions
-    ]
-    clear_all()
-    run_sweep(cells)  # warm the planning caches (Glinda, profiles)
-    t0 = time.perf_counter()
-    reference = run_sweep(cells)
-    simulate_s = time.perf_counter() - t0
-
-    strategy = get_strategy("SP-Unified")
-    program = get_application("STREAM-Loop").program(
-        N, iterations=ITERATIONS, sync=False
-    )
-    evaluators = [
-        PlanEvaluator(
-            platform,
-            compile_plan(
-                strategy.plan(program, platform, replace(base, gpu_fraction=f)),
-                platform,
-            ),
-        )
-        for f in fractions
-    ]
-
-    def _evaluate_all() -> tuple[float, list]:
-        t0 = time.perf_counter()
-        artifacts = [ev.evaluate() for ev in evaluators]
-        return time.perf_counter() - t0, artifacts
-
-    eval_s, artifacts = _evaluate_all()  # warm-up round
-    for _ in range(RUN_ROUNDS):
-        eval_s = min(eval_s, _evaluate_all()[0])
-
-    want = [a.makespan_ms for a in reference]
-    parity = [a.makespan_ms for a in artifacts] == want
-    prior = os.environ.get("REPRO_NO_NUMPY")
-    os.environ["REPRO_NO_NUMPY"] = "1"
-    try:
-        parity_fallback = [
-            ev.evaluate().makespan_ms for ev in evaluators
-        ] == want
-    finally:
-        if prior is None:
-            del os.environ["REPRO_NO_NUMPY"]
-        else:
-            os.environ["REPRO_NO_NUMPY"] = prior
-
-    plans_per_sec = len(evaluators) / eval_s
-    simulate_cells_per_sec = len(cells) / simulate_s
-    return {
-        "cells": len(cells),
-        "instances": evaluators[0].compiled.n_compute,
-        "rounds": RUN_ROUNDS,
-        "simulate_s": simulate_s,
-        "eval_s": eval_s,
-        "simulate_cells_per_sec": simulate_cells_per_sec,
-        "plans_per_sec": plans_per_sec,
-        "plans_vs_simulate_speedup": plans_per_sec / simulate_cells_per_sec,
-        "parity": parity,
-        "parity_fallback": parity_fallback,
-    }
-
+#: forced-split candidate grid of the drain sections — the
+#: schedule×partition search's inner loop shape (one strategy on one
+#: scenario across a ``gpu_fraction`` grid)
+DRAIN_FRACTIONS = 8
 
 #: the wave-drain scenario: a per-iteration-sync loop (HotSpot is the
 #: paper's SK-Loop w/-sync workload) sized so each epoch carries a real
-#: split — every iteration ends at a barrier, so only the wave drain
-#: can lift the evaluator above the event loop
+#: split — every iteration ends at a barrier, so only fenced epoch
+#: commits (and their steady-wave templates) can lift the run above the
+#: event loop
 WAVE_N = 1 << 16
 WAVE_ITERATIONS = 64
-WAVE_FRACTIONS = 8
 
 
-def measure_wave_drain() -> dict:
-    """Synced-plan evaluation: the wave drain vs serial ``run_sweep``.
+def _measure_drain(app: str, strategy: str, n: int, iterations: int,
+                   sync: bool) -> dict:
+    """Prebuilt forced-fraction plans through ``run_plan`` at summary
+    detail: the drain on vs ``RuntimeConfig(drain=False)``.
 
-    The ``plan_eval`` section's shape on the search's *other* workload
-    class: per-iteration-sync plans whose barriers stop the terminal
-    drain at every epoch.  Prebuilt compiled plans (SP-Single
-    forced-fraction splits of HotSpot w/ sync) replay through
-    :class:`~repro.sim.plan.PlanEvaluator`, committing one wave per
-    barrier analytically; parity bits compare makespans against the
-    executor on the vectorized path and the ``REPRO_NO_NUMPY=1`` scalar
-    fallback.  Wave counters keep the measurement honest: a silent
-    per-wave fallback to the event loop would still be exact, but it is
-    a perf regression this section exists to catch.
+    Plans are built once, outside the timed region; each round runs the
+    whole grid drain-refused, then drained (interleaved, so frequency
+    drift hits both alike), and each side keeps its best of
+    ``RUN_ROUNDS``.  Parity bits compare every drained artifact's
+    makespan and summary against the drain-refused one, on the
+    vectorized chain bounds and again on the ``REPRO_NO_NUMPY=1``
+    scalar fallback.  Drain counters keep the measurement honest: a
+    silent fallback to the event loop would still be exact, but it is a
+    perf regression these sections exist to catch.
     """
     from dataclasses import replace
 
     from repro.apps import get_application
-    from repro.partition.base import PlanConfig, get_strategy
-    from repro.sim.plan import PlanEvaluator, compile_plan, drain_stats
+    from repro.partition.base import PlanConfig, get_strategy, run_plan
+    from repro.runtime.executor import RuntimeConfig
+    from repro.sim.plan import drain_stats
 
     platform = shen_icpp15_platform()
     base = PlanConfig()
-    fractions = [
-        i / (WAVE_FRACTIONS - 1) for i in range(WAVE_FRACTIONS)
-    ]
-    cells = [
-        SweepCell(
-            app="HotSpot", strategy="SP-Single", platform=platform,
-            n=WAVE_N, iterations=WAVE_ITERATIONS, sync=True,
-            config=replace(base, gpu_fraction=f),
-        )
-        for f in fractions
-    ]
+    program = get_application(app).program(n, iterations=iterations,
+                                           sync=sync)
+    planner = get_strategy(strategy)
     clear_all()
-    run_sweep(cells)  # warm the planning caches
-    t0 = time.perf_counter()
-    reference = run_sweep(cells)
-    simulate_s = time.perf_counter() - t0
-
-    strategy = get_strategy("SP-Single")
-    program = get_application("HotSpot").program(
-        WAVE_N, iterations=WAVE_ITERATIONS, sync=True
-    )
-    evaluators = [
-        PlanEvaluator(
-            platform,
-            compile_plan(
-                strategy.plan(program, platform, replace(base, gpu_fraction=f)),
-                platform,
-            ),
-        )
-        for f in fractions
+    plans = [
+        planner.plan(program, platform,
+                     replace(base, gpu_fraction=i / (DRAIN_FRACTIONS - 1)))
+        for i in range(DRAIN_FRACTIONS)
     ]
+    drained, refused = RuntimeConfig(), RuntimeConfig(drain=False)
 
-    def _evaluate_all() -> tuple[float, list]:
+    def run_all(config) -> tuple[float, list]:
         t0 = time.perf_counter()
-        artifacts = [ev.evaluate() for ev in evaluators]
+        artifacts = [
+            run_plan(plan, platform, config, detail="summary")
+            for plan in plans
+        ]
         return time.perf_counter() - t0, artifacts
 
-    eval_s, artifacts = _evaluate_all()  # warm-up round
-    stats_before = drain_stats()
+    refused_s, reference = run_all(refused)  # warm-up round
+    drain_s, _ = run_all(drained)
+    before = drain_stats()
     for _ in range(RUN_ROUNDS):
-        eval_s = min(eval_s, _evaluate_all()[0])
-    stats_after = drain_stats()
-    waves = stats_after["waves_drained"] - stats_before["waves_drained"]
-    fallbacks = stats_after["wave_fallbacks"] - stats_before["wave_fallbacks"]
+        refused_s = min(refused_s, run_all(refused)[0])
+        drain_s = min(drain_s, run_all(drained)[0])
+    after = drain_stats()
 
-    want = [a.makespan_ms for a in reference]
-    parity = [a.makespan_ms for a in artifacts] == want
+    want = [(a.makespan_s, a.summary) for a in reference]
+
+    def same() -> bool:
+        return [(a.makespan_s, a.summary)
+                for a in run_all(drained)[1]] == want
+
+    parity = same()
     prior = os.environ.get("REPRO_NO_NUMPY")
     os.environ["REPRO_NO_NUMPY"] = "1"
     try:
-        parity_fallback = [
-            ev.evaluate().makespan_ms for ev in evaluators
-        ] == want
+        parity_fallback = same()
     finally:
         if prior is None:
             del os.environ["REPRO_NO_NUMPY"]
         else:
             os.environ["REPRO_NO_NUMPY"] = prior
 
-    synced_plans_per_sec = len(evaluators) / eval_s
-    simulate_cells_per_sec = len(cells) / simulate_s
+    instances = plans[0].graph.instances
+    barriers = sum(1 for inst in instances if inst.is_barrier)
     return {
-        "cells": len(cells),
-        "instances": evaluators[0].compiled.n_compute,
-        "barriers": evaluators[0].compiled.n_barriers,
+        "cells": len(plans),
+        "instances": len(instances) - barriers,
+        "barriers": barriers,
         "rounds": RUN_ROUNDS,
-        "simulate_s": simulate_s,
-        "eval_s": eval_s,
-        "simulate_cells_per_sec": simulate_cells_per_sec,
-        "synced_plans_per_sec": synced_plans_per_sec,
-        "synced_plans_vs_simulate_speedup": (
-            synced_plans_per_sec / simulate_cells_per_sec
-        ),
+        "refused_s": refused_s,
+        "drain_s": drain_s,
+        "drain_vs_refused_speedup": refused_s / drain_s,
         # per timed pass over the grid (RUN_ROUNDS passes counted)
-        "waves_drained_per_round": waves / RUN_ROUNDS,
-        "wave_fallbacks": fallbacks,
+        "waves_drained_per_round": (
+            (after["waves_drained"] - before["waves_drained"]) / RUN_ROUNDS
+        ),
+        "terminal_drains_per_round": (
+            (after["terminal_drains"] - before["terminal_drains"])
+            / RUN_ROUNDS
+        ),
+        "wave_fallbacks": after["wave_fallbacks"] - before["wave_fallbacks"],
         "parity": parity,
         "parity_fallback": parity_fallback,
     }
+
+
+def measure_drain() -> dict:
+    """The search's sync-free inner loop: SP-Unified splits of the
+    scenario (STREAM-Loop, 79 iterations), one unfenced epoch each."""
+    return _measure_drain("STREAM-Loop", "SP-Unified", N, ITERATIONS,
+                          sync=False)
+
+
+def measure_wave_drain() -> dict:
+    """The search's synced inner loop: SP-Single splits of HotSpot with
+    a barrier after every iteration, one fenced epoch per barrier."""
+    return _measure_drain("HotSpot", "SP-Single", WAVE_N, WAVE_ITERATIONS,
+                          sync=True)
 
 
 def measure_sim_core() -> dict:
@@ -502,7 +417,7 @@ def measure_sim_core() -> dict:
         "scenario": {"app": "STREAM-Loop", "n": N, "iterations": ITERATIONS},
         **measure_event_core(fast_art),
         **runs,
-        "plan_eval": measure_plan_eval(),
+        "drain": measure_drain(),
         "wave_drain": measure_wave_drain(),
     }
     return payload
@@ -511,14 +426,15 @@ def measure_sim_core() -> dict:
 def check(payload: dict) -> None:
     assert payload["events"] > 1000, payload
     assert payload["parity"], payload
-    check_plan_eval(payload["plan_eval"])
+    check_drain(payload["drain"])
     check_wave_drain(payload["wave_drain"])
 
 
-def check_plan_eval(plan_eval: dict) -> None:
-    assert plan_eval["parity"], plan_eval
-    assert plan_eval["parity_fallback"], plan_eval
-    assert plan_eval["plans_vs_simulate_speedup"] >= PLAN_EVAL_FLOOR, plan_eval
+def check_drain(drain: dict) -> None:
+    assert drain["parity"], drain
+    assert drain["parity_fallback"], drain
+    assert drain["terminal_drains_per_round"] > 0, drain
+    assert drain["drain_vs_refused_speedup"] >= DRAIN_FLOOR, drain
 
 
 def check_wave_drain(wave_drain: dict) -> None:
@@ -527,7 +443,7 @@ def check_wave_drain(wave_drain: dict) -> None:
     assert wave_drain["waves_drained_per_round"] > 0, wave_drain
     assert wave_drain["wave_fallbacks"] == 0, wave_drain
     assert (
-        wave_drain["synced_plans_vs_simulate_speedup"] >= WAVE_DRAIN_FLOOR
+        wave_drain["drain_vs_refused_speedup"] >= WAVE_DRAIN_FLOOR
     ), wave_drain
 
 
@@ -572,29 +488,18 @@ def check_baseline(payload: dict, baseline_path: str) -> list[str]:
     return failures
 
 
-def _format_plan_eval(pe: dict) -> str:
+def _format_drain(name: str, section: dict, floor: float) -> str:
     return (
-        f"plan evaluation:      {pe['plans_per_sec']:,.1f} plans/s vs "
-        f"{pe['simulate_cells_per_sec']:,.1f} run_sweep cells/s "
-        f"({pe['plans_vs_simulate_speedup']:.1f}x, floor "
-        f"{PLAN_EVAL_FLOOR:g}x; {pe['cells']} candidate cells, "
-        f"{pe['instances']} instances each), parity "
-        f"{'ok' if pe['parity'] else 'DIVERGED'}, fallback parity "
-        f"{'ok' if pe['parity_fallback'] else 'DIVERGED'}"
-    )
-
-
-def _format_wave_drain(wd: dict) -> str:
-    return (
-        f"wave drain (synced):  {wd['synced_plans_per_sec']:,.1f} plans/s vs "
-        f"{wd['simulate_cells_per_sec']:,.1f} run_sweep cells/s "
-        f"({wd['synced_plans_vs_simulate_speedup']:.1f}x, floor "
-        f"{WAVE_DRAIN_FLOOR:g}x; {wd['cells']} candidate cells, "
-        f"{wd['instances']} instances / {wd['barriers']} barriers each, "
-        f"{wd['waves_drained_per_round']:.0f} waves/round, "
-        f"{wd['wave_fallbacks']} fallbacks), parity "
-        f"{'ok' if wd['parity'] else 'DIVERGED'}, fallback parity "
-        f"{'ok' if wd['parity_fallback'] else 'DIVERGED'}"
+        f"{name:<22}{section['drain_s'] * 1e3:,.1f} ms drained vs "
+        f"{section['refused_s'] * 1e3:,.1f} ms refused "
+        f"({section['drain_vs_refused_speedup']:.2f}x, floor {floor:g}x; "
+        f"{section['cells']} prebuilt plans, {section['instances']} "
+        f"instances / {section['barriers']} barriers each, "
+        f"{section['waves_drained_per_round']:.0f} waves + "
+        f"{section['terminal_drains_per_round']:.0f} terminal drains/round, "
+        f"{section['wave_fallbacks']} fallbacks), parity "
+        f"{'ok' if section['parity'] else 'DIVERGED'}, fallback parity "
+        f"{'ok' if section['parity_fallback'] else 'DIVERGED'}"
     )
 
 
@@ -615,8 +520,10 @@ def _format(payload: dict) -> str:
         f"({payload['run_speedup']:.2f}x, floor {RUN_SPEEDUP_FLOOR:g}x, "
         f"best of {payload['run_rounds']}), parity "
         f"{'ok' if payload['parity'] else 'DIVERGED'}\n"
-        + _format_plan_eval(payload["plan_eval"]) + "\n"
-        + _format_wave_drain(payload["wave_drain"])
+        + _format_drain("drain (sync-free):", payload["drain"], DRAIN_FLOOR)
+        + "\n"
+        + _format_drain("wave drain (synced):", payload["wave_drain"],
+                        WAVE_DRAIN_FLOOR)
     )
 
 
@@ -638,14 +545,15 @@ def main(argv: list[str] | None = None) -> int:
                         help=argparse.SUPPRESS)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="replay measurements only (skips the end-to-end/parity and "
-        "plan-eval sections; CI's bench-smoke step)",
+        help="replay measurements plus the wave-drain section only (skips "
+        "the end-to-end/parity and sync-free drain sections; CI's "
+        "bench-smoke step)",
     )
     parser.add_argument(
-        "--plan-eval", action="store_true",
-        help="plan-evaluator section only: compiled-plan replays vs serial "
-        f"run_sweep on the same cells, gated at {PLAN_EVAL_FLOOR:g}x "
-        "with both parity bits (CI's search-smoke step)",
+        "--drain", action="store_true",
+        help="sync-free drain section only: prebuilt plans drained vs "
+        f"drain-refused, gated at {DRAIN_FLOOR:g}x with both parity bits "
+        "(CI's search-smoke step)",
     )
     parser.add_argument(
         "--check-baseline", metavar="FILE", default=None,
@@ -656,10 +564,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.dump_artifact:
         _dump_artifact(args.dump_artifact)
         return 0
-    if args.plan_eval:
-        plan_eval = measure_plan_eval()
-        print(_format_plan_eval(plan_eval))
-        check_plan_eval(plan_eval)
+    if args.drain:
+        drain = measure_drain()
+        print(_format_drain("drain (sync-free):", drain, DRAIN_FLOOR))
+        check_drain(drain)
         return 0
 
     if args.smoke:

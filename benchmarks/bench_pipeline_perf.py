@@ -18,7 +18,7 @@ dispatcher's work split, and its elapsed-time edge over fixed batching
 (``sweep_streaming``), embeds the event-core engine comparison from
 ``bench_event_core.py`` (``sim_core``: events/sec of the slot-dispatched
 fast engine vs the closure oracle, end-to-end run speedup, cross-engine
-artifact byte parity, plan-evaluator throughput), plays the measured-ranking
+artifact byte parity, the epoch drain vs drain-refused runs), plays the measured-ranking
 tournament on the Table III machine (``matchmaking``: tournament
 matches/sec cold and replayed, and the fraction of (class, sync) cells
 where the measured ordering agrees with Table I), and records everything
@@ -709,8 +709,8 @@ BASELINE_CHECKS = [
     ("sweep_streaming.first_cell_fraction", "max", 1.5),
     ("sim_core.traced_speedup", "min", 0.5),
     ("sim_core.traced_lane_speedup", "min", 0.5),
-    ("sim_core.plan_eval.plans_vs_simulate_speedup", "min", 0.5),
-    ("sim_core.wave_drain.synced_plans_vs_simulate_speedup", "min", 0.5),
+    ("sim_core.drain.drain_vs_refused_speedup", "min", 0.5),
+    ("sim_core.wave_drain.drain_vs_refused_speedup", "min", 0.5),
     ("matchmaking.table_agreement", "min", 0.05),
 ]
 

@@ -46,7 +46,6 @@ from repro.errors import ConfigurationError, PartitioningError
 from repro.core.report import format_analysis, format_match
 from repro.partition import PlanConfig, all_strategy_info, get_strategy
 from repro.runtime.executor import RuntimeConfig
-from repro.sim.engine import DEFAULT_MAX_EVENTS
 from repro.platform import (
     balanced_platform,
     dual_gpu_platform,
@@ -188,14 +187,10 @@ def cmd_run(args) -> int:
               file=sys.stderr)
         return 2
     runtime_config = None
-    if args.max_events is not None or args.plan_eval:
+    if args.max_events is not None:
         runtime_config = RuntimeConfig(
             cpu_threads=config.threads(platform),
-            max_events=(
-                args.max_events if args.max_events is not None
-                else DEFAULT_MAX_EVENTS
-            ),
-            plan_eval=True if args.plan_eval else None,
+            max_events=args.max_events,
         )
     profiler = None
     if args.profile is not None:
@@ -365,7 +360,7 @@ def cmd_search(args) -> int:
         args.app, platform, n=args.n, iterations=args.iterations,
         sync=args.sync, config=config, grid=args.grid, beam=args.beam,
         rounds=args.rounds, jobs=args.jobs, workers=_workers(args),
-        progress=args.progress, plan_eval=args.plan_eval,
+        progress=args.progress,
     )
     print(format_search(result, top=args.top))
     if args.output:
@@ -461,10 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-events", type=int, default=None, metavar="N",
                    help="event budget per simulator drain (safety valve "
                         "against runaway loops; default 50M)")
-    p.add_argument("--plan-eval", action="store_true",
-                   help="route static plans through the compiled plan "
-                        "evaluator (dynamic plans fall back to the "
-                        "engine, identically; REPRO_PLAN_EVAL overrides)")
     p.add_argument("--profile", default=None, metavar="OUT.pstats",
                    help="cProfile the simulate call and write the stats "
                         "to this file (serial backend)")
@@ -541,11 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="candidates shown in the report")
     p.add_argument("-o", "--output", default=None, metavar="FILE.json",
                    help="write the SearchResult record to FILE.json")
-    p.add_argument("--plan-eval", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="route static candidates through the compiled "
-                        "plan evaluator (default on; REPRO_PLAN_EVAL "
-                        "overrides)")
     p.add_argument("--min-plans-per-sec", type=float, default=None,
                    metavar="X",
                    help="exit 1 if the search evaluated fewer than X "

@@ -24,15 +24,6 @@ class SimulationError(ReproError):
     """The discrete-event simulation reached an inconsistent state."""
 
 
-class PlanCompileError(SimulationError):
-    """An execution plan is not expressible as a compiled run-plan.
-
-    Raised by :func:`repro.sim.plan.compile_plan` when a plan uses a
-    dynamic scheduler or carries unpinned instances; callers fall back to
-    the general event-driven engine.
-    """
-
-
 class SchedulingError(ReproError):
     """A scheduler produced an invalid decision (unknown device, etc.)."""
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import abc
 import difflib
-import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
@@ -146,21 +145,6 @@ class Strategy(abc.ABC):
         return f"<Strategy {self.name}>"
 
 
-def _plan_eval_enabled(config: RuntimeConfig | None = None) -> bool:
-    """Whether this run opts into the compiled evaluator.
-
-    The ``REPRO_PLAN_EVAL`` environment variable, when *set*, wins in
-    both directions (CI forces the engine path with ``0``); otherwise
-    the :attr:`RuntimeConfig.plan_eval` field — populated by the
-    ``--plan-eval`` CLI flag, and per cell by the search driver —
-    decides.  Read per call, not at import; the variable's only reader.
-    """
-    env = os.environ.get("REPRO_PLAN_EVAL")
-    if env is not None:
-        return env.lower() in ("1", "true", "on")
-    return bool(config is not None and config.plan_eval)
-
-
 def run_plan(
     plan: ExecutionPlan,
     platform: Platform,
@@ -180,21 +164,8 @@ def run_plan(
     if plan.runtime_overrides:
         config = replace(config, **plan.runtime_overrides)
     before = cache_baseline if cache_baseline is not None else _cache.counters()
-    artifact = None
-    if _plan_eval_enabled(config):
-        from repro.errors import PlanCompileError
-        from repro.sim.plan import evaluate_plan, record_compile_error
-
-        try:
-            artifact = evaluate_plan(
-                plan, platform, runtime_config=config, detail=detail
-            )
-        except PlanCompileError:
-            record_compile_error()
-            artifact = None
-    if artifact is None:
-        engine = RuntimeEngine(platform, config=config)
-        artifact = engine.execute(plan.graph, plan.scheduler, detail=detail)
+    engine = RuntimeEngine(platform, config=config)
+    artifact = engine.execute(plan.graph, plan.scheduler, detail=detail)
     return artifact.with_context(
         decision=plan.decision, cache_stats=_cache.stats_delta(before)
     )

@@ -1,4 +1,4 @@
-"""Schedule×partition search: beam refinement over compiled run-plans.
+"""Schedule×partition search: beam refinement over simulated candidates.
 
 The matchmaker picks one strategy per application class and trusts each
 strategy's internal predictor for the split point.  This module searches
@@ -10,14 +10,13 @@ fraction candidates is refined on a halving grid for a few rounds.
 
 Every candidate is one :class:`~repro.bench.harness.SweepCell`, so the
 search streams through the ordinary sweep backends (``jobs`` process
-pools, remote ``workers``) unchanged.  Plan evaluation is on by default
-(``plan_eval=True``, carried on each cell's ``RuntimeConfig``; an
-already-set ``REPRO_PLAN_EVAL`` overrides): static candidates run
-through the compiled-plan evaluator (:mod:`repro.sim.plan`), which
-drains each barrier-fenced epoch and the unfenced final one
-analytically, while dynamic candidates compile-fail and fall back to
-the general engine, so the result set is exact either way.  The
-fallback counts ride back on the :class:`SearchResult`.
+pools, remote ``workers``) unchanged.  Candidates run at summary detail
+on the one run loop: static candidates drain each barrier-fenced epoch
+and the unfenced final one analytically (:mod:`repro.sim.plan`), while
+dynamic candidates cannot drain and run event by event, so the result
+set is exact either way.  ``plan_eval=False`` refuses the drain on every
+cell (``RuntimeConfig.drain``), the reference path.  The drain counts
+ride back on the :class:`SearchResult`.
 
 The search's contract with the seeds: the returned ``best`` is the
 minimum over a superset of the per-strategy default picks, so it is never
@@ -91,12 +90,12 @@ class SearchResult:
     (planning + simulation + dispatch).
 
     ``plan_compile_errors`` and ``wave_fallbacks`` surface the silent
-    engine fallbacks behind the numbers: candidates whose plan the
-    evaluator rejected outright (dynamic schedulers — expected for the
-    DP-*/HYB-* families) and barrier waves whose gates failed mid-run.
-    Both are exact under serial evaluation (``jobs=1``, no remote
-    workers) and a lower bound otherwise — pool workers keep their own
-    process-wide counters.
+    event-loop fallbacks behind the numbers: candidates that cannot
+    drain at all (dynamic schedulers — expected for the DP-*/HYB-*
+    families) and barrier waves whose gates failed mid-run.  Both are
+    exact under serial evaluation (``jobs=1``, no remote workers) and a
+    lower bound otherwise — pool workers keep their own process-wide
+    counters.
     """
 
     app: str
@@ -241,15 +240,15 @@ def _evaluate(
     jobs: int,
     workers,
     progress: bool,
-    plan_eval: bool,
+    drain: bool,
 ) -> list[CandidateResult]:
     # deferred: repro.bench pulls in repro.core, which imports this package
     from repro.bench.harness import SweepCell, run_sweep
 
     # the mode rides on each cell, so pool and remote workers get it from
-    # the pickled cell; a set REPRO_PLAN_EVAL still wins inside run_plan
+    # the pickled cell
     runtime = RuntimeConfig(
-        cpu_threads=base_config.threads(platform), plan_eval=plan_eval
+        cpu_threads=base_config.threads(platform), drain=drain
     )
     cells = [
         SweepCell(
@@ -310,10 +309,9 @@ def search_plan(
     ``beam`` how many best fraction candidates each refinement round
     expands; ``rounds`` how many halving refinement rounds follow the
     coarse sweep.  ``jobs``/``workers`` pass straight through to
-    :func:`~repro.bench.harness.run_sweep`.  ``plan_eval`` routes static
-    candidates through the compiled-plan evaluator (the default; an
-    already-set ``REPRO_PLAN_EVAL`` environment variable overrides it in
-    both directions).
+    :func:`~repro.bench.harness.run_sweep`.  ``plan_eval=False`` sets
+    ``RuntimeConfig.drain=False`` on every cell: static candidates then
+    run event by event too, with identical results.
 
     The probes and every round run in one
     :class:`~repro.partition.base.SweepScope`: they share the scenario's
@@ -349,7 +347,7 @@ def search_plan(
             n=n, iterations=iterations, sync=sync,
             base_config=base_config, round_no=round_no,
             jobs=jobs, workers=workers, progress=progress,
-            plan_eval=plan_eval,
+            drain=plan_eval,
         )
         evaluated.extend(results)
         return results
@@ -410,9 +408,9 @@ def format_search(result: SearchResult, *, top: int = 10) -> str:
     lines.append(f"  gain over baseline: {gain:.3f}x")
     if result.plan_compile_errors or result.wave_fallbacks:
         lines.append(
-            f"  engine fallbacks: {result.plan_compile_errors} "
-            f"compile-failed plans, {result.wave_fallbacks} wave-gate "
-            "failures (exact runs, just slower)"
+            f"  event-loop fallbacks: {result.plan_compile_errors} "
+            f"candidates that cannot drain, {result.wave_fallbacks} "
+            "wave-gate failures (exact runs, just slower)"
         )
     ranked = sorted(result.evaluated, key=lambda r: r.makespan_ms)[:top]
     lines.append(f"  top {len(ranked)}:")

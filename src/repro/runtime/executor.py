@@ -23,7 +23,10 @@ The engine wires everything together:
   partitioning;
 * optionally, a final flush returns all results to host memory at program
   end (end-to-end timing, like the paper's measurements that include
-  getting results back).
+  getting results back);
+* at summary detail, a run whose every instance has a statically known
+  resource may commit whole epochs analytically at its quiet points —
+  the drain of :mod:`repro.sim.plan`, exact to the last bit.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from repro.runtime.schedulers.base import (
 )
 from repro.sim.engine import DEFAULT_MAX_EVENTS
 from repro.sim.fast_engine import make_simulator
+from repro.sim.plan import drain_for
 from repro.sim.resources import SimResource
 from repro.sim.trace import ExecutionTrace
 from repro.sim.tracestore import TraceLane
@@ -169,7 +173,7 @@ class _BarrierArm:
             if run._pending_writebacks:
                 run._wb_waiters.append(self.inst)
             else:
-                run._mark_done(self.inst)
+                run._barrier_done(self.inst)
 
 
 @dataclass(frozen=True)
@@ -222,15 +226,12 @@ class RuntimeConfig:
         :class:`~repro.errors.SimulationError` that names this knob (and
         the CLI ``--max-events`` flag); raise it for legitimately huge
         simulations instead of editing the engine.
-    plan_eval:
-        Route static plans through the compiled
-        :class:`~repro.sim.plan.PlanEvaluator` (dynamic plans always
-        fall back to this engine, identically).  ``None`` means "not
-        requested" — the ``REPRO_PLAN_EVAL`` environment variable, when
-        set, overrides this field in both directions.  Populated by the
-        ``--plan-eval`` CLI flag; consulted only by
-        :func:`repro.partition.base.run_plan`, never by the engine
-        itself.
+    drain:
+        Let a summary-detail run whose every compute instance has a
+        statically known resource commit whole epochs analytically at
+        its quiet points (the drain of :mod:`repro.sim.plan`).  The
+        artifact is the same either way; ``False`` is the drain-refused
+        reference the differential suites compare against.
     """
 
     cpu_threads: int | None = None
@@ -241,7 +242,7 @@ class RuntimeConfig:
     barrier_invalidates_devices: bool = True
     barrier_overhead_s: float = 11e-3
     max_events: int = DEFAULT_MAX_EVENTS
-    plan_eval: bool | None = None
+    drain: bool = True
 
 
 #: Compatibility alias: the historical result type.  One simulated run now
@@ -284,6 +285,12 @@ class _Run:
     ``"summary"`` there is no trace (``self.trace is None``) and the
     lanes only fold.  Either way the lanes are the only producer of the
     run's :class:`~repro.artifact.TraceSummary`.
+
+    A summary-detail run whose every compute instance has a statically
+    known resource also holds the analytic drain of
+    :mod:`repro.sim.plan` (``self._drain``, decided once here) and
+    offers it the run's quiet points; every other run holds ``None``
+    and never pays for it.
     """
 
     def __init__(
@@ -411,6 +418,10 @@ class _Run:
         #: per iteration, and durations are pure roofline arithmetic, so
         #: sharing is value-identical to recomputing.
         self._duration_cache: dict[tuple, float] = {}
+        #: the epoch drain, or None for runs that may not drain
+        self._drain = (
+            drain_for(self) if detail == "summary" and config.drain else None
+        )
 
     # -- helpers --------------------------------------------------------------
 
@@ -430,6 +441,23 @@ class _Run:
         link = self.platform.link_for(op.device_space)
         return link.transfer_time(op.nbytes)
 
+    def _duration(self, inst: TaskInstance, resource: ComputeResource) -> float:
+        """Roofline time plus task-creation overhead of ``inst`` on
+        ``resource``, memoized per signature; the drain reads the same
+        floats."""
+        kernel = inst.kernel
+        key = (id(kernel), resource.resource_id, inst.lo, inst.hi,
+               inst.invocation.n)
+        duration = self._duration_cache.get(key)
+        if duration is None:
+            duration = self._duration_cache[key] = kernel.chunk_time(
+                resource.device,
+                kernel.work_units(inst.lo, inst.hi),
+                inst.invocation.n,
+                share=resource.share,
+            ) + self.config.task_creation_overhead_s
+        return duration
+
     # -- main loop --------------------------------------------------------------
 
     def go(self) -> RunArtifact:
@@ -439,6 +467,10 @@ class _Run:
             if self.remaining[inst.instance_id] == 0:
                 self.ready.append(inst)
         self._pump()
+        if self._drain is not None:
+            # all-host plans never transfer, so no wire would ever offer
+            # the first quiet point
+            self._drain.quiet_point(self)
         self.sim.run(max_events=self.config.max_events)
         if len(self.done) != len(self.graph.instances):
             stuck = [
@@ -587,12 +619,15 @@ class _Run:
         """The wire leg of ``xfer`` landed: publish and fire waiters."""
         entry = xfer.entry
         entry.done = True
-        self._inflight[xfer.key].remove(entry)
+        on_wire = self._inflight[xfer.key]
+        on_wire.remove(entry)
         for waiter in entry.waiters:
             waiter()
         cb = xfer.on_complete
         if cb is not None:
             cb()
+        if self._drain is not None and not on_wire:
+            self._drain.quiet_point(self)
 
     def _start_compute(
         self,
@@ -600,27 +635,13 @@ class _Run:
         resource: ComputeResource,
         space: str,
         transfer_total: float,
-        duration: float | None = None,
     ) -> None:
-        """Occupy ``resource`` with ``inst``'s compute; ``duration`` is
-        the roofline time plus overheads unless given."""
-        kernel = inst.kernel
-        name = kernel.name
-        if duration is None:
-            key = (id(kernel), resource.resource_id, inst.lo, inst.hi,
-                   inst.invocation.n)
-            duration = self._duration_cache.get(key)
-            if duration is None:
-                duration = kernel.chunk_time(
-                    resource.device,
-                    kernel.work_units(inst.lo, inst.hi),
-                    inst.invocation.n,
-                    share=resource.share,
-                ) + self.config.task_creation_overhead_s
-                self._duration_cache[key] = duration
-            if self.scheduler.dynamic and inst.pinned_resource is None \
-                    and inst.pinned_device is None:
-                duration += self.config.dynamic_decision_overhead_s
+        """Occupy ``resource`` with ``inst``'s compute."""
+        name = inst.kernel.name
+        duration = self._duration(inst, resource)
+        if self.scheduler.dynamic and inst.pinned_resource is None \
+                and inst.pinned_device is None:
+            duration += self.config.dynamic_decision_overhead_s
         # summary detail: the lane folds size and kernel, nothing else
         if self.trace is None:
             args, meta = (), None
@@ -651,6 +672,8 @@ class _Run:
 
     def _complete_compute(self, args: tuple) -> None:
         """Tuple-callback shim: unpack the compute-completion args."""
+        if self._drain is not None and args[0].instance_id in self.done:
+            return  # a running head a drain commit already completed
         self._complete(*args)
 
     def _complete(
@@ -699,7 +722,7 @@ class _Run:
         if self._pending_writebacks == 0 and self._wb_waiters:
             waiters, self._wb_waiters = self._wb_waiters, []
             for barrier in waiters:
-                self._mark_done(barrier)
+                self._barrier_done(barrier)
 
     def _barrier_overhead(self, inst: TaskInstance) -> float:
         """Quiescence cost of one ``taskwait``.
@@ -707,8 +730,8 @@ class _Run:
         A trailing barrier (no successors) is the program's exit sync:
         the thread team is torn down rather than restarted, so no
         quiescence is charged.  Shared by the event path below and the
-        plan evaluator's drain, which models barriers analytically and
-        must charge the identical float.
+        drain, which models barriers analytically and must charge the
+        identical float.
         """
         return self.config.barrier_overhead_s if inst.succs else 0.0
 
@@ -724,6 +747,14 @@ class _Run:
         self.sim.after(overhead, arm)
         for op in ops:
             self._issue_transfer(op, on_complete=arm)
+
+    def _barrier_done(self, inst: TaskInstance) -> None:
+        """A ``taskwait`` completed; a drain may commit the epoch it
+        opens before any successor dispatches."""
+        if self._drain is None:
+            self._mark_done(inst)
+        else:
+            self._drain.open_epoch(self, inst)
 
     def _mark_done(self, inst: TaskInstance) -> None:
         self.done.add(inst.instance_id)

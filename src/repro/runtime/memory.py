@@ -121,23 +121,20 @@ class MemoryManager:
             # stage through the host: flush any portion whose only valid
             # copy lives on another device
             for stale_lo, stale_hi in host.missing(lo, hi):
-                owner = self._find_owner(region.array, stale_lo, stale_hi, exclude=space)
-                if owner is None:
-                    raise MemoryModelError(
-                        f"no valid copy of {region.array}[{stale_lo}:{stale_hi}) "
-                        "anywhere — directory corrupted"
+                for owner, plo, phi in self._owners(
+                    region.array, stale_lo, stale_hi, exclude=space
+                ):
+                    ops.append(
+                        TransferOp(
+                            array=region.array,
+                            start=plo,
+                            end=phi,
+                            src_space=owner,
+                            dst_space=HOST_SPACE,
+                            nbytes=(phi - plo) * spec.elem_bytes,
+                        )
                     )
-                ops.append(
-                    TransferOp(
-                        array=region.array,
-                        start=stale_lo,
-                        end=stale_hi,
-                        src_space=owner,
-                        dst_space=HOST_SPACE,
-                        nbytes=(stale_hi - stale_lo) * spec.elem_bytes,
-                    )
-                )
-                host.add(stale_lo, stale_hi)
+                    host.add(plo, phi)
             if space != HOST_SPACE:
                 ops.append(
                     TransferOp(
@@ -152,15 +149,34 @@ class MemoryManager:
             entry.add(lo, hi)
         return ops
 
-    def _find_owner(
+    def _owners(
         self, array: str, lo: int, hi: int, *, exclude: str
-    ) -> str | None:
-        for space in self._spaces:
-            if space in (HOST_SPACE, exclude):
-                continue
+    ) -> list[tuple[str, int, int]]:
+        """``(device, lo, hi)`` pieces that together hold ``[lo, hi)``.
+
+        One device holding the whole range is preferred.  Otherwise each
+        piece comes from the first device, in space order, that holds
+        it — after a dynamic split over several devices, a stale range
+        can span their copies.
+        """
+        devices = [sp for sp in self._spaces if sp not in (HOST_SPACE, exclude)]
+        for space in devices:
             if self._valid[array][space].contains(lo, hi):
-                return space
-        return None
+                return [(space, lo, hi)]
+        unowned = IntervalSet([(lo, hi)])
+        pieces = []
+        for space in devices:
+            for plo, phi in self._valid[array][space].intersect(lo, hi):
+                for ulo, uhi in unowned.intersect(plo, phi):
+                    pieces.append((space, ulo, uhi))
+                    unowned.remove(ulo, uhi)
+        if unowned:
+            ulo, uhi = unowned.intervals[0]
+            raise MemoryModelError(
+                f"no valid copy of {array}[{ulo}:{uhi}) anywhere — "
+                "directory corrupted"
+            )
+        return pieces
 
     def write(self, region: Region, space: str) -> None:
         """Record that ``region`` was (re)written in ``space``.

@@ -1,15 +1,15 @@
-"""Differential suite: the compiled plan evaluator vs the general engine.
+"""Differential suite: the run loop with its drain vs with the drain refused.
 
-The evaluator's contract mirrors the fast event core's: routing a static
-plan through :class:`~repro.sim.plan.PlanEvaluator` must be
-*indistinguishable* from the general :class:`RuntimeEngine` — summary
-artifacts agree on makespan and every per-resource busy time bit for bit,
-and full-trace artifacts pickle to identical bytes (the drain is disabled
-in full detail, so byte identity covers the non-drain plumbing while the
-summary matrix covers the drain itself).
+The drain's contract mirrors the fast event core's: a summary-detail
+run of a static plan that commits epochs analytically
+(:mod:`repro.sim.plan`) must be *indistinguishable* from the same run
+with ``RuntimeConfig.drain=False`` — summary artifacts agree on makespan
+and every per-resource busy time bit for bit, and pickle to identical
+bytes.  Full-detail runs never drain, so byte identity there covers the
+quiet-point plumbing while the summary matrix covers the drain itself.
 
-Dynamic strategies must *compile-fail* and fall through to the engine:
-under ``REPRO_PLAN_EVAL=1`` a DP-* cell still runs, identically.
+Dynamic strategies cannot drain and run event by event either way: a
+DP-* cell with the drain on runs identically.
 
 In-process comparisons use structural equality on cache-cold artifacts;
 byte identity is checked across fresh subprocesses for the same
@@ -21,15 +21,18 @@ import pickle
 import subprocess
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.bench.harness import SweepCell, _run_cell
 from repro.cache import clear_all
-from repro.errors import PlanCompileError, StrategyInapplicableError
+from repro.errors import StrategyInapplicableError
+from repro.runtime.executor import RuntimeConfig, _Run
+from repro.sim.plan import PlanEvaluator, drain_stats
 
-#: static strategies (must compile) + dynamic ones (must fall back)
+#: static strategies (may drain) + dynamic ones (never drain)
 STRATEGIES = ("Only-CPU", "Only-GPU", "SP-Single", "SP-Unified", "SP-Varied")
 FALLBACK_STRATEGIES = ("DP-Perf", "DP-Dep")
 
@@ -52,21 +55,8 @@ SYNCED_APPS = [
     ("FDTD", 512, 3),
 ]
 
-#: dynamic schedulers exercised on synced cells (must compile-fail)
+#: dynamic schedulers exercised on synced cells (never drain)
 SYNCED_FALLBACK_STRATEGIES = ("HYB-Static", "DP-Perf")
-
-
-@contextmanager
-def _env(name, value):
-    prior = os.environ.get(name)
-    os.environ[name] = value
-    try:
-        yield
-    finally:
-        if prior is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = prior
 
 
 def _cell(platform, app, n, iterations, strategy, *, sync=False):
@@ -74,13 +64,30 @@ def _cell(platform, app, n, iterations, strategy, *, sync=False):
                      n=n, iterations=iterations, sync=sync)
 
 
-def _run(cell, *, plan_eval, detail="summary"):
-    with _env("REPRO_PLAN_EVAL", "1" if plan_eval else "0"):
-        clear_all()
-        try:
-            return _run_cell(cell, detail)
-        except StrategyInapplicableError:
-            return StrategyInapplicableError
+def _run(cell, *, drain, detail="summary"):
+    clear_all()
+    cell = replace(cell, runtime_config=RuntimeConfig(drain=drain))
+    try:
+        return _run_cell(cell, detail)
+    except StrategyInapplicableError:
+        return StrategyInapplicableError
+
+
+def _static_run(platform, app, n, iterations, strategy, *, sync, drain):
+    """A fresh summary-detail ``_Run`` of one plan (runs are single-use),
+    or None when the strategy does not cover the program."""
+    from repro.apps import get_application
+    from repro.partition.base import get_strategy
+
+    clear_all()
+    prog = get_application(app).program(n, iterations=iterations, sync=sync)
+    try:
+        plan = get_strategy(strategy).plan(prog, platform)
+    except StrategyInapplicableError:
+        return None
+    config = replace(RuntimeConfig(drain=drain), **plan.runtime_overrides)
+    return _Run(platform, config, plan.graph, plan.scheduler,
+                detail="summary")
 
 
 @pytest.mark.parametrize("app,n,iterations", APPS)
@@ -88,8 +95,8 @@ def test_summary_identical_across_static_strategies(paper_platform, app, n,
                                                     iterations):
     for strategy in STRATEGIES:
         cell = _cell(paper_platform, app, n, iterations, strategy)
-        ref = _run(cell, plan_eval=False)
-        ev = _run(cell, plan_eval=True)
+        ref = _run(cell, drain=False)
+        ev = _run(cell, drain=True)
         if ref is StrategyInapplicableError:
             assert ev is StrategyInapplicableError
             continue
@@ -101,27 +108,16 @@ def test_summary_identical_across_static_strategies(paper_platform, app, n,
 @pytest.mark.parametrize("strategy", FALLBACK_STRATEGIES)
 def test_dynamic_strategies_fall_back_identically(paper_platform, strategy):
     cell = _cell(paper_platform, "STREAM-Loop", 2048, 2, strategy)
-    ref = _run(cell, plan_eval=False)
-    ev = _run(cell, plan_eval=True)
+    ref = _run(cell, drain=False)
+    ev = _run(cell, drain=True)
     assert ev == ref
 
 
-def test_dynamic_plans_raise_plan_compile_error(paper_platform):
-    from repro.apps import get_application
-    from repro.partition.base import get_strategy
-    from repro.sim.plan import compile_plan
-
-    prog = get_application("STREAM-Loop").program(2048, iterations=2)
-    plan = get_strategy("DP-Perf").plan(prog, paper_platform)
-    with pytest.raises(PlanCompileError):
-        compile_plan(plan, paper_platform)
-
-
 def test_full_detail_identical(paper_platform):
-    """Full-trace runs bypass the drain and match structurally in-process."""
+    """Full-trace runs never drain and match structurally in-process."""
     cell = _cell(paper_platform, "STREAM-Loop", 2048, 4, "SP-Unified")
-    ref = _run(cell, plan_eval=False, detail="full")
-    ev = _run(cell, plan_eval=True, detail="full")
+    ref = _run(cell, drain=False, detail="full")
+    ev = _run(cell, drain=True, detail="full")
     assert list(ev.trace) == list(ref.trace)
     assert ev == ref
 
@@ -136,8 +132,8 @@ def test_forced_fraction_cells_identical(paper_platform):
             platform=paper_platform, n=2048, iterations=4, sync=False,
             config=PlanConfig(gpu_fraction=frac),
         )
-        ref = _run(cell, plan_eval=False)
-        ev = _run(cell, plan_eval=True)
+        ref = _run(cell, drain=False)
+        ev = _run(cell, drain=True)
         assert ev == ref, frac
 
 
@@ -145,9 +141,11 @@ SUBPROCESS_SCRIPT = (
     "import pickle, sys\n"
     "from repro.bench.harness import SweepCell, _run_cell\n"
     "from repro.platform import shen_icpp15_platform\n"
+    "from repro.runtime.executor import RuntimeConfig\n"
     "cell = SweepCell(app='STREAM-Loop', strategy='SP-Unified',\n"
     "                 platform=shen_icpp15_platform(), n=2048,\n"
-    "                 iterations=4, sync=False)\n"
+    "                 iterations=4, sync=False,\n"
+    "                 runtime_config=RuntimeConfig(drain=sys.argv[2] == '1'))\n"
     "artifact = _run_cell(cell, sys.argv[1])\n"
     "sys.stdout.buffer.write(pickle.dumps(artifact, 5))\n"
 )
@@ -155,23 +153,23 @@ SUBPROCESS_SCRIPT = (
 
 @pytest.mark.parametrize("detail", ("summary", "full"))
 def test_pickle_bytes_identical_in_fresh_processes(detail):
-    """Byte identity across (plan-eval × numpy) in fresh interpreters."""
+    """Byte identity across (drain × numpy) in fresh interpreters."""
     src = str(Path(__file__).resolve().parents[2] / "src")
 
-    def dump(plan_eval, no_numpy):
+    def dump(drain, no_numpy):
         env = dict(os.environ, PYTHONPATH=src,
-                   REPRO_PLAN_EVAL="1" if plan_eval else "0",
                    REPRO_NO_NUMPY="1" if no_numpy else "0")
         proc = subprocess.run(
-            [sys.executable, "-c", SUBPROCESS_SCRIPT, detail],
+            [sys.executable, "-c", SUBPROCESS_SCRIPT, detail,
+             "1" if drain else "0"],
             env=env, capture_output=True, check=True,
         )
         return proc.stdout
 
-    ref = dump(plan_eval=False, no_numpy=False)
+    ref = dump(drain=False, no_numpy=False)
     assert len(ref) > 500
-    for plan_eval, no_numpy in ((True, False), (True, True), (False, True)):
-        assert dump(plan_eval, no_numpy) == ref, (plan_eval, no_numpy)
+    for drain, no_numpy in ((True, False), (True, True), (False, True)):
+        assert dump(drain, no_numpy) == ref, (drain, no_numpy)
     artifact = pickle.loads(ref)
     assert artifact.makespan_ms > 0
 
@@ -185,33 +183,25 @@ def test_drain_engages_on_sync_free_loop(paper_platform, strategy,
     never transfers, so it commits at t=0 from the running heads;
     SP-Unified first waits for its initial device fetches to land.
     """
-    from repro.apps import get_application
-    from repro.partition.base import get_strategy
-    from repro.runtime.executor import _Run
-    from repro.sim.plan import _EvalRun, compile_plan, drain_stats
-
     commits = []
-    try_drain = _EvalRun._try_drain
+    try_drain = PlanEvaluator._try_drain
 
-    def spy(run, fence):
-        committed = try_drain(run, fence)
+    def spy(evaluator, run, plan, fence):
+        committed = try_drain(evaluator, run, plan, fence)
         if committed:
             commits.append((run.sim.now, fence))
         return committed
 
-    monkeypatch.setattr(_EvalRun, "_try_drain", spy)
+    monkeypatch.setattr(PlanEvaluator, "_try_drain", spy)
 
-    def build():
-        clear_all()
-        prog = get_application("STREAM-Loop").program(2048, iterations=4,
-                                                      sync=False)
-        plan = get_strategy(strategy).plan(prog, paper_platform)
-        return compile_plan(plan, paper_platform)
+    def build(drain):
+        return _static_run(paper_platform, "STREAM-Loop", 2048, 4, strategy,
+                           sync=False, drain=drain)
 
-    compiled = build()
-    assert compiled.drainable
+    run = build(drain=True)
+    assert run._drain is not None
     before = drain_stats()["terminal_drains"]
-    ev = _EvalRun(paper_platform, compiled, "summary").go()
+    ev = run.go()
     assert drain_stats()["terminal_drains"] == before + 1
     assert len(commits) == 1 and commits[0][1] is None
     if strategy == "Only-CPU":
@@ -219,11 +209,34 @@ def test_drain_engages_on_sync_free_loop(paper_platform, strategy,
     else:
         assert commits[0][0] > 0.0
 
-    compiled = build()  # fresh graph/scheduler: runs are single-use
-    ref = _Run(paper_platform, compiled.config, compiled.graph,
-               compiled.scheduler, detail="summary").go()
+    run = build(drain=False)
+    assert run._drain is None
+    ref = run.go()
     assert ev.makespan_ms == ref.makespan_ms
     assert ev.summary == ref.summary
+
+
+def test_tournament_identical_with_drain_refused(paper_platform):
+    """Static matches drain; every match and ranking is unchanged."""
+    from repro.core.tournament import run_tournament
+
+    def play(drain):
+        clear_all()  # no match replays from the memo store
+        before = drain_stats()
+        result = run_tournament(paper_platform, scale=0.02,
+                                runtime_config=RuntimeConfig(drain=drain))
+        after = drain_stats()
+        commits = sum(after[k] - before[k]
+                      for k in ("waves_drained", "terminal_drains"))
+        matches = [(m.scenario.label, m.strategy, m.makespan_s)
+                   for m in result.matches]
+        return matches, result.rankings, commits
+
+    on, on_rankings, on_commits = play(True)
+    off, off_rankings, off_commits = play(False)
+    assert on == off
+    assert on_rankings == off_rankings
+    assert on_commits > 0 and off_commits == 0
 
 
 # -- per-iteration-sync apps: fenced epochs -----------------------------------
@@ -235,8 +248,8 @@ def test_summary_identical_across_synced_apps(paper_platform, app, n,
     """Every applicable strategy holds parity on barrier-fenced loops."""
     for strategy in STRATEGIES + SYNCED_FALLBACK_STRATEGIES:
         cell = _cell(paper_platform, app, n, iterations, strategy, sync=True)
-        ref = _run(cell, plan_eval=False)
-        ev = _run(cell, plan_eval=True)
+        ref = _run(cell, drain=False)
+        ev = _run(cell, drain=True)
         if ref is StrategyInapplicableError:
             assert ev is StrategyInapplicableError, strategy
             continue
@@ -246,28 +259,23 @@ def test_summary_identical_across_synced_apps(paper_platform, app, n,
 
 
 def test_synced_full_detail_identical(paper_platform):
-    """Full-trace synced runs bypass the drain and match structurally."""
+    """Full-trace synced runs never drain and match structurally."""
     cell = _cell(paper_platform, "HotSpot", 1024, 4, "SP-Single", sync=True)
-    ref = _run(cell, plan_eval=False, detail="full")
-    ev = _run(cell, plan_eval=True, detail="full")
+    ref = _run(cell, drain=False, detail="full")
+    ev = _run(cell, drain=True, detail="full")
     assert list(ev.trace) == list(ref.trace)
     assert ev == ref
 
 
 def test_wave_drain_engages_on_synced_loop(paper_platform):
     """Waves must actually drain — not silently fall back per barrier."""
-    from repro.apps import get_application
-    from repro.partition.base import get_strategy
-    from repro.sim.plan import _EvalRun, compile_plan, drain_stats
-
-    prog = get_application("HotSpot").program(1024, iterations=4, sync=True)
-    plan = get_strategy("SP-Single").plan(prog, paper_platform)
-    compiled = compile_plan(plan, paper_platform)
-    assert compiled.drainable
-    assert compiled.fences[0] is not None  # barriers split the epochs
+    run = _static_run(paper_platform, "HotSpot", 1024, 4, "SP-Single",
+                      sync=True, drain=True)
     before = drain_stats()
-    _EvalRun(paper_platform, compiled, "summary").go()
+    run.go()
     after = drain_stats()
+    assert run._drain.plan.fences[0] is not None  # barriers split epochs
+    assert after["evaluations"] == before["evaluations"] + 1
     assert after["waves_drained"] > before["waves_drained"]
     assert after["wave_fallbacks"] == before["wave_fallbacks"]
 
@@ -323,35 +331,24 @@ def test_wave_commits_never_reorder_lanes(paper_platform, app, n, iterations,
 
     The committed wave feeds each lane in one bulk ``extend_rows``; this
     checks row-by-row (start, end, kernel, size) equality of every
-    lane's intake against the pure event loop's, which is stronger than
-    the summary equality the matrix tests assert (summaries aggregate,
-    so they could mask two reorderings that cancel).
+    lane's intake against the drain-refused event loop's, which is
+    stronger than the summary equality the matrix tests assert
+    (summaries aggregate, so they could mask two reorderings that
+    cancel).
     """
-    from repro.apps import get_application
-    from repro.partition.base import get_strategy
-    from repro.runtime.executor import _Run
-    from repro.sim.plan import _EvalRun, compile_plan
+    def build(drain):
+        return _static_run(paper_platform, app, n, iterations, strategy,
+                           sync=True, drain=drain)
 
-    def build():
-        clear_all()
-        prog = get_application(app).program(n, iterations=iterations,
-                                            sync=True)
-        try:
-            plan = get_strategy(strategy).plan(prog, paper_platform)
-        except StrategyInapplicableError:
-            return None
-        return compile_plan(plan, paper_platform)
-
-    compiled = build()
-    if compiled is None:
+    run = build(drain=False)
+    if run is None:
         pytest.skip(f"{strategy} inapplicable to {app}")
     with _lane_intake(monkeypatch) as ref_lanes:
-        _Run(paper_platform, compiled.config, compiled.graph,
-             compiled.scheduler, detail="summary").go()
+        run.go()
 
-    compiled = build()  # fresh graph/scheduler: runs are single-use
+    run = build(drain=True)
     with _lane_intake(monkeypatch) as ev_lanes:
-        _EvalRun(paper_platform, compiled, "summary").go()
+        run.go()
 
     assert set(ev_lanes) == set(ref_lanes)
     for key in ref_lanes:
@@ -362,9 +359,11 @@ SYNCED_SUBPROCESS_SCRIPT = (
     "import pickle, sys\n"
     "from repro.bench.harness import SweepCell, _run_cell\n"
     "from repro.platform import shen_icpp15_platform\n"
+    "from repro.runtime.executor import RuntimeConfig\n"
     "cell = SweepCell(app='HotSpot', strategy='SP-Single',\n"
     "                 platform=shen_icpp15_platform(), n=1024,\n"
-    "                 iterations=4, sync=True)\n"
+    "                 iterations=4, sync=True,\n"
+    "                 runtime_config=RuntimeConfig(drain=sys.argv[2] == '1'))\n"
     "artifact = _run_cell(cell, sys.argv[1])\n"
     "sys.stdout.buffer.write(pickle.dumps(artifact, 5))\n"
 )
@@ -375,18 +374,18 @@ def test_synced_pickle_bytes_identical_in_fresh_processes(detail):
     """Wave-drained artifacts are byte-identical across every engine tier."""
     src = str(Path(__file__).resolve().parents[2] / "src")
 
-    def dump(plan_eval, no_numpy, no_fast=False):
+    def dump(drain, no_numpy, no_fast=False):
         env = dict(os.environ, PYTHONPATH=src,
-                   REPRO_PLAN_EVAL="1" if plan_eval else "0",
                    REPRO_NO_NUMPY="1" if no_numpy else "0",
                    REPRO_NO_FAST_ENGINE="1" if no_fast else "0")
         proc = subprocess.run(
-            [sys.executable, "-c", SYNCED_SUBPROCESS_SCRIPT, detail],
+            [sys.executable, "-c", SYNCED_SUBPROCESS_SCRIPT, detail,
+             "1" if drain else "0"],
             env=env, capture_output=True, check=True,
         )
         return proc.stdout
 
-    ref = dump(plan_eval=False, no_numpy=False)
+    ref = dump(drain=False, no_numpy=False)
     assert len(ref) > 500
     combos = (
         (True, False, False),
@@ -395,8 +394,8 @@ def test_synced_pickle_bytes_identical_in_fresh_processes(detail):
         (True, False, True),
         (True, True, True),
     )
-    for plan_eval, no_numpy, no_fast in combos:
-        got = dump(plan_eval, no_numpy, no_fast)
-        assert got == ref, (plan_eval, no_numpy, no_fast)
+    for drain, no_numpy, no_fast in combos:
+        got = dump(drain, no_numpy, no_fast)
+        assert got == ref, (drain, no_numpy, no_fast)
     artifact = pickle.loads(ref)
     assert artifact.makespan_ms > 0

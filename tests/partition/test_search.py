@@ -77,7 +77,7 @@ class TestSearchPlan:
         assert result.best.makespan_ms <= result.baseline.makespan_ms
 
     def test_fallback_counts_recorded(self, stream_result):
-        # the dynamic seeds (DP-*) compile-fail and are tallied; the
+        # the dynamic seeds (DP-*) cannot drain and are tallied; the
         # sync-free scenario has no barriers, so no wave ever falls back
         assert stream_result.plan_compile_errors > 0
         assert stream_result.wave_fallbacks == 0
@@ -99,13 +99,12 @@ class TestSearchPlan:
         ("STREAM-Loop", 2048, 2, False),
     ])
     def test_plan_eval_is_per_cell_and_exact(self, paper_platform_module,
-                                             monkeypatch, app, n,
-                                             iterations, sync):
-        """The mode rides on the cells: the environment is never touched,
-        and evaluator and engine searches agree candidate by candidate."""
+                                             app, n, iterations, sync):
+        """The drain mode rides on the cells: the environment is never
+        touched, and drained and drain-refused searches agree candidate
+        by candidate."""
         from repro.sim.plan import drain_stats
 
-        monkeypatch.delenv("REPRO_PLAN_EVAL", raising=False)
         env_before = dict(os.environ)
 
         def candidates(plan_eval):

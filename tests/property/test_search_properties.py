@@ -1,13 +1,10 @@
-"""The search's result does not depend on how candidates are evaluated.
+"""The search's result does not depend on the drain.
 
-``search_plan`` routes static candidates through the compiled-plan
-evaluator when ``plan_eval`` is on and through the event engine when it
-is off.  On random small scenarios both must return the same candidates,
-in the same order, with bit-identical makespans.
+``search_plan`` lets static candidates drain when ``plan_eval`` is on
+and refuses the drain on every cell (``RuntimeConfig.drain=False``) when
+it is off.  On random small scenarios both must return the same
+candidates, in the same order, with bit-identical makespans.
 """
-
-import os
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,7 +47,4 @@ def test_plan_eval_on_and_off_agree(scenario):
         return [(r.candidate.label(), r.makespan_ms.hex())
                 for r in result.evaluated]
 
-    # the environment variable would override the argument
-    with mock.patch.dict(os.environ):
-        os.environ.pop("REPRO_PLAN_EVAL", None)
-        assert candidates(True) == candidates(False)
+    assert candidates(True) == candidates(False)

@@ -3,8 +3,8 @@
 Within a sweep, every cell that chunks a scenario's program the same way
 gets the same :class:`~repro.runtime.graph.TaskGraph` object
 (:class:`~repro.partition.base.SweepScope`).  That is only sound if
-neither the event engine (dynamic schedulers) nor the compiled-plan
-evaluator (static plans) writes to the graph they run.
+neither the event loop (dynamic schedulers) nor the drain of static
+plans, with its tables, writes to the graph they run.
 """
 
 import pytest
@@ -13,7 +13,7 @@ from repro.apps import get_application
 from repro.partition import PlanConfig
 from repro.partition.base import get_strategy
 from repro.runtime.executor import RuntimeConfig, RuntimeEngine
-from repro.sim.plan import evaluate_plan
+from repro.sim.plan import drain_stats
 
 
 def _snapshot(graph):
@@ -90,8 +90,16 @@ def test_plan_evaluation_leaves_a_static_graph_unchanged(
         paper_platform, strategy, app_name, n, iterations, sync, fraction=0.5
     )
     before = _snapshot(plan.graph)
-    first = evaluate_plan(plan, paper_platform, runtime_config=config)
+    builds = drain_stats()["evaluations"]
+
+    def drained():
+        return RuntimeEngine(paper_platform, config=config).execute(
+            plan.graph, plan.scheduler, detail="summary"
+        )
+
+    first = drained()
     assert _snapshot(plan.graph) == before
-    second = evaluate_plan(plan, paper_platform, runtime_config=config)
+    second = drained()
     assert _snapshot(plan.graph) == before
+    assert drain_stats()["evaluations"] == builds + 2  # both built tables
     assert second.makespan_s == first.makespan_s

@@ -62,6 +62,29 @@ class TestEnsure:
         ops = mm.ensure(Region("b", 0, 100), "gpu0")
         assert ops[0].nbytes == 800  # 8-byte elements
 
+    def test_stale_range_split_over_devices_stages_each_piece(self):
+        """A stale host range whose copies span two devices (the shape a
+        dynamic split leaves behind) stages each piece from its holder,
+        in space order."""
+        from repro.platform import dual_gpu_platform
+
+        mm = MemoryManager(dual_gpu_platform(), {"a": ArraySpec("a", 100, 4)})
+        mm.write(Region("a", 43, 66), "gpu1")
+        mm.write(Region("a", 66, 67), "gpu0")
+        ops = mm.ensure(Region("a", 40, 70), HOST_SPACE)
+        assert [(o.src_space, o.dst_space, o.start, o.end) for o in ops] == [
+            ("gpu0", HOST_SPACE, 66, 67),
+            ("gpu1", HOST_SPACE, 43, 66),
+        ]
+        assert [o.nbytes for o in ops] == [4, 92]
+        assert mm.is_valid("a", HOST_SPACE, 0, 100)
+
+    def test_unowned_stale_element_still_raises(self, mm):
+        mm.write(Region("a", 0, 10), "gpu0")
+        mm._valid["a"]["gpu0"].remove(5, 6)  # corrupt the directory
+        with pytest.raises(MemoryModelError, match=r"a\[5:6\)"):
+            mm.ensure(Region("a", 0, 10), HOST_SPACE)
+
 
 class TestWrite:
     def test_write_invalidates_other_spaces(self, mm):

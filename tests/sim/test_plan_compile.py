@@ -1,21 +1,21 @@
-"""Unit coverage of plan compilation and its vector/trace primitives.
+"""Unit coverage of the drain tables and their vector/trace primitives.
 
-``compile_plan``'s gates and flag computation, the evaluator's seams
-(the ``REPRO_PLAN_EVAL`` override, the drain counters),
-``_vec.chain_bounds``'s numpy/scalar bit parity, and
+Which runs hold a drain and ``compile_plan``'s tables, the drain
+counters, ``_vec.chain_bounds``'s bit parity with the sequential lane
+chain (with and without numpy), and
 ``TraceLane.extend_rows``'s equivalence to row-at-a-time appends.  The
 end-to-end drain exactness lives in
 ``tests/integration/test_plan_eval_differential.py``.
 """
 
 from array import array
+from dataclasses import replace
 
 import pytest
 
 from repro.apps import get_application
-from repro.errors import PlanCompileError
-from repro.partition.base import _plan_eval_enabled, get_strategy
-from repro.runtime.executor import RuntimeConfig
+from repro.partition.base import get_strategy
+from repro.runtime.executor import RuntimeConfig, _Run
 from repro.sim import _vec
 from repro.sim.plan import compile_plan, drain_stats
 from repro.sim.tracestore import TraceStore
@@ -26,64 +26,77 @@ def _static_plan(platform, app="STREAM-Loop", n=2048, strategy="SP-Unified"):
     return get_strategy(strategy).plan(prog, platform)
 
 
+def _run(plan, platform, detail="summary", **config):
+    config = replace(RuntimeConfig(**config), **plan.runtime_overrides)
+    return _Run(platform, config, plan.graph, plan.scheduler, detail=detail)
+
+
+def _tables(run):
+    return compile_plan(run, run._drain.resource_ids)
+
+
 class TestCompileGates:
     def test_static_plan_compiles(self, paper_platform):
         plan = _static_plan(paper_platform)
-        compiled = compile_plan(plan, paper_platform)
-        assert compiled.drainable
-        assert compiled.n_compute + compiled.n_barriers == len(
-            plan.graph.instances
-        )
-        assert len(compiled.durations) == len(plan.graph.instances)
-        # every compute instance got a positive duration and a resource
+        run = _run(plan, paper_platform)
+        assert run._drain is not None
+        before = drain_stats()["evaluations"]
+        tables = _tables(run)
+        assert drain_stats()["evaluations"] == before + 1
+        n = len(plan.graph.instances)
+        assert len(tables.writeback_flags) == n
+        assert sum(map(len, tables.epochs)) + len(tables.fences) - 1 == n
+        # every compute instance has a static resource to time it on
         for inst in plan.graph.instances:
             if inst.is_barrier:
                 continue
-            i = inst.instance_id
-            assert compiled.durations[i] > 0
-            assert compiled.resource_ids[i] is not None
+            rid = run._drain.resource_ids[inst.instance_id]
+            assert run._duration(inst, run._resource_by_id[rid]) > 0
 
     def test_dynamic_scheduler_rejected(self, paper_platform):
         prog = get_application("STREAM-Loop").program(2048, iterations=2)
         plan = get_strategy("DP-Perf").plan(prog, paper_platform)
-        with pytest.raises(PlanCompileError):
-            compile_plan(plan, paper_platform)
+        before = drain_stats()["compile_errors"]
+        assert _run(plan, paper_platform)._drain is None
+        assert drain_stats()["compile_errors"] == before + 1
+        # full detail and a refused drain hold none either, uncounted
+        plan = _static_plan(paper_platform)
+        assert _run(plan, paper_platform, detail="full")._drain is None
+        assert _run(plan, paper_platform, drain=False)._drain is None
+        assert drain_stats()["compile_errors"] == before + 1
 
     def test_runtime_overrides_applied(self, paper_platform):
         prog = get_application("STREAM-Loop").program(2048, iterations=2)
         plan = get_strategy("Only-GPU").plan(prog, paper_platform)
         assert plan.runtime_overrides  # zeroes OmpSs overheads
-        compiled = compile_plan(plan, paper_platform)
+        run = _run(plan, paper_platform)
         for key, value in plan.runtime_overrides.items():
-            assert getattr(compiled.config, key) == value
+            assert getattr(run.config, key) == value
+        inst = next(i for i in plan.graph.instances if not i.is_barrier)
+        rid = run._drain.resource_ids[inst.instance_id]
+        resource = run._resource_by_id[rid]
+        kernel = inst.kernel
+        assert run._duration(inst, resource) == kernel.chunk_time(
+            resource.device, kernel.work_units(inst.lo, inst.hi),
+            inst.invocation.n, share=resource.share,
+        ) + run.config.task_creation_overhead_s
 
     def test_writeback_flags_only_on_synced_device_writers(
         self, paper_platform
     ):
         plan = _static_plan(paper_platform)
-        compiled = compile_plan(plan, paper_platform)
+        run = _run(plan, paper_platform)
+        tables = _tables(run)
         host = paper_platform.host.device_id
+        flagged = 0
         for inst in plan.graph.instances:
             if inst.is_barrier:
                 continue
-            if compiled.writeback_flags[inst.instance_id]:
-                rid = compiled.resource_ids[inst.instance_id]
+            if tables.writeback_flags[inst.instance_id]:
+                flagged += 1
+                rid = run._drain.resource_ids[inst.instance_id]
                 assert not rid.startswith(host)
-
-    def test_env_seam(self, monkeypatch):
-        """``run_plan``'s reader: a set REPRO_PLAN_EVAL wins both ways."""
-        on = RuntimeConfig(plan_eval=True)
-        off = RuntimeConfig(plan_eval=False)
-        monkeypatch.delenv("REPRO_PLAN_EVAL", raising=False)
-        assert not _plan_eval_enabled()
-        assert _plan_eval_enabled(on)
-        assert not _plan_eval_enabled(off)
-        monkeypatch.setenv("REPRO_PLAN_EVAL", "1")
-        assert _plan_eval_enabled()
-        assert _plan_eval_enabled(off)
-        monkeypatch.setenv("REPRO_PLAN_EVAL", "0")
-        assert not _plan_eval_enabled()
-        assert not _plan_eval_enabled(on)
+        assert flagged
 
     def test_drain_stats_keys(self):
         """The counters perfbench's DRAIN_COUNTERS and search_plan read."""

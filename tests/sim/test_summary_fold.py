@@ -7,8 +7,9 @@ with :meth:`TraceSummary.from_store`: equal and pickle-equal summaries
 for every application under every paper strategy — on the paper
 platform, on two accelerators (two lanes per transfer direction) and
 over a half-duplex link (two lanes on one link resource) — for the
-engine and for the plan evaluator with its drain committing or refused.
-Summary-detail runs must not build a trace store at all.
+event loop alone (``RuntimeConfig(drain=False)``) and for summary runs
+whose drain commits or refuses at every quiet point.  Summary-detail
+runs must not build a trace store at all.
 
 CI runs this file under ``REPRO_NO_NUMPY=1`` (scalar chain bounds and
 store aggregates) and ``REPRO_NO_FAST_ENGINE=1`` (oracle engine) too.
@@ -22,17 +23,13 @@ import pytest
 from repro.apps import get_application
 from repro.artifact import TraceSummary
 from repro.cache import clear_all
-from repro.errors import (
-    PlanCompileError,
-    PlatformError,
-    StrategyInapplicableError,
-)
+from repro.errors import PlatformError, StrategyInapplicableError
 from repro.partition import PlanConfig, get_strategy
 from repro.platform import Device, Platform, dual_gpu_platform
 from repro.platform.presets import PCIE2_X16, TESLA_K20M, XEON_E5_2620
 from repro.runtime.executor import RuntimeConfig, RuntimeEngine
 from repro.sim import plan as plan_mod
-from repro.sim.plan import compile_plan, drain_stats, evaluate_plan
+from repro.sim.plan import drain_stats
 from repro.sim.tracestore import TraceLane, TraceStore
 
 #: the paper's eight strategies
@@ -54,12 +51,6 @@ APPS = [
     ("FDTD", 256, 2),
 ]
 
-
-#: (app, strategy) runs the engine itself cannot complete on two
-#: accelerators: DP-Perf on FDTD corrupts the memory directory there
-#: (MemoryModelError "no valid copy of hy[...) anywhere"), independent of
-#: how the summary is produced
-MULTI_GPU_BROKEN = {("FDTD", "DP-Perf")}
 
 
 def half_duplex_platform() -> Platform:
@@ -83,8 +74,6 @@ def platform(request, paper_platform):
 def _plan(app, n, iterations, strategy, platform):
     """A fresh plan (graphs and schedulers are single-use), or None when
     the strategy does not cover the program or the platform."""
-    if len(platform.accelerators) > 1 and (app, strategy) in MULTI_GPU_BROKEN:
-        return None, None
     clear_all()
     program = get_application(app).program(n, iterations=iterations)
     cfg = PlanConfig()
@@ -95,8 +84,8 @@ def _plan(app, n, iterations, strategy, platform):
     return plan, RuntimeConfig(cpu_threads=cfg.threads(platform))
 
 
-def _engine(plan, platform, rt, detail):
-    config = replace(rt, **plan.runtime_overrides)
+def _engine(plan, platform, rt, detail, *, drain=True):
+    config = replace(rt, drain=drain, **plan.runtime_overrides)
     return RuntimeEngine(platform, config=config).execute(
         plan.graph, plan.scheduler, detail=detail
     )
@@ -141,7 +130,7 @@ def test_summary_detail_engine_pickles_like_full(platform, app, n,
         plan, rt = _plan(app, n, iterations, strategy, platform)
         if plan is None:
             continue
-        slim = _engine(plan, platform, rt, "summary")
+        slim = _engine(plan, platform, rt, "summary", drain=False)
         plan, rt = _plan(app, n, iterations, strategy, platform)
         full = _engine(plan, platform, rt, "full")
         assert slim.trace is None
@@ -157,22 +146,21 @@ def test_summary_detail_engine_pickles_like_full(platform, app, n,
 def test_summary_detail_evaluator_pickles_like_full(
     platform, app, n, iterations, refuse, monkeypatch
 ):
-    """The drain's bulk rows (numpy bounds included) fold exactly."""
+    """The drain's bulk rows (numpy bounds included) fold exactly, and so
+    do runs whose drain refuses at every quiet point."""
     if refuse:
-        monkeypatch.setattr(plan_mod._EvalRun, "_try_drain",
-                            lambda run, fence: False)
+        monkeypatch.setattr(plan_mod.PlanEvaluator, "_try_drain",
+                            lambda *args: False)
     before = drain_stats()
     evaluated = 0
     for strategy in STRATEGIES:
         plan, rt = _plan(app, n, iterations, strategy, platform)
         if plan is None:
             continue
-        try:
-            compiled = compile_plan(plan, platform, rt)
-        except PlanCompileError:
-            continue  # dynamic strategies run on the engine only
-        slim = evaluate_plan(plan, platform, detail="summary",
-                             compiled=compiled)
+        builds = drain_stats()["evaluations"]
+        slim = _engine(plan, platform, rt, "summary")
+        if drain_stats()["evaluations"] == builds:
+            continue  # dynamic strategies never hold a drain
         plan, rt = _plan(app, n, iterations, strategy, platform)
         full = _engine(plan, platform, rt, "full")
         evaluated += 1
@@ -221,22 +209,18 @@ def store_traffic(monkeypatch):
 
 @pytest.mark.parametrize("strategy,app,n,iterations", [
     ("DP-Perf", "STREAM-Loop", 2048, 3),  # engine, dynamic
-    ("SP-Single", "HotSpot", 256, 3),  # evaluator, wave drain
-    ("SP-Unified", "STREAM-Loop", 2048, 3),  # evaluator, terminal drain
+    ("SP-Single", "HotSpot", 256, 3),  # wave drain
+    ("SP-Unified", "STREAM-Loop", 2048, 3),  # terminal drain
 ])
 def test_summary_detail_stages_no_row(paper_platform, store_traffic,
                                       strategy, app, n, iterations):
     plan, rt = _plan(app, n, iterations, strategy, paper_platform)
     before = drain_stats()
-    try:
-        artifact = evaluate_plan(plan, paper_platform, runtime_config=rt,
-                                 detail="summary")
-        after = drain_stats()
-        assert (after["waves_drained"] + after["terminal_drains"]
-                > before["waves_drained"] + before["terminal_drains"])
-    except PlanCompileError:
-        plan, rt = _plan(app, n, iterations, strategy, paper_platform)
-        artifact = _engine(plan, paper_platform, rt, "summary")
+    artifact = _engine(plan, paper_platform, rt, "summary")
+    after = drain_stats()
+    commits = (after["waves_drained"] + after["terminal_drains"]
+               - before["waves_drained"] - before["terminal_drains"])
+    assert (commits > 0) == (not plan.scheduler.dynamic)
     assert artifact.summary.record_count == store_traffic["folded"] > 0
     assert store_traffic["stores"] == 0
     assert store_traffic["records"] == 0

@@ -125,19 +125,24 @@ class TestRun:
              "--threads", "3"]
         ) == 0
 
-    def test_plan_eval_flag_routes_through_evaluator(self, capsys):
-        """--plan-eval flips the evaluator on and preserves the output."""
+    def test_summary_detail_drains_like_full(self, capsys):
+        """--detail summary drains a static plan and prints the full
+        report; the drain has no flag of its own."""
         from repro.sim.plan import drain_stats
 
         argv = ["run", "HotSpot", "-n", "1024", "-i", "4", "--sync",
-                "--strategy", "SP-Single", "--detail", "summary"]
-        assert main(argv) == 0
+                "--strategy", "SP-Single"]
+        assert main(argv + ["--detail", "full"]) == 0
         ref = capsys.readouterr().out
 
-        before = drain_stats()["evaluations"]
-        assert main(argv + ["--plan-eval"]) == 0
+        before = drain_stats()
+        assert main(argv + ["--detail", "summary"]) == 0
         assert capsys.readouterr().out == ref
-        assert drain_stats()["evaluations"] > before
+        after = drain_stats()
+        assert after["evaluations"] == before["evaluations"] + 1
+        assert after["waves_drained"] > before["waves_drained"]
+        with pytest.raises(SystemExit):
+            main(argv + ["--plan-eval"])
 
     def test_strategy_typo_suggests_and_exits_cleanly(self, capsys):
         assert main(
