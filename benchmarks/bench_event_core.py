@@ -312,10 +312,8 @@ def _measure_drain(app: str, strategy: str, n: int, iterations: int,
     Plans are built once, outside the timed region; each round runs the
     whole grid drain-refused, then drained (interleaved, so frequency
     drift hits both alike), and each side keeps its best of
-    ``RUN_ROUNDS``.  Parity bits compare every drained artifact's
-    makespan and summary against the drain-refused one, on the
-    vectorized chain bounds and again on the ``REPRO_NO_NUMPY=1``
-    scalar fallback.  Drain counters keep the measurement honest: a
+    ``RUN_ROUNDS``.  The parity bit compares every drained artifact's
+    makespan and summary against the drain-refused one.  Drain counters keep the measurement honest: a
     silent fallback to the event loop would still be exact, but it is a
     perf regression these sections exist to catch.
     """
@@ -357,20 +355,8 @@ def _measure_drain(app: str, strategy: str, n: int, iterations: int,
 
     want = [(a.makespan_s, a.summary) for a in reference]
 
-    def same() -> bool:
-        return [(a.makespan_s, a.summary)
-                for a in run_all(drained)[1]] == want
-
-    parity = same()
-    prior = os.environ.get("REPRO_NO_NUMPY")
-    os.environ["REPRO_NO_NUMPY"] = "1"
-    try:
-        parity_fallback = same()
-    finally:
-        if prior is None:
-            del os.environ["REPRO_NO_NUMPY"]
-        else:
-            os.environ["REPRO_NO_NUMPY"] = prior
+    parity = [(a.makespan_s, a.summary)
+              for a in run_all(drained)[1]] == want
 
     instances = plans[0].graph.instances
     barriers = sum(1 for inst in instances if inst.is_barrier)
@@ -392,7 +378,6 @@ def _measure_drain(app: str, strategy: str, n: int, iterations: int,
         ),
         "wave_fallbacks": after["wave_fallbacks"] - before["wave_fallbacks"],
         "parity": parity,
-        "parity_fallback": parity_fallback,
     }
 
 
@@ -432,14 +417,12 @@ def check(payload: dict) -> None:
 
 def check_drain(drain: dict) -> None:
     assert drain["parity"], drain
-    assert drain["parity_fallback"], drain
     assert drain["terminal_drains_per_round"] > 0, drain
     assert drain["drain_vs_refused_speedup"] >= DRAIN_FLOOR, drain
 
 
 def check_wave_drain(wave_drain: dict) -> None:
     assert wave_drain["parity"], wave_drain
-    assert wave_drain["parity_fallback"], wave_drain
     assert wave_drain["waves_drained_per_round"] > 0, wave_drain
     assert wave_drain["wave_fallbacks"] == 0, wave_drain
     assert (
@@ -498,8 +481,7 @@ def _format_drain(name: str, section: dict, floor: float) -> str:
         f"{section['waves_drained_per_round']:.0f} waves + "
         f"{section['terminal_drains_per_round']:.0f} terminal drains/round, "
         f"{section['wave_fallbacks']} fallbacks), parity "
-        f"{'ok' if section['parity'] else 'DIVERGED'}, fallback parity "
-        f"{'ok' if section['parity_fallback'] else 'DIVERGED'}"
+        f"{'ok' if section['parity'] else 'DIVERGED'}"
     )
 
 

@@ -1,5 +1,5 @@
 """Pipeline fast-path performance: dependence analysis, memo hit rates,
-sweep return sizes, trace memory, and analytics-query throughput.
+sweep return sizes, trace memory, and the event core.
 
 Times the frontier dependence builder against the reference full-history
 scan on a 5000+-instance single-barrier-window program (the shape the
@@ -7,8 +7,7 @@ O(n^2) scan is worst at), measures the probe/plan cache hit rates across a
 repeated sweep (in-process and through a disk snapshot round-trip), sizes
 the default summarized ``run_sweep`` returns against full-trace artifacts,
 measures the array-backed trace columns against the old list-backed
-layout, times the aggregate/analysis queries on both the vectorized and
-the pure-Python path, checks that parallel workers reproduce the serial
+layout, checks that parallel workers reproduce the serial
 hit rates from the shipped cache snapshot, shards a warm sweep over two
 real socket-connected worker processes (``sweep_distributed``: cells/sec,
 bytes-on-wire per cell, byte-identity with the serial run), streams a
@@ -60,7 +59,6 @@ from repro.runtime.dependence import (
     build_dependences_reference,
 )
 from repro.runtime.graph import chunk_ranges, expand_program
-from repro.sim.analysis import analyze_trace, compute_overlap_fraction
 
 import bench_event_core
 
@@ -81,8 +79,6 @@ SWEEP_BYTES_RATIO_FLOOR = 10.0
 TRACE_SHRINK_FLOOR = 1.25
 #: the array('d') start/end columns vs pointer lists + boxed floats
 NUMERIC_SHRINK_FLOOR = 3.0
-#: the vectorized analytics path must beat pure Python at least this much
-ANALYTICS_SPEEDUP_FLOOR = 3.0
 
 #: the adversarial shape: one long barrier-free window of many instances
 N = 1 << 16
@@ -215,80 +211,6 @@ def _full_trace_store():
     clear_all()
     [result] = run_sweep([cell], detail="full")
     return result.trace.store
-
-
-def _time_query_rounds(store, rounds: int = 50) -> tuple[int, float]:
-    """Run the aggregate-query set ``rounds`` times; (queries, seconds)."""
-    t0 = time.perf_counter()
-    for _ in range(rounds):
-        store.makespan()
-        store.elements_by_device()
-        store.instance_count_by_device()
-        store.ratio_by_kernel()
-        store.transfer_time_by_direction()
-        for rid in store.resource_ids_seen():
-            store.busy_time(rid)
-    elapsed = time.perf_counter() - t0
-    return rounds * (5 + len(store.resource_ids_seen())), elapsed
-
-
-def measure_summary_query_perf() -> dict:
-    """Aggregate-query throughput: vectorized path vs pure-Python path.
-
-    ``queries_per_sec`` is whatever the default path achieves (the numpy
-    view when available); ``python_queries_per_sec`` forces the fallback
-    with ``REPRO_NO_NUMPY``.  ``vector_speedup`` is their ratio — the
-    hardware-robust number the committed baseline tracks.
-    """
-    store = _full_trace_store()
-    store.vec_view()  # build the view outside the timed region
-    queries, elapsed = _time_query_rounds(store)
-    os.environ["REPRO_NO_NUMPY"] = "1"
-    try:
-        py_queries, py_elapsed = _time_query_rounds(store)
-    finally:
-        del os.environ["REPRO_NO_NUMPY"]
-    vectorized = store.vec_view() is not None
-    out = {
-        "records": len(store.starts),
-        "queries": queries,
-        "elapsed_s": elapsed,
-        "queries_per_sec": queries / elapsed,
-        "python_queries_per_sec": py_queries / py_elapsed,
-        "vectorized": vectorized,
-    }
-    out["vector_speedup"] = (
-        out["queries_per_sec"] / out["python_queries_per_sec"]
-    )
-    return out
-
-
-def measure_analysis_perf() -> dict:
-    """End-to-end ``analyze_trace`` + overlap sweep, both paths."""
-    store = _full_trace_store()
-    store.vec_view()
-    rounds = 10
-    t0 = time.perf_counter()
-    for _ in range(rounds):
-        analyze_trace(store)
-        compute_overlap_fraction(store)
-    elapsed = time.perf_counter() - t0
-    os.environ["REPRO_NO_NUMPY"] = "1"
-    try:
-        t0 = time.perf_counter()
-        for _ in range(rounds):
-            analyze_trace(store)
-            compute_overlap_fraction(store)
-        py_elapsed = time.perf_counter() - t0
-    finally:
-        del os.environ["REPRO_NO_NUMPY"]
-    return {
-        "records": len(store.starts),
-        "rounds": rounds,
-        "analyses_per_sec": 2 * rounds / elapsed,
-        "python_analyses_per_sec": 2 * rounds / py_elapsed,
-        "vector_speedup": py_elapsed / elapsed,
-    }
 
 
 def _list_layout_nbytes(store) -> int:
@@ -630,8 +552,6 @@ def record() -> dict:
         "caches": measure_cache_hit_rates(),
         "disk_cache": measure_disk_cache(),
         "sweep_returns": measure_sweep_return_bytes(),
-        "summary_queries": measure_summary_query_perf(),
-        "analysis": measure_analysis_perf(),
         "trace_memory": measure_trace_memory(),
         "worker_parity": measure_worker_parity(),
         "sweep_distributed": measure_sweep_distributed(),
@@ -660,9 +580,6 @@ def check(payload: dict) -> None:
     memory = payload["trace_memory"]
     assert memory["shrink_ratio"] >= TRACE_SHRINK_FLOOR, memory
     assert memory["numeric_shrink_ratio"] >= NUMERIC_SHRINK_FLOOR, memory
-    queries = payload["summary_queries"]
-    if queries["vectorized"]:
-        assert queries["vector_speedup"] >= ANALYTICS_SPEEDUP_FLOOR, queries
     distributed = payload["sweep_distributed"]
     assert distributed["parity"], distributed
     assert sum(distributed["cells_per_worker"]) == distributed["cells"], distributed
@@ -696,8 +613,6 @@ BASELINE_CHECKS = [
     ("caches.warm.probe.hit_rate", "min", 0.05),
     ("caches.warm.profile.hit_rate", "min", 0.05),
     ("caches.warm.glinda.hit_rate", "min", 0.05),
-    ("summary_queries.vector_speedup", "min", 0.5),
-    ("analysis.vector_speedup", "min", 0.5),
     ("trace_memory.shrink_ratio", "min", 0.3),
     ("trace_memory.numeric_shrink_ratio", "min", 0.2),
     ("trace_memory.bytes_per_record", "max", 0.3),
@@ -774,12 +689,11 @@ def test_pipeline_perf(benchmark):
     check(payload)
     dep = payload["dependence"]
     sweep = payload["sweep_returns"]
-    queries = payload["summary_queries"]
     memory = payload["trace_memory"]
     from conftest import emit
 
     emit(
-        "Pipeline fast path — dependences, memos, columns, vector analytics",
+        "Pipeline fast path — dependences, memos, columns, event core",
         f"instances:            {dep['instances']}\n"
         f"fast builder:         {dep['fast_s'] * 1e3:9.1f} ms "
         f"({dep['fast_instances_per_sec']:,.0f} inst/s)\n"
@@ -793,12 +707,6 @@ def test_pipeline_perf(benchmark):
         f"({payload['disk_cache']['entries_loaded']} entries reloaded)\n"
         f"sweep return:         {sweep['summary_bytes']:,} B summarized vs "
         f"{sweep['full_bytes']:,} B full ({sweep['bytes_ratio']:.0f}x)\n"
-        f"summary queries:      {queries['queries_per_sec']:,.0f} /s "
-        f"(python {queries['python_queries_per_sec']:,.0f} /s, "
-        f"{queries['vector_speedup']:.1f}x)\n"
-        f"analysis:             "
-        f"{payload['analysis']['analyses_per_sec']:,.1f} /s "
-        f"({payload['analysis']['vector_speedup']:.1f}x vectorized)\n"
         f"trace memory:         {memory['column_bytes']:,} B columnar vs "
         f"{memory['list_layout_bytes']:,} B list layout "
         f"({memory['shrink_ratio']:.1f}x, "
@@ -856,15 +764,12 @@ def main(argv: list[str] | None = None) -> int:
     check(payload)
     dep = payload["dependence"]
     sweep = payload["sweep_returns"]
-    queries = payload["summary_queries"]
     memory = payload["trace_memory"]
     print(
         f"pipeline perf: {dep['instances']} instances, "
         f"fast {dep['fast_instances_per_sec']:,.0f} inst/s, "
         f"speedup {dep['speedup']:.1f}x, "
         f"sweep return {sweep['bytes_ratio']:.0f}x smaller summarized, "
-        f"queries {queries['queries_per_sec']:,.0f}/s "
-        f"({queries['vector_speedup']:.1f}x vectorized), "
         f"trace columns {memory['shrink_ratio']:.1f}x smaller, "
         f"distributed {payload['sweep_distributed']['cells_per_sec']:,.1f} "
         f"cells/s over {payload['sweep_distributed']['workers']} workers "

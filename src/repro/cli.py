@@ -54,6 +54,7 @@ from repro.platform import (
     shen_icpp15_platform,
 )
 from repro.sim import analyze_trace, format_stats, render_gantt
+from repro.sim.trace import GANTT_MIN_WIDTH
 
 PRESETS: dict[str, Callable] = {
     "shen": shen_icpp15_platform,
@@ -66,6 +67,24 @@ PRESETS: dict[str, Callable] = {
 
 def _platform(args) -> "Platform":
     return PRESETS[args.preset]()
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse ``type`` accepting integers no smaller than ``low``,
+    so out-of-range values die at parse time (exit 2, no traceback)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_cache_dir(parser: argparse.ArgumentParser) -> None:
@@ -450,10 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", action="store_true",
                    help="print trace statistics")
     p.add_argument("--gantt", action="store_true", help="print a Gantt chart")
-    p.add_argument("--gantt-width", type=int, default=80)
+    p.add_argument("--gantt-width", type=_int_at_least(GANTT_MIN_WIDTH),
+                   default=80)
     p.add_argument("--detail", choices=["summary", "full"], default="full",
                    help="keep the raw trace (full) or only the summary")
-    p.add_argument("--max-events", type=int, default=None, metavar="N",
+    p.add_argument("--max-events", type=_int_at_least(1), default=None,
+                   metavar="N",
                    help="event budget per simulator drain (safety valve "
                         "against runaway loops; default 50M)")
     p.add_argument("--profile", default=None, metavar="OUT.pstats",
@@ -522,13 +543,13 @@ def build_parser() -> argparse.ArgumentParser:
     sync = p.add_mutually_exclusive_group()
     sync.add_argument("--sync", dest="sync", action="store_true", default=None)
     sync.add_argument("--no-sync", dest="sync", action="store_false")
-    p.add_argument("--grid", type=int, default=9,
+    p.add_argument("--grid", type=_int_at_least(2), default=9,
                    help="coarse GPU-fraction grid points in [0, 1]")
-    p.add_argument("--beam", type=int, default=3,
+    p.add_argument("--beam", type=_int_at_least(1), default=3,
                    help="fraction candidates each refinement round expands")
-    p.add_argument("--rounds", type=int, default=2,
+    p.add_argument("--rounds", type=_int_at_least(0), default=2,
                    help="halving refinement rounds after the coarse grid")
-    p.add_argument("--top", type=int, default=10,
+    p.add_argument("--top", type=_int_at_least(0), default=10,
                    help="candidates shown in the report")
     p.add_argument("-o", "--output", default=None, metavar="FILE.json",
                    help="write the SearchResult record to FILE.json")

@@ -7,10 +7,9 @@ engine: compute resources and interconnect channels are serial
 heap, and every occupation of a resource is appended as one row of the
 columnar :class:`~repro.sim.tracestore.TraceStore` for later analysis
 (partitioning ratios, Gantt charts, transfer accounting).  Analysis runs
-vectorized over the store's array-backed columns when numpy is available
-(:mod:`repro.sim._vec`) and falls back to bit-identical pure-Python
-column scans when it is not; :class:`~repro.sim.trace.TraceRecord` rows
-are materialized only on demand, for compatibility.
+as insertion-order scans over the store's array-backed columns, and
+:class:`~repro.sim.trace.TraceRecord` rows are materialized only on
+demand, for compatibility.
 
 Two interchangeable engines exist: the slot-dispatched
 :class:`~repro.sim.fast_engine.FastSimulator` (the default — tuple

@@ -9,14 +9,10 @@ execution time").  This module computes those quantities from any
 tests and printed alongside the figures.
 
 Both entry points operate on the store's columns directly — no
-:class:`~repro.sim.trace.TraceRecord` is ever materialized — and run
-vectorized when the store exposes a numpy view (see
-:mod:`repro.sim._vec`): the interval merge and the >=2-device sweep of
-:func:`compute_overlap_fraction` become sorted-array operations, and
-:func:`analyze_trace`'s per-resource sums become grouped sequential
-reductions.  The pure-Python fallback is the oracle; both paths are
-bit-identical (``tests/sim/test_vec.py``,
-``tests/property/test_trace_analytics_properties.py``).
+:class:`~repro.sim.trace.TraceRecord` is ever materialized — through the
+store's insertion-order column scans, so every figure is bit-identical
+to the original record scans
+(``tests/property/test_trace_analytics_properties.py``).
 """
 
 from __future__ import annotations
@@ -87,12 +83,17 @@ def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, 
     return merged
 
 
-def _covered(intervals: list[tuple[float, float]]) -> float:
-    return sum(end - start for start, end in _merge_intervals(intervals))
+def compute_overlap_fraction(trace: TraceLike) -> float:
+    """Fraction of the makespan with compute active on >= 2 devices.
 
-
-def _overlap_fraction_python(store: TraceStore, makespan: float) -> float:
-    """The record-scan oracle, ported to column/row-index access."""
+    Devices are identified by the ``device`` metadata of compute records;
+    CPU threads collectively count as one device, matching the paper's
+    processor-level notion of overlap.
+    """
+    store = _store_of(trace)
+    makespan = store.makespan()
+    if makespan <= 0:
+        return 0.0
     starts, ends = store.starts, store.ends
     per_device: dict[str, list[tuple[float, float]]] = {}
     for row in store.rows_by_category("compute"):
@@ -118,42 +119,11 @@ def _overlap_fraction_python(store: TraceStore, makespan: float) -> float:
     return overlap / makespan
 
 
-def _overlap_fraction_vec(vec, makespan: float) -> float:
-    """The same sweep as sorted-array operations on the numpy view."""
-    per_device = vec.compute_device_intervals()
-    if per_device is None:
-        return 0.0
-    return vec.overlap_seconds(per_device) / makespan
-
-
-def compute_overlap_fraction(trace: TraceLike) -> float:
-    """Fraction of the makespan with compute active on >= 2 devices.
-
-    Devices are identified by the ``device`` metadata of compute records;
-    CPU threads collectively count as one device, matching the paper's
-    processor-level notion of overlap.
-    """
-    store = _store_of(trace)
-    makespan = store.makespan()
-    if makespan <= 0:
-        return 0.0
-    vec = store.vec_view()
-    if vec is not None:
-        return _overlap_fraction_vec(vec, makespan)
-    return _overlap_fraction_python(store, makespan)
-
-
 def analyze_trace(trace: TraceLike) -> TraceStats:
     """Summarize a trace into :class:`TraceStats`."""
     store = _store_of(trace)
     makespan = store.makespan()
-    vec = store.vec_view()
-    if vec is not None:
-        busy_of = vec.busy_time
-        by_category = vec.busy_by_resource()
-    else:
-        busy_of = lambda rid, _=None: store.busy_time(rid)  # noqa: E731
-        by_category = store.busy_by_resource()
+    by_category = store.busy_by_resource()
 
     resources = []
     compute_utils = []
@@ -161,7 +131,7 @@ def analyze_trace(trace: TraceLike) -> TraceStats:
     for rid in store.resource_ids_seen():
         # busy accumulates over *all* of the resource's rows in insertion
         # order (not per-category subtotals), matching the original scan
-        busy = busy_of(rid, None)
+        busy = store.busy_time(rid)
         by_cat = by_category[rid]
         util = busy / makespan if makespan else 0.0
         resources.append(

@@ -42,9 +42,8 @@ numbers identically, a run under either engine produces byte-identical
 across every strategy and sweep backend.
 
 Set ``REPRO_NO_FAST_ENGINE=1`` to make :func:`make_simulator` return the
-oracle engine instead (mirroring ``REPRO_NO_NUMPY`` for the vectorized
-analytics fallback); the environment is consulted per call, so tests can
-flip modes in-process.
+oracle engine instead; the environment is consulted per call, so tests
+can flip modes in-process.
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ passes — prove the event loop would have produced the same timeline:
 
 On success the commit replays the engine's exact arithmetic: the first
 links' fetches through real ``ensure`` calls, compute chains bounded by
-the sequential recurrence (:func:`repro.sim._vec.chain_bounds`) from
+the sequential recurrence (``accumulate(durations, initial=t0)``) from
 each chain anchor (a running head's end, the landing time of the
 chain's fetches, or ``now``), rows taken in by each lane in one call
 (``extend_rows``, or ``append`` for a single row), the shadow directory
@@ -78,7 +78,6 @@ from itertools import accumulate
 
 from repro.platform.topology import HOST_SPACE
 from repro.runtime.graph import InstanceKind
-from repro.sim import _vec
 from repro.sim.engine import PRIORITY_COMPLETION
 
 #: process-wide drain telemetry.  The search driver snapshots this around
@@ -646,8 +645,12 @@ class PlanEvaluator:
             )
 
         # compute chains: the sequential recurrence from every chain
-        # anchor, bulk-appended per lane
-        bounds = _vec.chain_bounds(t0s, bound_rows)
+        # anchor (``k + 1`` bounds per chain: row ``i`` spans ``b[i]`` to
+        # ``b[i + 1]``), bulk-appended per lane
+        bounds = [
+            list(accumulate(row, initial=t0))
+            for t0, row in zip(t0s, bound_rows)
+        ]
 
         # every drained write lands at once; write-backs then resolve
         # against the final state, which equals the state at each
@@ -804,8 +807,8 @@ class PlanEvaluator:
         The float arithmetic below is op-for-op the commit sequence of
         ``_try_drain`` (which itself mirrors the engine event by event):
         per-link cursors rooted at the wave's barrier time, scalar
-        left-to-right duration chains (the recurrence of
-        ``_vec.chain_bounds``), write-backs timed
+        left-to-right duration chains (the ``accumulate`` recurrence of
+        the drain), write-backs timed
         from their member's end, flush and overhead folded into the
         fence's completion.  The stretch runs as long as each wave's
         signature has a recorded template — ping-pong loops alternate

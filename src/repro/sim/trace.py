@@ -177,6 +177,12 @@ class ExecutionTrace:
         return self.store.instance_count_by_device(key=key)
 
 
+#: narrowest chart :func:`render_gantt` draws: its footer pads
+#: ``width - GANTT_MIN_WIDTH`` columns between the ``0`` tick and the
+#: makespan label
+GANTT_MIN_WIDTH = 12
+
+
 def render_gantt(
     trace: ExecutionTrace,
     *,
@@ -187,8 +193,13 @@ def render_gantt(
 
     Each resource gets one row; compute occupations draw ``#``, transfers
     ``=``, everything else ``+``.  Intended for eyeballing overlap during
-    development, not for exact reading.
+    development, not for exact reading.  ``width`` is the chart's column
+    count, at least :data:`GANTT_MIN_WIDTH`.
     """
+    if width < GANTT_MIN_WIDTH:
+        raise ValueError(
+            f"gantt width {width} is below the minimum of {GANTT_MIN_WIDTH}"
+        )
     store = trace.store
     if not len(store):
         return "(empty trace)"
@@ -219,5 +230,6 @@ def render_gantt(
             for i in range(lo, hi + 1):
                 row[i] = ch
         lines.append(f"{rid:<{name_w}} |{''.join(row)}|")
-    lines.append(f"{'':<{name_w}}  0{'':<{width - 12}}{span * 1e3:10.3f} ms")
+    pad = width - GANTT_MIN_WIDTH
+    lines.append(f"{'':<{name_w}}  0{'':<{pad}}{span * 1e3:10.3f} ms")
     return "\n".join(lines)

@@ -49,21 +49,14 @@ Ingestion has one entry point per caller shape:
   byte-identical.  A lane built without a store (summary detail) only
   folds: no row, label or metadata dict is kept.
 
-Aggregate queries run in one of two observationally identical ways:
-
-* the **pure-Python path** walks exactly the matching rows and
-  accumulates floats in insertion order per group — the same order the
-  original filtered record scans used;
-* the **vectorized path** (:mod:`repro.sim._vec`, used automatically
-  when numpy is importable, the store holds at least
-  ``_vec.VEC_MIN_ROWS`` rows, and ``REPRO_NO_NUMPY`` is unset) converts
-  the sealed columns to ndarrays once and answers every aggregate with
-  array operations whose accumulation is bit-identical to the Python
-  loop (see the contract notes in ``_vec.py``).
-
-Either way every float computed from a store is bit-identical to the
-original record-scan path — the differential suites in
-``tests/sim/test_tracestore.py``, ``tests/sim/test_vec.py``,
+Aggregate queries are column scans: each walks exactly the matching
+rows and accumulates floats in insertion order per group — the same
+order the original filtered record scans used — so every float computed
+from a store is bit-identical to the record-scan path.  They are the
+oracle for the lanes' fold (:meth:`repro.artifact.TraceSummary.from_store`)
+and serve :class:`~repro.sim.trace.ExecutionTrace`, the trace analysis
+and the Gantt renderer; the differential suites in
+``tests/sim/test_tracestore.py``,
 ``tests/property/test_trace_analytics_properties.py`` and
 ``tests/integration/test_artifact_differential.py`` enforce this.
 
@@ -84,8 +77,6 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from typing import Any, Iterator, Mapping
-
-from repro.sim import _vec
 
 #: shared empty metadata mapping (row meta index -1 points here)
 _NO_META: dict[str, Any] = {}
@@ -557,9 +548,6 @@ class TraceStore:
         "_by_category",
         "_indexed_rows",
         "_max_end",
-        "_vec_view",
-        # the cached view refers back weakly
-        "__weakref__",
     )
 
     def __init__(self) -> None:
@@ -595,7 +583,6 @@ class TraceStore:
         self._by_category: dict[str, list[int]] = {}
         self._indexed_rows = 0
         self._max_end = 0.0
-        self._vec_view = None
 
     # -- staging lanes ---------------------------------------------------
 
@@ -761,8 +748,8 @@ class TraceStore:
 
     # -- pickling --------------------------------------------------------
     #
-    # Only the columns, pools and metadata travel; group indexes and the
-    # vectorized view are caches that rebuild lazily on first query.
+    # Only the columns, pools and metadata travel; the group indexes are
+    # caches that rebuild lazily on first query.
 
     def __getstate__(self):
         self._ensure_flushed()
@@ -799,7 +786,6 @@ class TraceStore:
         self._by_resource = {}
         self._by_category = {}
         self._indexed_rows = 0
-        self._vec_view = None
 
     # -- indexes ---------------------------------------------------------
 
@@ -850,28 +836,6 @@ class TraceStore:
         """Distinct category tags in first-appearance order."""
         self._ensure_indexes()
         return list(self._by_category)
-
-    # -- vectorized view -------------------------------------------------
-
-    def vec_view(self, *, force: bool = False):
-        """The numpy view of this store, or ``None`` on the Python path.
-
-        Built once per sealed row count and cached; appending invalidates
-        it (checked by row count).  ``force=True`` builds a view even for
-        tiny stores (differential tests); it still returns ``None`` when
-        numpy is unavailable or disabled.
-        """
-        self._ensure_flushed()
-        if not _vec.enabled():
-            return None
-        n = len(self.starts)
-        if not force and n < _vec.VEC_MIN_ROWS:
-            return None
-        view = self._vec_view
-        if view is not None and view.n == n:
-            return view
-        view = self._vec_view = _vec.VecView(self)
-        return view
 
     # -- row access ------------------------------------------------------
 
@@ -959,8 +923,7 @@ class TraceStore:
     #
     # Accumulation order matters: each aggregate adds its floats in the
     # same (insertion) order the old filtered record scans did, so the
-    # results are bit-identical to the pre-columnar path.  The vectorized
-    # branch reproduces that accumulation exactly (see _vec.py).
+    # results are bit-identical to the pre-columnar path.
 
     def makespan(self) -> float:
         """Latest end time across all rows (0.0 for an empty store)."""
@@ -969,9 +932,6 @@ class TraceStore:
 
     def busy_time(self, resource_id: str, *, category: str | None = None) -> float:
         """Total occupied seconds on a resource, optionally per category."""
-        vec = self.vec_view()
-        if vec is not None:
-            return vec.busy_time(resource_id, category)
         starts, ends = self.starts, self.ends
         total = 0.0
         if category is None:
@@ -989,9 +949,6 @@ class TraceStore:
 
     def total_time(self, *, category: str) -> float:
         """Total occupied seconds across all resources for a category."""
-        vec = self.vec_view()
-        if vec is not None:
-            return vec.total_time(category)
         starts, ends = self.starts, self.ends
         total = 0.0
         for row in self.rows_by_category(category):
@@ -1013,9 +970,6 @@ class TraceStore:
                 group = str(group)
                 out[group] = out.get(group, 0) + int(size)
             return out
-        vec = self.vec_view()
-        if vec is not None:
-            return vec.elements_by_kind(category)
         out = {}
         kind_codes, sizes = self.kind_codes, self.sizes
         table = self.kind_pool.table
@@ -1040,9 +994,6 @@ class TraceStore:
                 group = str(group)
                 out[group] = out.get(group, 0) + 1
             return out
-        vec = self.vec_view()
-        if vec is not None:
-            return vec.instance_count_by_kind()
         out = {}
         kind_codes = self.kind_codes
         table = self.kind_pool.table
@@ -1056,9 +1007,6 @@ class TraceStore:
 
     def ratio_by_kernel(self, *, category: str = "compute") -> dict[str, dict[str, int]]:
         """Kernel name -> device kind -> indices (per-kernel split ratios)."""
-        vec = self.vec_view()
-        if vec is not None:
-            return vec.ratio_by_kernel(category)
         out: dict[str, dict[str, int]] = {}
         kernel_codes, kind_codes, sizes = (
             self.kernel_codes, self.kind_codes, self.sizes
@@ -1082,9 +1030,6 @@ class TraceStore:
         Per (resource, category) pair the durations accumulate in
         insertion order, matching a filtered scan of the records.
         """
-        vec = self.vec_view()
-        if vec is not None:
-            return vec.busy_by_resource()
         out: dict[str, dict[str, float]] = {}
         starts, ends = self.starts, self.ends
         category_codes = self.category_codes
@@ -1103,9 +1048,6 @@ class TraceStore:
         Matches the old per-direction filtered scans: both directions are
         accumulated in insertion order over the transfer rows.
         """
-        vec = self.vec_view()
-        if vec is not None:
-            return vec.transfer_time_by_direction()
         out = {"h2d": 0.0, "d2h": 0.0}
         starts, ends = self.starts, self.ends
         direction_codes = self.direction_codes

@@ -27,9 +27,9 @@ def _repro_env() -> dict[str, str]:
 def repro_env_unchanged():
     """Fail any test that leaves a ``REPRO_*`` variable changed.
 
-    CI runs the whole suite under ``REPRO_NO_NUMPY=1`` or
-    ``REPRO_NO_FAST_ENGINE=1``; a test that drops or rewrites the toggle
-    would silently move every later test onto the other path.
+    CI runs the whole suite under ``REPRO_NO_FAST_ENGINE=1`` too; a test
+    that drops or rewrites the toggle would silently move every later
+    test onto the other engine.
     """
     before = _repro_env()
     yield

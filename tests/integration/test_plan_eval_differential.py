@@ -153,12 +153,12 @@ SUBPROCESS_SCRIPT = (
 
 @pytest.mark.parametrize("detail", ("summary", "full"))
 def test_pickle_bytes_identical_in_fresh_processes(detail):
-    """Byte identity across (drain × numpy) in fresh interpreters."""
+    """Byte identity across (drain × engine) in fresh interpreters."""
     src = str(Path(__file__).resolve().parents[2] / "src")
 
-    def dump(drain, no_numpy):
+    def dump(drain, no_fast):
         env = dict(os.environ, PYTHONPATH=src,
-                   REPRO_NO_NUMPY="1" if no_numpy else "0")
+                   REPRO_NO_FAST_ENGINE="1" if no_fast else "0")
         proc = subprocess.run(
             [sys.executable, "-c", SUBPROCESS_SCRIPT, detail,
              "1" if drain else "0"],
@@ -166,10 +166,10 @@ def test_pickle_bytes_identical_in_fresh_processes(detail):
         )
         return proc.stdout
 
-    ref = dump(drain=False, no_numpy=False)
+    ref = dump(drain=False, no_fast=False)
     assert len(ref) > 500
-    for drain, no_numpy in ((True, False), (True, True), (False, True)):
-        assert dump(drain, no_numpy) == ref, (drain, no_numpy)
+    for drain, no_fast in ((True, False), (True, True), (False, True)):
+        assert dump(drain, no_fast) == ref, (drain, no_fast)
     artifact = pickle.loads(ref)
     assert artifact.makespan_ms > 0
 
@@ -374,9 +374,8 @@ def test_synced_pickle_bytes_identical_in_fresh_processes(detail):
     """Wave-drained artifacts are byte-identical across every engine tier."""
     src = str(Path(__file__).resolve().parents[2] / "src")
 
-    def dump(drain, no_numpy, no_fast=False):
+    def dump(drain, no_fast):
         env = dict(os.environ, PYTHONPATH=src,
-                   REPRO_NO_NUMPY="1" if no_numpy else "0",
                    REPRO_NO_FAST_ENGINE="1" if no_fast else "0")
         proc = subprocess.run(
             [sys.executable, "-c", SYNCED_SUBPROCESS_SCRIPT, detail,
@@ -385,17 +384,9 @@ def test_synced_pickle_bytes_identical_in_fresh_processes(detail):
         )
         return proc.stdout
 
-    ref = dump(drain=False, no_numpy=False)
+    ref = dump(drain=False, no_fast=False)
     assert len(ref) > 500
-    combos = (
-        (True, False, False),
-        (True, True, False),
-        (False, True, False),
-        (True, False, True),
-        (True, True, True),
-    )
-    for drain, no_numpy, no_fast in combos:
-        got = dump(drain, no_numpy, no_fast)
-        assert got == ref, (drain, no_numpy, no_fast)
+    for drain, no_fast in ((True, False), (True, True), (False, True)):
+        assert dump(drain, no_fast) == ref, (drain, no_fast)
     artifact = pickle.loads(ref)
     assert artifact.makespan_ms > 0

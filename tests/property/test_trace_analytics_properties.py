@@ -1,51 +1,40 @@
 """Property-based differential tests of the trace analytics paths.
 
-Hypothesis generates arbitrary row mixes — duplicated timestamps,
-zero-length intervals, rows with and without hot metadata, device tags
-aliasing resource ids — and every aggregate the store answers must be
+Hypothesis generates arbitrary row mixes — duplicated and tied
+timestamps, zero-length intervals, rows with and without hot metadata,
+device tags aliasing resource ids — and every aggregate must be
 bit-identical (``==``, never approx) across three routes:
 
-* the array-backed column scan (the pure-Python fallback),
-* the forced numpy :class:`~repro.sim._vec.VecView`,
+* the store's array-backed column scans (:meth:`TraceSummary.from_store`),
+* the production fold: the same rows fed through
+  :meth:`~repro.sim.tracestore.TraceStore.lane`, several lanes per
+  resource and per transfer direction, merged by
+  :meth:`TraceSummary.from_lanes`,
 * a naive re-scan of the materialized :class:`TraceRecord` rows (the
   pre-columnar oracle).
 """
 
-import os
-from contextlib import contextmanager
-from unittest import mock
+import pickle
 
-import pytest
-
-pytest.importorskip("numpy")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import _vec
-from repro.sim.analysis import analyze_trace, compute_overlap_fraction
+from repro.artifact import TraceSummary
+from repro.sim.analysis import analyze_trace
 from repro.sim.trace import ExecutionTrace
+from repro.sim.tracestore import TraceStore
 
 RESOURCES = ("cpu:0", "gpu:0", "link:h2d", "dev")
-
-
-def scalar_path():
-    """Force the pure-Python path inside the block, then restore the
-    toggle to whatever it was (a whole run may hold it set)."""
-    return mock.patch.dict(os.environ, {"REPRO_NO_NUMPY": "1"})
-
-
-@contextmanager
-def numpy_path():
-    """Unset the toggle inside the block, then restore it."""
-    with mock.patch.dict(os.environ):
-        os.environ.pop("REPRO_NO_NUMPY", None)
-        yield
 CATEGORIES = ("compute", "transfer", "overhead")
 
 
 def _row(draw):
     category = draw(st.sampled_from(CATEGORIES))
-    start = draw(st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False))
+    # a few fixed starts make tied timestamps common
+    start = draw(st.one_of(
+        st.sampled_from((0.0, 1.0, 2.5)),
+        st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False),
+    ))
     # durations include exactly 0 so intervals can tie and touch
     duration = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
     meta = {}
@@ -72,6 +61,16 @@ def traces(draw):
         rid, cat, start, end, meta = _row(draw)
         trace.record(rid, f"t{i}", cat, start, end, meta)
     return trace
+
+
+@st.composite
+def laned_rows(draw):
+    """Rows plus a lane slot each: rows of one stream sharing a slot share
+    a lane, so a stream (and a transfer direction) spreads over several."""
+    return [
+        (*_row(draw), draw(st.integers(0, 1)))
+        for _ in range(draw(st.integers(0, 60)))
+    ]
 
 
 def record_scan_aggregates(records):
@@ -112,54 +111,59 @@ def test_python_path_matches_record_scan(trace):
     store = trace.store
     records = list(trace)
     oracle = record_scan_aggregates(records)
-    with scalar_path():
-        assert {
-            rid: store.busy_time(rid) for rid in store.resource_ids_seen()
-        } == oracle["busy"]
-        assert store.busy_by_resource() == oracle["by_resource"]
-        assert store.transfer_time_by_direction() == oracle["transfer"]
-        assert store.elements_by_device() == oracle["elements"]
-        assert store.ratio_by_kernel() == oracle["ratio"]
+    assert {
+        rid: store.busy_time(rid) for rid in store.resource_ids_seen()
+    } == oracle["busy"]
+    assert store.busy_by_resource() == oracle["by_resource"]
+    assert store.transfer_time_by_direction() == oracle["transfer"]
+    assert store.elements_by_device() == oracle["elements"]
+    assert store.ratio_by_kernel() == oracle["ratio"]
 
 
 @settings(max_examples=150, deadline=None)
-@given(traces())
-def test_vec_path_matches_python_path(trace):
-    store = trace.store
-    with scalar_path():
-        python = {
-            "busy": {
-                rid: store.busy_time(rid) for rid in store.resource_ids_seen()
-            },
-            "by_resource": store.busy_by_resource(),
-            "transfer": store.transfer_time_by_direction(),
-            "elements": store.elements_by_device(),
-            "instances": store.instance_count_by_device(),
-            "ratio": store.ratio_by_kernel(),
-            "overlap": compute_overlap_fraction(store),
-            "stats": analyze_trace(store),
-        }
+@given(laned_rows())
+def test_lane_fold_matches_store_and_record_scan(rows):
+    store = TraceStore()
+    lanes = {}
+    for i, (rid, cat, start, end, meta, slot) in enumerate(rows):
+        key = (rid, cat, meta.get("device_kind"), meta.get("device"),
+               meta.get("direction"), slot)
+        lane = lanes.get(key)
+        if lane is None:
+            consts = {k: meta[k] for k in ("device_kind", "device",
+                                           "direction") if k in meta}
+            lane = lanes[key] = store.lane(rid, cat, "t{}", **consts)
+        lane.append(start, end, (i,), meta.get("size", -1),
+                    meta.get("kernel"), dict(meta) if meta else None)
+    # folded before anything reads (and so flushes) the store
+    folded = TraceSummary.from_lanes(lanes.values())
+    stored = TraceSummary.from_store(store)
+    assert folded == stored
+    assert pickle.dumps(folded, 5) == pickle.dumps(stored, 5)
 
-    with numpy_path():
-        vec = store.vec_view(force=True)
-        assert vec is not None
-        assert {
-            rid: vec.busy_time(rid) for rid in store.resource_ids_seen()
-        } == python["busy"]
-        assert vec.busy_by_resource() == python["by_resource"]
-        assert vec.transfer_time_by_direction() == python["transfer"]
-        assert vec.elements_by_kind("compute") == python["elements"]
-        assert vec.instance_count_by_kind() == python["instances"]
-        assert vec.ratio_by_kernel("compute") == python["ratio"]
-
-        # route analyze/overlap through the view regardless of store size
-        old_min = _vec.VEC_MIN_ROWS
-        _vec.VEC_MIN_ROWS = 0
-        try:
-            assert compute_overlap_fraction(store) == python["overlap"]
-            assert analyze_trace(store) == python["stats"]
-        finally:
-            _vec.VEC_MIN_ROWS = old_min
+    # the flushed store holds each lane's rows as one block; the oracle
+    # scans them in that order
+    records = list(ExecutionTrace(store))
+    oracle = record_scan_aggregates(records)
+    instances = {}
+    for r in records:
+        kind = r.meta.get("device_kind")
+        if r.category == "compute" and kind is not None:
+            instances[kind] = instances.get(kind, 0) + 1
+    assert folded.record_count == len(records) == len(rows)
+    assert folded.trace_makespan_s == max(
+        (r.end for r in records), default=0.0
+    )
+    assert folded.busy_by_resource == oracle["by_resource"]
+    assert folded.transfer_time_s == oracle["transfer"]
+    assert folded.elements_by_device == oracle["elements"]
+    assert folded.instances_by_device == instances
+    assert folded.ratio_by_kernel == oracle["ratio"]
+    # the trace analysis reads the laned store like any other
+    stats = analyze_trace(store)
+    for rid, busy in oracle["busy"].items():
+        assert stats.resource(rid).busy_s == busy
+        assert stats.resource(rid).by_category == oracle["by_resource"][rid]
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,14 +1,11 @@
-"""Unit coverage of the drain tables and their vector/trace primitives.
+"""Unit coverage of the drain tables and their trace primitives.
 
 Which runs hold a drain and ``compile_plan``'s tables, the drain
-counters, ``_vec.chain_bounds``'s bit parity with the sequential lane
-chain (with and without numpy), and
-``TraceLane.extend_rows``'s equivalence to row-at-a-time appends.  The
-end-to-end drain exactness lives in
+counters, and ``TraceLane.extend_rows``'s equivalence to row-at-a-time
+appends.  The end-to-end drain exactness lives in
 ``tests/integration/test_plan_eval_differential.py``.
 """
 
-from array import array
 from dataclasses import replace
 
 import pytest
@@ -16,7 +13,6 @@ import pytest
 from repro.apps import get_application
 from repro.partition.base import get_strategy
 from repro.runtime.executor import RuntimeConfig, _Run
-from repro.sim import _vec
 from repro.sim.plan import compile_plan, drain_stats
 from repro.sim.tracestore import TraceStore
 
@@ -104,31 +100,6 @@ class TestCompileGates:
             "evaluations", "compile_errors", "wave_fallbacks",
             "waves_drained", "waves_replayed", "terminal_drains",
         }
-
-
-class TestChainBounds:
-    CASES = [
-        ([0.5], [array("d", [0.25, 0.125, 1.5])]),
-        ([1.0, 2.0], [array("d", [0.1] * 7), array("d", [])]),
-        ([0.0, 3.5, 7.25], [array("d", [1e-9, 2.5]), array("d", [0.125]),
-                            array("d", [0.3, 0.7, 0.11, 1e3])]),
-        ([], []),
-    ]
-
-    @pytest.mark.parametrize("t0s,rows", CASES)
-    def test_matches_scalar_lane_bounds(self, t0s, rows):
-        got = _vec.chain_bounds(t0s, rows)
-        want = [_vec.lane_bounds(t0, row) for t0, row in zip(t0s, rows)]
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert list(g) == list(w)  # bit-exact, == not approx
-
-    @pytest.mark.parametrize("t0s,rows", CASES)
-    def test_scalar_fallback_identical(self, t0s, rows, monkeypatch):
-        got = [list(b) for b in _vec.chain_bounds(t0s, rows)]
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        fallback = [list(b) for b in _vec.chain_bounds(t0s, rows)]
-        assert got == fallback
 
 
 class TestExtendRows:

@@ -11,8 +11,7 @@ event loop alone (``RuntimeConfig(drain=False)``) and for summary runs
 whose drain commits or refuses at every quiet point.  Summary-detail
 runs must not build a trace store at all.
 
-CI runs this file under ``REPRO_NO_NUMPY=1`` (scalar chain bounds and
-store aggregates) and ``REPRO_NO_FAST_ENGINE=1`` (oracle engine) too.
+CI runs this file under ``REPRO_NO_FAST_ENGINE=1`` (oracle engine) too.
 """
 
 import pickle
@@ -146,8 +145,8 @@ def test_summary_detail_engine_pickles_like_full(platform, app, n,
 def test_summary_detail_evaluator_pickles_like_full(
     platform, app, n, iterations, refuse, monkeypatch
 ):
-    """The drain's bulk rows (numpy bounds included) fold exactly, and so
-    do runs whose drain refuses at every quiet point."""
+    """The drain's bulk rows fold exactly, and so do runs whose drain
+    refuses at every quiet point."""
     if refuse:
         monkeypatch.setattr(plan_mod.PlanEvaluator, "_try_drain",
                             lambda *args: False)

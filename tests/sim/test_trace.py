@@ -89,3 +89,10 @@ class TestGantt:
         lines = out.splitlines()
         assert any(line.startswith("gpu0") for line in lines)
         assert any(line.startswith("link") for line in lines)
+
+    def test_narrowest_width_renders_and_narrower_is_rejected(self, trace):
+        out = render_gantt(trace, width=12)
+        assert all("|" in line for line in out.splitlines()[:-1])
+        for width in (11, 0, -3):
+            with pytest.raises(ValueError, match="minimum of 12"):
+                render_gantt(trace, width=width)

@@ -3,11 +3,10 @@
 :class:`TraceLane` staging exists purely for speed: it must be
 observationally identical to row-at-a-time ``record()`` — same pickle
 bytes for grouped streams, same ``analyze_trace`` output, same labels
-and metadata — for randomized occupation streams, with and without
-numpy (``REPRO_NO_NUMPY=1`` exercises the pure-Python aggregate
-fallbacks).  ``SimResource.occupy(..., lane=...)`` must additionally
-write byte-identical stores under both simulation engines, queued
-occupations included.
+and metadata — for randomized occupation streams.
+``SimResource.occupy(..., lane=...)`` must additionally write
+byte-identical stores under both simulation engines, queued occupations
+included.
 """
 
 import pickle
@@ -50,13 +49,6 @@ def _random_runs(seed: int, runs: int = 12, max_rows: int = 40):
     return out
 
 
-@pytest.fixture(params=[False, True], ids=["numpy", "no-numpy"])
-def maybe_no_numpy(request, monkeypatch):
-    if request.param:
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    return request.param
-
-
 class TestLaneParity:
     def test_grouped_streams_pickle_identical_to_record(self):
         """Lane ingestion == record() when rows arrive stream-grouped.
@@ -86,7 +78,7 @@ class TestLaneParity:
                 )
         assert pickle.dumps(recorded, 5) == pickle.dumps(laned, 5)
 
-    def test_interleaved_streams_match_analytics(self, maybe_no_numpy):
+    def test_interleaved_streams_match_analytics(self):
         """Interleaved lane appends regroup rows but keep every query.
 
         Row order differs from chronological record() ingestion (staged

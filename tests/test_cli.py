@@ -210,6 +210,35 @@ class TestMaxEvents:
         assert "Only-CPU" in capsys.readouterr().out
 
 
+class TestIntBounds:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "STREAM-Loop", "--gantt", "--gantt-width", "0"],
+             "--gantt-width"),
+            (["run", "STREAM-Loop", "--gantt", "--gantt-width", "11"],
+             "--gantt-width"),
+            (["run", "STREAM-Loop", "--max-events", "0"], "--max-events"),
+            (["search", "HotSpot", "--grid", "0"], "--grid"),
+            (["search", "HotSpot", "--grid", "1"], "--grid"),
+            (["search", "HotSpot", "--beam", "0"], "--beam"),
+            (["search", "HotSpot", "--beam", "-2"], "--beam"),
+            (["search", "HotSpot", "--top", "-1"], "--top"),
+            (["search", "HotSpot", "--rounds", "-1"], "--rounds"),
+        ],
+    )
+    def test_out_of_range_value_is_a_usage_error(self, argv, flag, capsys):
+        # rejected while parsing: nothing runs, argparse exits 2 with a
+        # one-line message naming the flag
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {flag}: must be >= " in captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestExperiment:
     def test_time_experiment(self, capsys):
         assert main(["experiment", "fig5", "--scale", "0.02"]) == 0
