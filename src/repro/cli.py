@@ -87,6 +87,19 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
+def _scale(text: str) -> float:
+    """An argparse ``type`` for a problem-size scale factor in (0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return value
+
+
 def _add_cache_dir(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -444,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p)
     _add_jobs(p)
-    p.add_argument("--scale", type=float, default=1.0,
+    p.add_argument("--scale", type=_scale, default=1.0,
                    help="problem-size scale factor (0, 1]")
     p.add_argument("--compare", action="store_true",
                    help="compare the measured ordering against Table I and "
@@ -486,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_jobs(p)
     p.add_argument("key", choices=sorted(EXPERIMENTS))
-    p.add_argument("--scale", type=float, default=1.0,
+    p.add_argument("--scale", type=_scale, default=1.0,
                    help="problem-size scale factor (0, 1]")
     p.add_argument("-o", "--output", default=None,
                    help="export data to FILE.csv or FILE.json")
@@ -494,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("speedup", help="regenerate Figure 12")
     _add_common(p)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_scale, default=1.0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_speedup)
 
@@ -509,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_jobs(p)
     p.add_argument("-o", "--output", default="results")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_scale, default=1.0)
     p.set_defaults(func=cmd_regenerate)
 
     p = sub.add_parser("characterize", help="print the workload table")

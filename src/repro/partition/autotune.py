@@ -5,8 +5,9 @@ well. ... the task size variation leads to performance variation.  Thus,
 auto-tuning is recommended to find the best performing one."
 
 :func:`autotune_task_count` sweeps candidate task counts (multiples of the
-thread count, as the paper varies ``m``) for a dynamic strategy and returns
-the best-performing one together with the sweep results.
+thread count, as the paper varies ``m``) for a dynamic strategy that chunks
+by task count and returns the best-performing one together with the sweep
+results.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 from repro.errors import PartitioningError
 from repro.partition.base import PlanConfig, Strategy
+from repro.partition.search import TASK_COUNT_STRATEGIES
 from repro.platform.topology import Platform
 from repro.runtime.executor import RuntimeConfig
 from repro.runtime.graph import Program
@@ -46,12 +48,14 @@ def autotune_task_count(
 
     The strategy is re-planned for every candidate (its profiling is
     cheap), and every candidate is executed on the simulated runtime with
-    the same thread count.
+    the same thread count.  Only :data:`TASK_COUNT_STRATEGIES` read the
+    task count; any other strategy, static ones included, raises, since
+    its sweep would repeat one plan.
     """
-    if strategy.static:
+    if strategy.name not in TASK_COUNT_STRATEGIES:
         raise PartitioningError(
-            f"{strategy.name} is static; task-size tuning applies to "
-            "dynamic strategies"
+            f"{strategy.name} does not chunk by task count; task-size "
+            f"tuning applies to {', '.join(TASK_COUNT_STRATEGIES)}"
         )
     if not multipliers:
         raise PartitioningError("need at least one multiplier")

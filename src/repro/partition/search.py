@@ -5,8 +5,11 @@ strategy's internal predictor for the split point.  This module searches
 *across* that structure, HeSP-style: every applicable strategy's default
 pick seeds the candidate set, a split-ratio grid sweeps the SP-* families
 at forced GPU fractions (``PlanConfig.gpu_fraction``), a task-count ladder
-covers the dynamic families' chunking knob, and a beam of the best
-fraction candidates is refined on a halving grid for a few rounds.
+covers the chunking knob of the dynamic strategies that read it
+(:data:`TASK_COUNT_STRATEGIES`), and a beam of the best fraction
+candidates is refined on a halving grid for a few rounds.  DP-Guided and
+HYB-Static chunk by thread count, so they keep only their seed run: a
+ladder row would repeat it exactly.
 
 Every candidate is one :class:`~repro.bench.harness.SweepCell`, so the
 search streams through the ordinary sweep backends (``jobs`` process
@@ -45,6 +48,10 @@ from repro.runtime.executor import RuntimeConfig
 
 #: SP families the fraction grid can drive (they honor ``gpu_fraction``)
 FRACTION_STRATEGIES = ("SP-Single", "SP-Unified", "SP-Varied")
+
+#: dynamic families the task-count ladder can drive (they chunk by
+#: ``PlanConfig.chunks``; DP-Guided and HYB-Static chunk by thread count)
+TASK_COUNT_STRATEGIES = ("DP-Perf", "DP-Dep", "DP-Aff")
 
 #: task-count multipliers explored for dynamic strategies (the §V knob)
 TASK_COUNT_LADDER = (0.5, 2.0, 4.0)
@@ -91,11 +98,11 @@ class SearchResult:
 
     ``plan_compile_errors`` and ``wave_fallbacks`` surface the silent
     event-loop fallbacks behind the numbers: candidates that cannot
-    drain at all (dynamic schedulers — expected for the DP-*/HYB-*
-    families) and barrier waves whose gates failed mid-run.  Both are
-    exact under serial evaluation (``jobs=1``, no remote workers) and a
-    lower bound otherwise — pool workers keep their own process-wide
-    counters.
+    drain at all (dynamic schedulers — expected for every DP-* and
+    HYB-Static seed and every task-count ladder row) and barrier waves
+    whose gates failed mid-run.  Both are exact under serial evaluation
+    (``jobs=1``, no remote workers) and a lower bound otherwise — pool
+    workers keep their own process-wide counters.
     """
 
     app: str
@@ -149,7 +156,7 @@ class SearchSpace:
 
     seed_strategies: list[str]
     fraction_strategies: list[str]
-    dynamic_strategies: list[str]
+    task_count_strategies: list[str]
     grid: int
     base_config: PlanConfig
     default_tasks: int
@@ -173,7 +180,7 @@ class SearchSpace:
             for i in range(self.grid):
                 frac = i / (self.grid - 1) if self.grid > 1 else 0.5
                 self._emit(out, Candidate(strategy=name, gpu_fraction=frac))
-        for name in self.dynamic_strategies:
+        for name in self.task_count_strategies:
             for mult in TASK_COUNT_LADDER:
                 tasks = max(1, int(round(self.default_tasks * mult)))
                 self._emit(out, Candidate(strategy=name, task_count=tasks))
@@ -213,14 +220,12 @@ def _build_space(
         except (StrategyInapplicableError, PartitioningError):
             continue
         fractions.append(name)
-    dynamics = [
-        n for n in seeds
-        if n.startswith("DP-") or n.startswith("HYB-")
-    ]
     return SearchSpace(
         seed_strategies=seeds,
         fraction_strategies=fractions,
-        dynamic_strategies=dynamics,
+        task_count_strategies=[
+            n for n in seeds if n in TASK_COUNT_STRATEGIES
+        ],
         grid=grid,
         base_config=config,
         default_tasks=config.chunks(platform),
@@ -305,6 +310,8 @@ def search_plan(
 ) -> SearchResult:
     """Search (strategy × split ratio × chunking) for one scenario.
 
+    Chunking is searched only for :data:`TASK_COUNT_STRATEGIES`, the
+    dynamic strategies whose plans read ``PlanConfig.task_count``.
     ``grid`` sets the coarse fraction resolution (points in [0, 1]);
     ``beam`` how many best fraction candidates each refinement round
     expands; ``rounds`` how many halving refinement rounds follow the

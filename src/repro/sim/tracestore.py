@@ -121,15 +121,6 @@ def _const_q(value: int, k: int) -> array:
     return array("q", (value,)) * k
 
 
-def _as_floats(values) -> list:
-    """``values`` as a list of Python floats (arrays and ndarrays via
-    ``tolist``, which unboxes numpy scalars)."""
-    if type(values) is list:
-        return values
-    tolist = getattr(values, "tolist", None)
-    return tolist() if tolist is not None else list(values)
-
-
 #: transfer directions the summary reports (``transfer_time_s`` keys)
 SUMMARY_DIRECTIONS = ("h2d", "d2h")
 
@@ -151,9 +142,9 @@ class TraceLane:
     creation, and :meth:`append` costs a handful of ``array`` pushes per
     row — no interning, no ``dict(meta)`` copy, no per-row branching on
     the metadata shape — while :meth:`extend_rows` ingests a whole run
-    of rows with ``array.extend``/``frombytes`` bulk copies.  A lane
-    built with ``store=None`` only folds: label arguments and metadata
-    are ignored and no row is ever kept.
+    of rows with ``array.extend`` bulk copies.  A lane built with
+    ``store=None`` only folds: label arguments and metadata are ignored
+    and no row is ever kept.
 
     Contract (checked by the differential ingestion suite, not per
     append): label ``args`` are at most one leading ``str`` plus up to
@@ -360,13 +351,12 @@ class TraceLane:
         stands for the defaults :meth:`append` would use (``0`` int args,
         ``-1`` size, no kernel, no meta).  Equivalent to ``k``
         :meth:`append` calls with the same payload, fold and staged
-        bytes alike.  The fold reads the bounds as Python floats, so
-        numpy ``float64`` bounds never leak into the summary.
+        bytes alike.  ``starts`` and ``ends`` are sequences of Python
+        floats.
 
         On a staging lane the numeric columns are extended with
-        ``array.extend``/``frombytes`` bulk copies; only the genuinely
-        varying strings (``str_args``, ``kernels``) pay a per-row intern
-        lookup.
+        ``array.extend`` bulk copies; only the genuinely varying strings
+        (``str_args``, ``kernels``) pay a per-row intern lookup.
         """
         k = len(starts)
         if k == 0:
@@ -381,24 +371,22 @@ class TraceLane:
                     f"extend_rows: {len(values)} {name} for {k} rows"
                 )
 
-        fs = _as_floats(starts)
-        fe = _as_floats(ends)
         busy = self.busy
         durations = self.durations
         if durations is None:
-            for s, e in zip(fs, fe):
+            for s, e in zip(starts, ends):
                 busy += e - s
         else:
-            for s, e in zip(fs, fe):
+            for s, e in zip(starts, ends):
                 d = e - s
                 busy += d
                 durations.append(d)
         self.busy = busy
         self.rows += k
-        top = max(fe)
+        top = max(ends)
         if top > self.max_end:
             self.max_end = top
-        self.last_end = fe[-1]
+        self.last_end = ends[-1]
         if sizes is not None:
             elements = self.elements
             for kernel, size in zip(
@@ -409,12 +397,6 @@ class TraceLane:
         if not self.staging:
             return
 
-        def _ext_d(col, values):
-            if type(values).__name__ == "ndarray":
-                col.frombytes(values.tobytes())
-            else:
-                col.extend(values)
-
         def _ext_q(col, values, default):
             if values is None:
                 col.extend(_const_q(default, k))
@@ -423,8 +405,8 @@ class TraceLane:
             else:
                 col.extend(array("q", values))
 
-        _ext_d(self.starts, starts)
-        _ext_d(self.ends, ends)
+        self.starts.extend(starts)
+        self.ends.extend(ends)
         if str_args is None:
             self.str_codes.extend(_const_i(-1, k))
         else:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import PartitioningError
-from repro.partition import DPPerf, SPSingle, autotune_task_count
+from repro.partition import DPGuided, DPPerf, SPSingle, autotune_task_count
 from repro.partition.autotune import AutotuneResult
 
 from tests.conftest import single_kernel_program
@@ -45,6 +45,13 @@ class TestAutotune:
         program = single_kernel_program(n=1000)
         with pytest.raises(PartitioningError):
             autotune_task_count(SPSingle(), program, tiny_platform)
+
+    def test_rejects_strategy_that_ignores_task_count(self, tiny_platform):
+        # DP-Guided chunks by thread count: every sweep point would repeat
+        # one plan
+        program = single_kernel_program(n=100_000, flops=50.0, mem_bytes=0.0)
+        with pytest.raises(PartitioningError, match="task count"):
+            autotune_task_count(DPGuided(), program, tiny_platform)
 
     def test_rejects_empty_multipliers(self, tiny_platform):
         program = single_kernel_program(n=1000)

@@ -5,8 +5,14 @@ import os
 
 import pytest
 
-from repro.errors import PartitioningError
-from repro.partition.search import format_search, search_plan
+from repro.apps.registry import get_application
+from repro.errors import PartitioningError, StrategyInapplicableError
+from repro.partition.base import PlanConfig, get_strategy, list_strategies
+from repro.partition.search import (
+    TASK_COUNT_STRATEGIES,
+    format_search,
+    search_plan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +83,8 @@ class TestSearchPlan:
         assert result.best.makespan_ms <= result.baseline.makespan_ms
 
     def test_fallback_counts_recorded(self, stream_result):
-        # the dynamic seeds (DP-*) cannot drain and are tallied; the
-        # sync-free scenario has no barriers, so no wave ever falls back
+        # the dynamic seeds and ladder rows cannot drain and are tallied;
+        # the sync-free scenario has no barriers, so no wave falls back
         assert stream_result.plan_compile_errors > 0
         assert stream_result.wave_fallbacks == 0
 
@@ -135,6 +141,70 @@ class TestSearchPlan:
             (r.candidate, r.makespan_ms) for r in rs.evaluated
         ]
         assert key(parallel) == key(stream_result)
+
+
+class TestTaskCountLadder:
+    def test_tuple_names_exactly_the_planners_that_read_task_count(
+        self, paper_platform_module
+    ):
+        """Planning at task_count m and 2m changes the chunking exactly
+        for the strategies on the ladder, so the tuple tracks the
+        planners."""
+        program = get_application("STREAM-Loop").program(
+            2048, iterations=2, sync=False
+        )
+        m = PlanConfig().threads(paper_platform_module)
+
+        def chunking(strategy, tasks):
+            plan = strategy.plan(
+                program, paper_platform_module, PlanConfig(task_count=tasks)
+            )
+            return [
+                (inst.kind, inst.lo, inst.hi, inst.pinned_device,
+                 inst.pinned_resource)
+                for inst in plan.graph.instances
+            ]
+
+        reads_task_count = set()
+        planned = set()
+        for name in list_strategies():
+            strategy = get_strategy(name)
+            try:
+                at_m = chunking(strategy, m)
+            except (StrategyInapplicableError, PartitioningError):
+                continue
+            planned.add(name)
+            if chunking(strategy, 2 * m) != at_m:
+                reads_task_count.add(name)
+        assert {"DP-Guided", "HYB-Static"} <= planned
+        assert reads_task_count == set(TASK_COUNT_STRATEGIES)
+
+    def test_only_task_count_strategies_are_laddered(
+        self, paper_platform_module, stream_result
+    ):
+        rows = stream_result.evaluated
+        assert {"DP-Guided", "HYB-Static"} <= {
+            r.candidate.strategy for r in rows
+        }
+        assert not [
+            r for r in rows
+            if r.candidate.strategy in ("DP-Guided", "HYB-Static")
+            and r.candidate.task_count is not None
+        ]
+        assert {
+            r.candidate.strategy for r in rows
+            if r.candidate.task_count is not None
+        } == set(TASK_COUNT_STRATEGIES)
+        refused = search_plan(
+            "STREAM-Loop", paper_platform_module, n=2048, iterations=4,
+            grid=5, rounds=1, plan_eval=False,
+        )
+        key = lambda rs: [
+            (r.candidate, r.makespan_ms, r.gpu_fraction, r.hardware_config,
+             r.round)
+            for r in rs
+        ]
+        assert key(refused.evaluated) == key(rows)
 
 
 class TestSearchArtifact:

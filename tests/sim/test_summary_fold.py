@@ -287,14 +287,13 @@ class TestMultiLaneGroups:
 
 class TestFoldOnlyLane:
     def test_extend_rows_matches_appends(self):
-        np = pytest.importorskip("numpy")
         rows = [(0.0, 0.1, "k1", 3), (0.1, 0.30000000000000004, "k2", 5),
                 (0.30000000000000004, 0.7, "k1", -1)]
         one = TraceLane(None, "r", "compute", "", device_kind="gpu")
         for start, end, kernel, size in rows:
             one.append(start, end, size=size, kernel=kernel)
         bulk = TraceLane(None, "r", "compute", "", device_kind="gpu")
-        bounds = np.array([0.0, 0.1, 0.30000000000000004, 0.7])
+        bounds = [0.0, 0.1, 0.30000000000000004, 0.7]
         bulk.extend_rows(bounds[:-1], bounds[1:],
                          sizes=[r[3] for r in rows],
                          kernels=[r[2] for r in rows])

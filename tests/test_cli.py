@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.errors import SimulationError
 
 
@@ -237,6 +237,27 @@ class TestIntBounds:
         assert captured.out == ""
         assert f"error: argument {flag}: must be >= " in captured.err
         assert "Traceback" not in captured.err
+
+
+class TestScaleBounds:
+    @pytest.mark.parametrize("command", [
+        ["rank"], ["experiment", "fig5"], ["speedup"], ["regenerate"],
+    ])
+    @pytest.mark.parametrize("value", ["0", "2", "-0.5", "nan", "abc"])
+    def test_scale_outside_unit_interval_is_a_usage_error(
+        self, command, value, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--scale", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --scale: " in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_scale_of_one_is_accepted(self):
+        args = build_parser().parse_args(["rank", "--scale", "1"])
+        assert args.scale == 1.0
 
 
 class TestExperiment:
