@@ -23,7 +23,7 @@ import repro.cache as _cache
 from repro.artifact import RunArtifact
 from repro.errors import ConfigurationError, PartitioningError
 from repro.platform.topology import Platform
-from repro.runtime.dependence import build_dependences
+from repro.runtime.dependence import build_dependences, endpoint_order
 from repro.runtime.executor import RuntimeConfig, RuntimeEngine
 from repro.runtime.graph import KernelInvocation, Program, TaskGraph, expand_program
 from repro.runtime.schedulers.base import Scheduler
@@ -202,7 +202,7 @@ def has_inter_kernel_sync(program: Program) -> bool:
 
 
 class SweepScope:
-    """One scenario's program and unpinned task graphs, shared by a sweep.
+    """One scenario's program, unpinned graphs and edge sets, for a sweep.
 
     The cells of a sweep run many strategies over few scenarios, and
     every dynamic strategy chunks a program the same way (``m``
@@ -213,12 +213,25 @@ class SweepScope:
     :class:`TaskGraph`.  Pinned graphs are never kept: every forced
     split is its own graph, so they would only cost memory.
 
+    Their *edges* do repeat: the SP fractions of a search move split
+    points without changing how the region endpoints sort, and the
+    dependence builder only compares endpoints.  So :meth:`link` keeps
+    one immutable ``succs_sorted`` table per *endpoint order* —
+    the chunk count of each invocation plus
+    :func:`~repro.runtime.dependence.endpoint_order` — and a graph of the
+    scope's program whose order the scope has built before adopts that
+    table instead of being built.  The order is computed only for a
+    chunk-count shape the scope has seen before (``shapes`` holds the
+    first graph of each shape until the shape repeats), so sweeps whose
+    shapes rarely repeat, like the tournament's, pay almost nothing.
+
     The scope holds one scenario at a time — moving to another key drops
-    the previous program and its graphs — and :meth:`clear` drops
-    everything, so no program or graph outlives the sweep.
+    the previous program, its graphs and its edge sets — and
+    :meth:`clear` drops everything, so no program, graph or table
+    outlives the sweep.
     """
 
-    __slots__ = ("key", "program", "graphs")
+    __slots__ = ("key", "program", "graphs", "shapes", "edges")
 
     def __init__(self) -> None:
         self.clear()
@@ -227,6 +240,11 @@ class SweepScope:
         self.key: tuple | None = None
         self.program: Program | None = None
         self.graphs: dict[tuple, TaskGraph] = {}
+        #: chunk-count shape -> its first graph's ``(access_rows,
+        #: succs_sorted)`` until the shape repeats, then ``None``
+        self.shapes: dict[tuple, tuple | None] = {}
+        #: ``(shape, endpoint order)`` -> ``succs_sorted``
+        self.edges: dict[tuple, tuple] = {}
 
     def scenario_program(
         self, key: tuple, build: Callable[[], Program]
@@ -237,6 +255,40 @@ class SweepScope:
             self.program = build()
             self.key = key
         return self.program
+
+    def link(self, graph: TaskGraph, shape: tuple[int, ...]) -> None:
+        """Give an edge-free graph of the scope's program its dependences.
+
+        ``shape`` is the graph's chunk count per invocation.  A graph
+        whose endpoint order the scope has built adopts that edge set
+        (:meth:`TaskGraph.adopt_edges`); any other is built and checked,
+        and its table kept for the graphs to come.
+        """
+        first = self.shapes.get(shape, _UNSEEN)
+        if first is _UNSEEN:
+            _build_and_check(graph)
+            self.shapes[shape] = (graph.access_rows, graph.succs_sorted)
+            return
+        program = self.program
+        if first is not None:  # the shape repeats: order its first graph
+            rows, table = first
+            self.edges[shape, endpoint_order(program, shape, rows)] = table
+            self.shapes[shape] = None
+        key = (shape, endpoint_order(program, shape, graph.access_rows))
+        table = self.edges.get(key)
+        if table is None:
+            _build_and_check(graph)
+            self.edges[key] = graph.succs_sorted
+        else:
+            graph.adopt_edges(table)
+
+
+_UNSEEN = object()
+
+
+def _build_and_check(graph: TaskGraph) -> None:
+    build_dependences(graph)
+    graph.validate_acyclic()
 
 
 #: the active sweep scope; a context variable, so other threads never
@@ -282,17 +334,17 @@ def finalize_graph(
     (``forced_plan``'s fractions).  Inside a :class:`SweepScope`, a graph
     of the scope's program whose chunks carry no pin is built once per
     chunking and returned to every later caller; such a graph is
-    read-only from here on.
+    read-only from here on.  Every other graph of the scope's program is
+    a new graph, whose edges :meth:`SweepScope.link` takes from an
+    earlier graph with the same endpoint order when there is one (the
+    checks ran on that graph's build).
     """
     chunks = tuple(tuple(chunker(inv)) for inv in program.invocations)
     scope = SWEEP_SCOPE.get()
-    shared = (
-        scope is not None
-        and program is scope.program
-        and all(
-            dev is None and res is None
-            for rows in chunks for _lo, _hi, dev, res in rows
-        )
+    scoped = scope is not None and program is scope.program
+    shared = scoped and all(
+        dev is None and res is None
+        for rows in chunks for _lo, _hi, dev, res in rows
     )
     if shared:
         graph = scope.graphs.get(chunks)
@@ -300,10 +352,12 @@ def finalize_graph(
             return graph
     pending = iter(chunks)
     graph = expand_program(program, lambda _inv: next(pending))
-    build_dependences(graph)
-    graph.validate_acyclic()
     if not graph.instances:
         raise PartitioningError("plan produced an empty task graph")
+    if scoped:
+        scope.link(graph, tuple(map(len, chunks)))
+    else:
+        _build_and_check(graph)
     if shared:
         scope.graphs[chunks] = graph
     return graph

@@ -35,9 +35,10 @@ See ``docs/performance.md`` for the frontier algorithm and its bounds.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 
-from repro.runtime.graph import InstanceKind, TaskGraph
+from repro.runtime.graph import InstanceKind, Program, TaskGraph
 from repro.runtime.regions import AccessMode, Region
 
 
@@ -334,7 +335,8 @@ def build_dependences(graph: TaskGraph) -> TaskGraph:
     Returns the same graph for chaining.  Existing edges are preserved
     (strategies may add explicit edges before calling this).
     """
-    frontiers: dict[str, _ArrayFrontier] = {}
+    # a frontier is made at its array's first commit; queries only get
+    frontiers: defaultdict[str, _ArrayFrontier] = defaultdict(_ArrayFrontier)
     in_flight: list[int] = []
     after_barrier: int | None = None
 
@@ -364,11 +366,15 @@ def build_dependences(graph: TaskGraph) -> TaskGraph:
 
         # Chunks of one invocation never conflict, so the whole batch of
         # consecutive instances of this invocation queries the frontier
-        # first and commits its own accesses only afterwards.
+        # first and commits its own accesses only afterwards.  No frontier
+        # work that cannot produce an edge is done: the batch queries
+        # only arrays an earlier batch of this barrier window committed
+        # to (none right after a barrier), and it commits only when
+        # another invocation of the window follows.
         inv_id = inst.invocation.invocation_id
         j = i
-        writes: list[tuple[_ArrayFrontier, int, int, int]] = []
-        reads: list[tuple[_ArrayFrontier, int, int, int]] = []
+        writes: list[tuple[str, int, int, int]] = []
+        reads: list[tuple[str, int, int, int]] = []
         while j < total:
             member = instances[j]
             if (
@@ -385,32 +391,88 @@ def build_dependences(graph: TaskGraph) -> TaskGraph:
                 start, end = region.start, region.end
                 if end <= start:  # empty PREFIX chunk
                     continue
-                frontier = frontiers.get(region.array)
-                if frontier is None:
-                    frontier = frontiers[region.array] = _ArrayFrontier()
-                # RAW and WAW both look at the write frontier
-                for src in frontier.writers_overlapping(start, end):
-                    deps.add(src)
-                    instances[src].succs.add(member_id)
-                if mode.writes:
-                    for src in frontier.readers.overlapping(start, end):
-                        deps.add(src)  # WAR
+                array = region.array
+                frontier = frontiers.get(array)
+                if frontier is not None:
+                    # RAW and WAW both look at the write frontier
+                    for src in frontier.writers_overlapping(start, end):
+                        deps.add(src)
                         instances[src].succs.add(member_id)
-                    writes.append((frontier, start, end, member_id))
+                    if mode.writes:
+                        for src in frontier.readers.overlapping(start, end):
+                            deps.add(src)  # WAR
+                            instances[src].succs.add(member_id)
+                if mode.writes:
+                    writes.append((array, start, end, member_id))
                 if mode.reads:
-                    reads.append((frontier, start, end, member_id))
+                    reads.append((array, start, end, member_id))
             in_flight.append(member_id)
             j += 1
-        # writes first, then reads: a read of this invocation survives a
-        # sibling chunk's write to the same range, exactly as the
-        # reference builder's same-invocation skip behaves.
-        for frontier, start, end, member_id in writes:
-            frontier.commit_write(start, end, member_id)
-        for frontier, start, end, member_id in reads:
-            frontier.commit_read(start, end, member_id)
+        if j < total and instances[j].kind is InstanceKind.COMPUTE:
+            # writes first, then reads: a read of this invocation survives
+            # a sibling chunk's write to the same range, exactly as the
+            # reference builder's same-invocation skip behaves.
+            for array, start, end, member_id in writes:
+                frontiers[array].commit_write(start, end, member_id)
+            for array, start, end, member_id in reads:
+                frontiers[array].commit_read(start, end, member_id)
         i = j
 
     return graph
+
+
+def endpoint_order(
+    program: Program, shape: tuple[int, ...], rows: list
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The order of a graph's region endpoints: equal orders, equal edges.
+
+    ``shape`` is the graph's chunk count per invocation of ``program``
+    and ``rows`` its :attr:`~repro.runtime.graph.TaskGraph.access_rows`.
+    :func:`build_dependences` only *compares* region endpoints, and only
+    those of one array within one barrier window (it resets at each
+    barrier); it never computes with them.  So two graphs of one program
+    with the same shape build the same edges whenever, per window and
+    per array, every endpoint has the same rank among that array's
+    endpoints (ties stay ties) — which is what this returns, per window
+    in program order, per array in first-access order.  A window of one
+    invocation contributes nothing: its chunks never query each other,
+    so its edges are the barrier edges the shape fixes.
+    """
+    order = []
+    first = end = 0  # row range of the current window
+    invocations = 0
+    for inv, count in zip(program.invocations, shape):
+        end += count
+        invocations += 1
+        if inv.sync_after:
+            if invocations > 1:
+                order.append(_window_ranks(rows, first, end))
+            first = end = end + 1  # past the barrier's row
+            invocations = 0
+    if invocations > 1:
+        order.append(_window_ranks(rows, first, end))
+    return tuple(order)
+
+
+def _window_ranks(
+    rows: list, first: int, end: int
+) -> tuple[tuple[int, ...], ...]:
+    """Per array, the rank of each region endpoint of rows ``[first, end)``."""
+    points: dict[str, list[int]] = {}
+    for k in range(first, end):
+        for region, _mode in rows[k].regions:
+            ends = points.get(region.array)
+            if ends is None:
+                points[region.array] = [region.start, region.end]
+            else:
+                ends.append(region.start)
+                ends.append(region.end)
+    return tuple(
+        tuple(map(
+            {v: r for r, v in enumerate(sorted(set(ends)))}.__getitem__, ends
+        ))
+        for ends in points.values()
+    )
 
 
 def dependence_chains(graph: TaskGraph) -> dict[int, int]:

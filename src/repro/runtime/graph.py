@@ -171,7 +171,7 @@ class TaskInstance:
 class AccessRow:
     """The regions one compute instance touches, in every form consumers read.
 
-    ``regions`` is ``inst.regions()`` (kernel access order); ``reads``
+    ``regions`` equals ``inst.regions()`` (kernel access order); ``reads``
     and ``writes`` split it by direction; ``partial_reads`` holds the
     non-FULL reads with their element size, and ``in_bytes``/
     ``out_bytes`` total the non-FULL reads/writes — FULL accesses are
@@ -185,28 +185,73 @@ class AccessRow:
     in_bytes: int
     out_bytes: int
 
-    @classmethod
-    def of(cls, inst: TaskInstance) -> "AccessRow":
-        regions = inst.regions()
-        partial_reads = []
-        in_bytes = out_bytes = 0
-        for acc, (region, mode) in zip(inst.kernel.accesses, regions):
-            if acc.pattern is AccessPattern.FULL:
-                continue
-            nbytes = region.nbytes(acc.array.elem_bytes)
+
+def _compile_accesses(
+    kernel: Kernel, regions: dict[tuple, Region]
+) -> tuple[tuple, ...]:
+    """Per-access descriptors of ``kernel``, resolved once per row table.
+
+    Each is ``(array, mode, FULL region or None, prefix, halo,
+    elems_per_index, n_elems, elem_bytes)``.  ``regions`` is the
+    table's region objects by ``(array, start, end)``; a FULL access
+    takes its array's whole region from there, once.
+    """
+    descs = []
+    for acc in kernel.accesses:
+        spec = acc.array
+        full = None
+        if acc.pattern is AccessPattern.FULL:
+            key = (spec.name, 0, spec.n_elems)
+            full = regions.get(key)
+            if full is None:
+                full = regions[key] = spec.full_region()
+        descs.append((
+            spec.name, acc.mode, full, acc.prefix, acc.halo,
+            acc.elems_per_index, spec.n_elems, spec.elem_bytes,
+        ))
+    return tuple(descs)
+
+
+def _access_row(
+    descs: tuple[tuple, ...], lo: int, hi: int, regions: dict[tuple, Region]
+) -> AccessRow:
+    """The :class:`AccessRow` of chunk ``[lo, hi)`` of a compiled kernel.
+
+    Regions come from :meth:`~repro.runtime.kernels.AccessSpec.region`'s
+    arithmetic, and one object per ``(array, start, end)`` is made per
+    table: the kernels of a program read and write the same chunk ranges.
+    """
+    row_regions = []
+    reads = []
+    writes = []
+    partial_reads = []
+    in_bytes = out_bytes = 0
+    for name, mode, region, prefix, halo, epi, n_elems, elem_bytes in descs:
+        if region is None:  # PARTITIONED or PREFIX: scales with the chunk
+            if prefix is not None:
+                start, end = int(prefix[lo]), int(prefix[hi])
+            else:
+                start = max(0, lo - halo) * epi
+                end = min((hi + halo) * epi, n_elems)
+            key = (name, start, end)
+            region = regions.get(key)
+            if region is None:
+                region = regions[key] = Region(name, start, end)
+            nbytes = (end - start) * elem_bytes
             if mode.reads:
-                partial_reads.append((region, acc.array.elem_bytes))
+                partial_reads.append((region, elem_bytes))
                 in_bytes += nbytes
             if mode.writes:
                 out_bytes += nbytes
-        return cls(
-            regions=regions,
-            reads=tuple(region for region, mode in regions if mode.reads),
-            writes=tuple(region for region, mode in regions if mode.writes),
-            partial_reads=tuple(partial_reads),
-            in_bytes=in_bytes,
-            out_bytes=out_bytes,
-        )
+        row_regions.append((region, mode))
+        if mode.reads:
+            reads.append(region)
+        if mode.writes:
+            writes.append(region)
+    return AccessRow(
+        row_regions, tuple(reads), tuple(writes), tuple(partial_reads),
+        in_bytes, out_bytes,
+    )
 
 
 @dataclass
@@ -218,7 +263,7 @@ class TaskGraph:
     _access_rows: list | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    _succs_sorted: list | None = field(
+    _succs_sorted: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -231,37 +276,69 @@ class TaskGraph:
         looped programs re-issue the same chunk every iteration, and the
         plan compiler's wave classes key on row identity.  The kernel
         *object* keys the signature: DAG apps emit distinct same-named
-        kernels over different arrays (Cholesky's per-tile gemms).
+        kernels over different arrays (Cholesky's per-tile gemms).  Each
+        kernel's accesses are compiled once per table
+        (:func:`_compile_accesses`), and the table makes one region
+        object per ``(array, start, end)`` — one per array for all FULL
+        accesses.
         """
         rows = self._access_rows
         if rows is None:
             shared: dict[tuple, AccessRow] = {}
+            compiled: dict[int, tuple] = {}
+            regions: dict[tuple, Region] = {}
             rows = self._access_rows = []
             for inst in self.instances:
                 if inst.kind is not InstanceKind.COMPUTE:
                     rows.append(None)
                     continue
-                key = (id(inst.invocation.kernel), inst.lo, inst.hi)
+                kernel = inst.invocation.kernel
+                key = (id(kernel), inst.lo, inst.hi)
                 row = shared.get(key)
                 if row is None:
-                    row = shared[key] = AccessRow.of(inst)
+                    descs = compiled.get(key[0])
+                    if descs is None:
+                        descs = compiled[key[0]] = _compile_accesses(
+                            kernel, regions
+                        )
+                    row = shared[key] = _access_row(
+                        descs, inst.lo, inst.hi, regions
+                    )
                 rows.append(row)
         return rows
 
     @property
-    def succs_sorted(self) -> list[tuple[int, ...]]:
+    def succs_sorted(self) -> tuple[tuple[int, ...], ...]:
         """Per-instance successor ids in ascending order, by ``instance_id``.
 
         The order in which a completion releases its successors — the
         engine, the plan evaluator and the plan compiler all read it.
         Built on first use, so only after the dependences are in place.
+        Immutable, so graphs with the same edges may share one table
+        (:meth:`adopt_edges`).
         """
         table = self._succs_sorted
         if table is None:
-            table = self._succs_sorted = [
-                tuple(sorted(inst.succs)) for inst in self.instances
-            ]
+            table = self._succs_sorted = tuple(
+                [tuple(sorted(inst.succs)) for inst in self.instances]
+            )
         return table
+
+    def adopt_edges(self, succs_sorted: tuple[tuple[int, ...], ...]) -> None:
+        """Give this edge-free graph the edges of a ``succs_sorted`` table.
+
+        The table, from another graph of the same instance structure, is
+        shared as it is; each instance gets its own ``deps``/``succs``
+        sets, so no mutable set is shared between graphs.
+        """
+        instances = self.instances
+        for inst, succs in zip(instances, succs_sorted):
+            if succs:
+                inst.succs.update(succs)
+                src = inst.instance_id
+                for dst in succs:
+                    instances[dst].deps.add(src)
+        self._succs_sorted = succs_sorted
 
     def instance(self, instance_id: int) -> TaskInstance:
         inst = self.instances[instance_id]

@@ -82,11 +82,16 @@ class Region:
         return self.end <= self.start
 
     def overlaps(self, other: "Region") -> bool:
-        """True when the two regions share at least one element."""
+        """True when the two regions share at least one element.
+
+        An empty region shares none, so it overlaps nothing.
+        """
         return (
             self.array == other.array
             and self.start < other.end
             and other.start < self.end
+            and self.start < self.end
+            and other.start < other.end
         )
 
     def intersection(self, other: "Region") -> "Region | None":

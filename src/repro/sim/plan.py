@@ -233,7 +233,7 @@ def compile_plan(run, resource_ids: list) -> CompiledPlan:
     sig_ids: dict[tuple, int] = {}
     for k in range(1, len(epochs) - 1):
         a, b = epochs[k].start, epochs[k].stop
-        if a == b or succs_sorted[a:b] != [(fences[k],)] * (b - a):
+        if a == b or succs_sorted[a:b] != ((fences[k],),) * (b - a):
             continue
         opening_only = {fences[k - 1]}
         members = instances[a:b]

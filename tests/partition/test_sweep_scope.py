@@ -196,6 +196,57 @@ class TestAdmission:
         assert scope.program is None and scope.key is None
 
 
+class TestEdgeMemo:
+    def _forced(self, platform, *fractions):
+        strategy = get_strategy("SP-Unified")
+        program = _scoped_program()
+        return [
+            strategy.plan(
+                program, platform, PlanConfig(gpu_fraction=fraction)
+            ).graph
+            for fraction in fractions
+        ]
+
+    def test_fractions_with_one_endpoint_order_share_a_table(
+        self, paper_platform
+    ):
+        with sweep_scope():
+            first, second = self._forced(paper_platform, 0.5, 0.6)
+        assert [inst.lo for inst in first.instances] != [
+            inst.lo for inst in second.instances
+        ]
+        assert first.succs_sorted is second.succs_sorted
+        assert first is not second
+        for a, b in zip(first.instances, second.instances, strict=True):
+            assert a is not b
+            assert a.deps is not b.deps and a.succs is not b.succs
+            assert (a.deps, a.succs) == (b.deps, b.succs)
+
+    def test_the_edge_memo_is_cleared_with_the_scope(self, paper_platform):
+        scope = SweepScope()
+        with sweep_scope(scope):
+            self._forced(paper_platform, 0.5, 0.6)
+            assert scope.shapes and scope.edges
+            # another scenario drops the previous one's edge sets
+            scope.scenario_program(
+                ("other",),
+                lambda: get_application(APP).program(N, iterations=1),
+            )
+            assert scope.shapes == {} and scope.edges == {}
+            self._forced(paper_platform, 0.5)
+            assert scope.shapes
+        scope.clear()
+        assert scope.shapes == {} and scope.edges == {}
+
+    def test_an_owned_scope_is_cleared_on_exit(self, paper_platform):
+        scopes = []
+        with sweep_scope():
+            self._forced(paper_platform, 0.5, 0.6)
+            scopes.append(SWEEP_SCOPE.get())
+        (scope,) = scopes
+        assert scope.shapes == {} and scope.edges == {}
+
+
 class TestForcedFractions:
     def test_fractions_reported_whether_or_not_the_program_is_scoped(
         self, paper_platform

@@ -12,6 +12,9 @@ ready when all ancestors completed), so makespans must match too.
 import numpy as np
 import pytest
 
+from repro.apps.registry import all_applications
+from repro.partition.base import force_sync
+from repro.runtime import dependence
 from repro.runtime.dependence import (
     build_dependences,
     build_dependences_reference,
@@ -92,6 +95,65 @@ def test_fastpath_reachability_equivalent(seed):
 
     # ...and never loses ordering: both closures are identical
     assert _ancestors(fast) == _ancestors(ref)
+
+
+@pytest.fixture
+def frontiers(monkeypatch):
+    """Every per-array frontier the builder creates."""
+    made = []
+
+    class Recorded(dependence._ArrayFrontier):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(dependence, "_ArrayFrontier", Recorded)
+    return made
+
+
+def _assert_barrier_edges_only(program, chunks, frontiers):
+    """A window of one invocation: no frontier, the reference's edges."""
+    fast = build_dependences(_expand(program, chunks))
+    ref = build_dependences_reference(_expand(program, chunks))
+    assert _edges(fast) == _edges(ref)
+    assert frontiers == []
+
+
+@pytest.mark.parametrize("seed", SEEDS[:50])
+def test_synced_programs_build_only_barrier_edges(seed, frontiers):
+    rng = np.random.default_rng(seed)
+    program = force_sync(random_program(rng, GeneratorConfig(n=64)))
+    _assert_barrier_edges_only(program, int(rng.integers(1, 6)), frontiers)
+
+
+@pytest.mark.parametrize("app", all_applications(), ids=lambda app: app.name)
+def test_synced_app_programs_build_only_barrier_edges(app, frontiers):
+    if app.name == "Cholesky":  # tiles per side
+        program = force_sync(app.program(4))
+    else:
+        program = force_sync(app.program(256, iterations=2))
+    _assert_barrier_edges_only(program, 4, frontiers)
+
+
+def test_the_last_window_commits_nothing(frontiers):
+    """Frontiers are made for the invocations a later one queries only."""
+    rng = np.random.default_rng(4)  # four kernels, three iterations
+    program = random_program(rng, GeneratorConfig(n=64, p_sync=0.0))
+    graph = build_dependences(_expand(program, 3))
+    reference = build_dependences_reference(_expand(program, 3))
+    assert _ancestors(graph) == _ancestors(reference)
+    assert frontiers  # earlier invocations did commit
+    committed = {
+        rid for frontier in frontiers
+        for rid in (*frontier.wids, *(i for ids in frontier.readers.ids
+                                      for i in ids))
+    }
+    last = program.invocations[-1]
+    assert not any(
+        graph.instances[rid].invocation is last for rid in committed
+    )
 
 
 @pytest.mark.parametrize("seed", EXECUTOR_SEEDS)

@@ -177,3 +177,31 @@ def test_search_frees_its_scoped_programs_and_graphs(
             grid=3, rounds=1,
         ),
     )
+
+
+def test_search_frees_its_edge_tables(paper_platform, monkeypatch):
+    """The sweep's edge memo holds the only other references to its
+    ``succs_sorted`` tables, and it is cleared when the search ends."""
+    from repro.partition import base
+    from repro.partition.search import search_plan
+
+    tables = {}
+    link = base.SweepScope.link
+
+    def tracking_link(self, graph, shape):
+        link(self, graph, shape)
+        tables[id(graph.succs_sorted)] = graph.succs_sorted
+
+    monkeypatch.setattr(base.SweepScope, "link", tracking_link)
+    gc.collect()
+    gc.disable()
+    try:
+        search_plan(
+            "STREAM-Loop", paper_platform, n=2048, iterations=2, grid=3,
+            rounds=1,
+        )
+        assert len(tables) > 1
+        for key in tables:
+            assert gc.get_referrers(tables[key]) == [tables]
+    finally:
+        gc.enable()

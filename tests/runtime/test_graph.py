@@ -14,6 +14,7 @@ from repro.runtime.graph import (
     expand_program,
     split_sizes,
 )
+from repro.runtime.kernels import AccessPattern
 
 from tests.conftest import chain_program, make_kernel, single_kernel_program
 
@@ -205,3 +206,52 @@ class TestAccessRows:
         )
         if app.name != "Cholesky":
             assert any(inst.is_barrier for inst in graph.instances)
+
+    @pytest.mark.parametrize("size", ["small", "large"])
+    @pytest.mark.parametrize(
+        "app", all_applications(), ids=lambda app: app.name
+    )
+    def test_compiled_rows_equal_what_the_regions_define(
+        self, app, size, paper_platform
+    ):
+        if app.name == "Cholesky":  # tiles per side
+            program = app.program({"small": 4, "large": 6}[size])
+        else:
+            n = {"small": 256, "large": 1000}[size]
+            program = app.program(n, iterations=2, sync=True)
+        graph = get_strategy("DP-Dep").plan(program, paper_platform).graph
+        full_regions: dict[str, object] = {}
+        by_signature: dict[tuple, object] = {}
+        for inst, row in zip(graph.instances, graph.access_rows):
+            if inst.is_barrier:
+                assert row is None
+                continue
+            regions = inst.regions()
+            accesses = inst.kernel.accesses
+            partial = [
+                (region, acc, mode)
+                for acc, (region, mode) in zip(accesses, regions)
+                if acc.pattern is not AccessPattern.FULL
+            ]
+            assert row.regions == regions
+            assert row.reads == tuple(r for r, mode in regions if mode.reads)
+            assert row.writes == tuple(r for r, mode in regions if mode.writes)
+            assert row.partial_reads == tuple(
+                (region, acc.array.elem_bytes)
+                for region, acc, mode in partial if mode.reads
+            )
+            assert row.in_bytes == sum(
+                region.nbytes(acc.array.elem_bytes)
+                for region, acc, mode in partial if mode.reads
+            )
+            assert row.out_bytes == sum(
+                region.nbytes(acc.array.elem_bytes)
+                for region, acc, mode in partial if mode.writes
+            )
+            # one FULL region object per array, shared by every row
+            for acc, (region, _mode) in zip(accesses, row.regions):
+                if acc.pattern is AccessPattern.FULL:
+                    assert full_regions.setdefault(region.array, region) \
+                        is region
+            signature = (id(inst.kernel), inst.lo, inst.hi)
+            assert by_signature.setdefault(signature, row) is row

@@ -37,6 +37,13 @@ class TestRegion:
         assert not a.overlaps(Region("x", 10, 20))  # half-open
         assert not a.overlaps(Region("y", 0, 10))
 
+    def test_empty_region_overlaps_nothing(self):
+        # an empty PREFIX chunk inside a written range shares no element
+        empty = Region("x", 5, 5)
+        assert not empty.overlaps(Region("x", 0, 10))
+        assert not Region("x", 0, 10).overlaps(empty)
+        assert not empty.overlaps(empty)
+
     def test_intersection(self):
         inter = Region("x", 0, 10).intersection(Region("x", 5, 15))
         assert (inter.start, inter.end) == (5, 10)
