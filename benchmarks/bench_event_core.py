@@ -31,7 +31,10 @@ search's inner loop: prebuilt forced-fraction plans run through
 (``wave_drain``).  Every
 ``*_speedup`` ratio is a best-of-rounds ratio (minimum elapsed per
 variant), never a mean — a single slow round on a noisy runner must not
-fail the CI band.
+fail the CI band.  The replay and drain sections then run ``REPEATS``
+times in the process and record each figure's median over the
+repetitions: the baseline gate and the committed baseline both read
+medians, so one noisy repetition moves neither.
 
 Runs under pytest (``pytest benchmarks/bench_event_core.py``) and as a
 plain script; ``bench_pipeline_perf.py`` embeds the same record as its
@@ -43,6 +46,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import statistics
 import time
 from pathlib import Path
 
@@ -105,6 +109,29 @@ BASELINE_SECTION_RATIOS = (
 #: allowed relative shortfall below a baseline ratio before the smoke
 #: check fails (ratios jitter a little even on one machine)
 BASELINE_TOLERANCE = 0.20
+
+#: in-process repetitions of the replay and drain sections; each
+#: recorded figure is the median over them (see :func:`_median_of`)
+REPEATS = 3
+
+
+def _median_of(measure, *args) -> dict:
+    """``measure(*args)`` run ``REPEATS`` times, as one section: each
+    float figure is its median over the repetitions, each flag holds
+    only if it held every time, and exact counts must repeat."""
+    runs = [measure(*args) for _ in range(REPEATS)]
+    section = {}
+    for key, first in runs[0].items():
+        values = [run[key] for run in runs]
+        if isinstance(first, bool):
+            section[key] = all(values)
+        elif isinstance(first, float):
+            section[key] = statistics.median(values)
+        else:
+            assert all(v == first for v in values), (key, values)
+            section[key] = first
+    section["repeats"] = REPEATS
+    return section
 
 
 def _scenario_cell() -> SweepCell:
@@ -400,10 +427,10 @@ def measure_sim_core() -> dict:
     runs, fast_art = measure_run_parity()
     payload = {
         "scenario": {"app": "STREAM-Loop", "n": N, "iterations": ITERATIONS},
-        **measure_event_core(fast_art),
+        **_median_of(measure_event_core, fast_art),
         **runs,
-        "drain": measure_drain(),
-        "wave_drain": measure_wave_drain(),
+        "drain": _median_of(measure_drain),
+        "wave_drain": _median_of(measure_wave_drain),
     }
     return payload
 
@@ -527,8 +554,9 @@ def main(argv: list[str] | None = None) -> int:
                         help=argparse.SUPPRESS)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="replay measurements plus the wave-drain section only (skips "
-        "the end-to-end/parity and sync-free drain sections; CI's "
+        help="replay measurements plus the wave-drain section only, each "
+        f"the median of {REPEATS} in-process repetitions (skips the "
+        "end-to-end/parity and sync-free drain sections; CI's "
         "bench-smoke step)",
     )
     parser.add_argument(
@@ -540,14 +568,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check-baseline", metavar="FILE", default=None,
         help="fail when a speedup ratio regresses more than "
-        f"{BASELINE_TOLERANCE:.0%} below the committed baseline JSON",
+        f"{BASELINE_TOLERANCE * 100:.0f}%% below the committed baseline "
+        "JSON",
     )
     args = parser.parse_args(argv)
     if args.dump_artifact:
         _dump_artifact(args.dump_artifact)
         return 0
     if args.drain:
-        drain = measure_drain()
+        drain = _median_of(measure_drain)
         print(_format_drain("drain (sync-free):", drain, DRAIN_FLOOR))
         check_drain(drain)
         return 0
@@ -559,9 +588,9 @@ def main(argv: list[str] | None = None) -> int:
         # wave-drain parity/engagement bits, which are deterministic and
         # checked here too
         artifact, _ = _scenario_artifact(oracle=False)
-        payload = measure_event_core(artifact)
+        payload = _median_of(measure_event_core, artifact)
         assert payload["events"] > 1000, payload
-        payload["wave_drain"] = measure_wave_drain()
+        payload["wave_drain"] = _median_of(measure_wave_drain)
         check_wave_drain(payload["wave_drain"])
     else:
         payload = measure_sim_core()

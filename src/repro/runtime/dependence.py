@@ -476,30 +476,12 @@ def _window_ranks(
 
 
 def dependence_chains(graph: TaskGraph) -> dict[int, int]:
-    """Assign each compute instance a *chain id* for locality scheduling.
+    """Each compute instance's *chain id* for locality scheduling.
 
-    DP-Dep keeps instances of the same dependence chain on the same device
-    to minimize transfers.  A chain is the connected component an instance
-    belongs to when following single-predecessor links: an instance joins
-    the chain of its lowest-id compute dependence; instances without
-    compute dependences start new chains.  Only the minimum matters, so
-    the dependence set is scanned once instead of fully sorted.
+    The ``instance id -> chain id`` mapping of :attr:`TaskGraph.chains`
+    (see there for how chains form), barriers left out.
     """
-    chains: dict[int, int] = {}
-    next_chain = 0
-    for inst in graph.instances:
-        if inst.kind is not InstanceKind.COMPUTE:
-            continue
-        # min compute dep without sorting; deps always point backwards in
-        # program order, so every compute dep is already in ``chains``.
-        best = -1
-        for dep in inst.deps:
-            if (best < 0 or dep < best) and dep in chains:
-                best = dep
-        if best < 0:
-            chain = next_chain
-            next_chain += 1
-        else:
-            chain = chains[best]
-        chains[inst.instance_id] = chain
-    return chains
+    return {
+        iid: chain for iid, chain in enumerate(graph.chains)
+        if chain is not None
+    }

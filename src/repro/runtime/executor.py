@@ -374,14 +374,21 @@ class _Run:
                     device=acc.device_id, direction=direction,
                 )
 
-        self.remaining = {
-            inst.instance_id: len(inst.deps) for inst in graph.instances
-        }
-        self._last_invocation_id = (
+        instances = graph.instances
+        #: per-instance count of dependences not yet done
+        self.remaining = [len(inst.deps) for inst in instances]
+        self._last_invocation_id = last_invocation_id = (
             graph.program.invocations[-1].invocation_id
             if graph.program.invocations else -1
         )
-        self.ready: list[TaskInstance] = []
+        #: released, undispatched instances by pump class, each in
+        #: release order (see :meth:`_release`)
+        self._barriers: list[TaskInstance] = []
+        self._pinned: list[TaskInstance] = []
+        self._free: list[TaskInstance] = []
+        #: per-instance flag: waiting in ``_pinned``/``_free`` — the set
+        #: a scheduler's assignments are checked against
+        self._queued = bytearray(len(instances))
         self.inflight: dict[str, int] = {r.resource_id: 0 for r in self.resources}
         #: the one context the scheduler sees; the pump advances ``now``
         self._ctx = SchedulingContext(
@@ -390,13 +397,40 @@ class _Run:
             inflight=self.inflight,
             platform=platform,
         )
-        #: per-instance pump class: barrier, pinned or free
-        self._cls = [
-            _BARRIER if inst.is_barrier
-            else _PINNED if inst.pinned_resource or inst.pinned_device
-            else _FREE
-            for inst in graph.instances
-        ]
+        # per-instance tables, built in one pass: the pump class
+        # (barrier, pinned or free); whether the compute pays the dynamic
+        # decision overhead (a free instance under a dynamic scheduler);
+        # whether it faces a taskwait — explicit, or the program's
+        # implicit final sync after the last invocation when the run
+        # accounts for end-to-end readback — and so writes back eagerly
+        self._cls = cls = []
+        self._pays_decision = pays = []
+        self._faces_sync = faces = []
+        dynamic = scheduler.dynamic
+        final_flush = config.final_flush
+        for inst in instances:
+            invocation = inst.invocation
+            if invocation is None:
+                cls.append(_BARRIER)
+                pays.append(False)
+                faces.append(False)
+                continue
+            if inst.pinned_resource or inst.pinned_device:
+                cls.append(_PINNED)
+                pays.append(False)
+            else:
+                cls.append(_FREE)
+                pays.append(dynamic)
+            faces.append(invocation.sync_after or (
+                final_flush
+                and invocation.invocation_id == last_invocation_id
+            ))
+        #: whether the scheduler wants completions (the base class ignores
+        #: them, and most policies keep that)
+        self._notify = (
+            getattr(scheduler.on_complete, "__func__", None)
+            is not Scheduler.on_complete
+        )
         #: successor ids in release order
         self._succs = graph.succs_sorted
         self.done: set[int] = set()
@@ -414,10 +448,20 @@ class _Run:
         #: per-instance regions, shared per signature by the graph
         self._rows = graph.access_rows
         #: compute durations memoized per signature.  Looped programs
-        #: re-issue the same (kernel object, resource, range, n) chunk once
-        #: per iteration, and durations are pure roofline arithmetic, so
-        #: sharing is value-identical to recomputing.
+        #: re-issue the same (kernel object, range, n) chunk once per
+        #: iteration, every thread of one device has the same
+        #: (device, share) class, and durations are pure roofline
+        #: arithmetic of the two, so sharing is value-identical to
+        #: recomputing.
         self._duration_cache: dict[tuple, float] = {}
+        #: resource id -> its (device, share) class, as a small int
+        classes: dict[tuple, int] = {}
+        self._duration_class = {
+            r.resource_id: classes.setdefault(
+                (r.device.device_id, r.share), len(classes)
+            )
+            for r in self.resources
+        }
         #: the epoch drain, or None for runs that may not drain
         self._drain = (
             drain_for(self) if detail == "summary" and config.drain else None
@@ -446,8 +490,8 @@ class _Run:
         ``resource``, memoized per signature; the drain reads the same
         floats."""
         kernel = inst.kernel
-        key = (id(kernel), resource.resource_id, inst.lo, inst.hi,
-               inst.invocation.n)
+        key = (id(kernel), self._duration_class[resource.resource_id],
+               inst.lo, inst.hi, inst.invocation.n)
         duration = self._duration_cache.get(key)
         if duration is None:
             duration = self._duration_cache[key] = kernel.chunk_time(
@@ -463,9 +507,10 @@ class _Run:
     def go(self) -> RunArtifact:
         """Run to completion; returns the artifact at the run's detail."""
         self.scheduler.start(self.graph, self._ctx)
+        remaining = self.remaining
         for inst in self.graph.instances:
-            if self.remaining[inst.instance_id] == 0:
-                self.ready.append(inst)
+            if remaining[inst.instance_id] == 0:
+                self._release(inst)
         self._pump()
         if self._drain is not None:
             # all-host plans never transfer, so no wire would ever offer
@@ -485,42 +530,48 @@ class _Run:
             self.sim.run(max_events=self.config.max_events)
         return self._result()
 
+    def _release(self, inst: TaskInstance) -> None:
+        """Queue a newly ready instance behind its pump class's queue."""
+        c = self._cls[inst.instance_id]
+        if c == _FREE:
+            self._free.append(inst)
+        elif c == _PINNED:
+            self._pinned.append(inst)
+        else:
+            self._barriers.append(inst)
+            return
+        self._queued[inst.instance_id] = 1
+
+    def has_ready(self) -> bool:
+        """Whether any released instance still waits for dispatch."""
+        return bool(self._free or self._pinned or self._barriers)
+
     def _pump(self) -> None:
         """Dispatch ready work; safe against reentrant completion events.
 
-        Each round splits the ready set into barriers (run outside the
-        scheduler), pinned instances (the static scheduler's) and free
-        ones (the run's scheduler's), dispatches every assignment, and
-        keeps the unassigned rest in creation order.  Rounds repeat until
-        one dispatches nothing, so the scheduler sees its leftovers again
-        after its own assignments took effect.
+        Each round runs the released barriers (outside the scheduler),
+        hands the pinned instances to the static scheduler and the free
+        ones to the run's scheduler — each queue in release order, the
+        order :meth:`_release` saw them become ready — dispatches every
+        assignment, and keeps the unassigned free rest in release order.
+        Rounds repeat until one dispatches nothing, so the scheduler sees
+        its leftovers again after its own assignments took effect.
         """
         if self._pumping:
             return
         self._pumping = True
         try:
-            cls = self._cls
             ctx = self._ctx
             ctx.now = self.sim.now
+            queued = self._queued
             while True:
-                ready = self.ready
-                barriers: list[TaskInstance] = []
-                pinned: list[TaskInstance] = []
-                free: list[TaskInstance] = []
-                for inst in ready:
-                    c = cls[inst.instance_id]
-                    if c == _FREE:
-                        free.append(inst)
-                    elif c == _PINNED:
-                        pinned.append(inst)
-                    else:
-                        barriers.append(inst)
+                barriers = self._barriers
                 if barriers:
-                    self.ready = ready = [
-                        i for i in ready if cls[i.instance_id] != _BARRIER
-                    ]
+                    self._barriers = []
                     for inst in barriers:
                         self._run_barrier(inst)
+                pinned = self._pinned
+                free = self._free
                 assignments: list[tuple[TaskInstance, str]] = []
                 if pinned:
                     if self._static is None:
@@ -532,17 +583,21 @@ class _Run:
                     if not barriers:
                         return
                     continue
-                waiting = {inst.instance_id for inst in ready}
                 for inst, rid in assignments:
                     iid = inst.instance_id
-                    if iid not in waiting:
+                    if not queued[iid]:
                         raise SchedulingError(
                             f"scheduler assigned instance {iid} twice or "
                             "out of the ready set"
                         )
-                    waiting.discard(iid)
+                    queued[iid] = 0
                     self._dispatch(inst, rid)
-                self.ready = [i for i in ready if i.instance_id in waiting]
+                if pinned:
+                    self._pinned = [
+                        i for i in pinned if queued[i.instance_id]
+                    ]
+                if free:
+                    self._free = [i for i in free if queued[i.instance_id]]
         finally:
             self._pumping = False
 
@@ -639,8 +694,7 @@ class _Run:
         """Occupy ``resource`` with ``inst``'s compute."""
         name = inst.kernel.name
         duration = self._duration(inst, resource)
-        if self.scheduler.dynamic and inst.pinned_resource is None \
-                and inst.pinned_device is None:
+        if self._pays_decision[inst.instance_id]:
             duration += self.config.dynamic_decision_overhead_s
         # summary detail: the lane folds size and kernel, nothing else
         if self.trace is None:
@@ -684,24 +738,16 @@ class _Run:
         compute_time: float,
         transfer_time: float,
     ) -> None:
-        writes = self._rows[inst.instance_id].writes
+        iid = inst.instance_id
+        writes = self._rows[iid].writes
         for region in writes:
             self.memory.write(region, space)
-        # an instance followed by a taskwait — explicit, or the program's
-        # implicit final sync after the last invocation (only when the run
-        # accounts for end-to-end readback at all) — reads its own results
-        # back immediately, overlapping the flush with the other
-        # processor's remaining compute
-        faces_sync = inst.invocation is not None and (
-            inst.invocation.sync_after
-            or (
-                self.config.final_flush
-                and inst.invocation.invocation_id == self._last_invocation_id
-            )
-        )
+        # an instance followed by a taskwait reads its own results back
+        # immediately, overlapping the flush with the other processor's
+        # remaining compute
         if (
             self.config.eager_writeback
-            and faces_sync
+            and self._faces_sync[iid]
             and space != HOST_SPACE
         ):
             for region in writes:
@@ -709,12 +755,13 @@ class _Run:
                     self._pending_writebacks += 1
                     self._issue_transfer(op, on_complete=self._writeback_done)
         self.inflight[resource.resource_id] -= 1
-        self.scheduler.on_complete(
-            inst,
-            resource.resource_id,
-            compute_time=compute_time,
-            transfer_time=transfer_time,
-        )
+        if self._notify:
+            self.scheduler.on_complete(
+                inst,
+                resource.resource_id,
+                compute_time=compute_time,
+                transfer_time=transfer_time,
+            )
         self._mark_done(inst)
 
     def _writeback_done(self) -> None:
@@ -759,10 +806,11 @@ class _Run:
     def _mark_done(self, inst: TaskInstance) -> None:
         self.done.add(inst.instance_id)
         remaining = self.remaining
+        instances = self.graph.instances
         for succ in self._succs[inst.instance_id]:
             remaining[succ] -= 1
             if remaining[succ] == 0:
-                self.ready.append(self.graph.instances[succ])
+                self._release(instances[succ])
         self._pump()
 
     def _final_flush(self) -> None:

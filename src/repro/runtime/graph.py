@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.errors import ConfigurationError, DependenceError
 from repro.runtime.kernels import AccessPattern, Kernel
@@ -167,8 +167,7 @@ class TaskInstance:
         return f"{self.kernel.name}[{self.lo}:{self.hi})#{self.instance_id}"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class AccessRow:
+class AccessRow(NamedTuple):
     """The regions one compute instance touches, in every form consumers read.
 
     ``regions`` equals ``inst.regions()`` (kernel access order); ``reads``
@@ -176,6 +175,11 @@ class AccessRow:
     non-FULL reads with their element size, and ``in_bytes``/
     ``out_bytes`` total the non-FULL reads/writes — FULL accesses are
     fetched once per device, not per chunk, so schedulers leave them out.
+
+    A row is a tuple, so it is immutable and costs one allocation to
+    build, but it compares and hashes by identity, as the plan compiler's
+    wave classes and the schedulers' per-row memos need: two rows with
+    equal regions may still belong to different kernels.
     """
 
     regions: list[tuple[Region, AccessMode]]
@@ -184,6 +188,15 @@ class AccessRow:
     partial_reads: tuple[tuple[Region, int], ...]
     in_bytes: int
     out_bytes: int
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+
+#: builds an :class:`AccessRow` from its field tuple, skipping the
+#: keyword-capable ``__new__`` a NamedTuple call goes through
+_new_row = tuple.__new__
 
 
 def _compile_accesses(
@@ -248,10 +261,10 @@ def _access_row(
             reads.append(region)
         if mode.writes:
             writes.append(region)
-    return AccessRow(
+    return _new_row(AccessRow, (
         row_regions, tuple(reads), tuple(writes), tuple(partial_reads),
         in_bytes, out_bytes,
-    )
+    ))
 
 
 @dataclass
@@ -264,6 +277,9 @@ class TaskGraph:
         default=None, init=False, repr=False, compare=False
     )
     _succs_sorted: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _chains: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -322,6 +338,41 @@ class TaskGraph:
             table = self._succs_sorted = tuple(
                 [tuple(sorted(inst.succs)) for inst in self.instances]
             )
+        return table
+
+    @property
+    def chains(self) -> tuple[int | None, ...]:
+        """Per-instance dependence-chain id, by ``instance_id``.
+
+        DP-Dep and DP-Perf keep the instances of one chain on one device
+        to minimize transfers.  A compute instance joins the chain of its
+        lowest-id compute dependence; one without compute dependences
+        starts a new chain.  Barriers get ``None``.  Built on first use,
+        like :attr:`succs_sorted`, so only after the dependences are in
+        place, and once per graph however many runs schedule it.
+        """
+        table = self._chains
+        if table is None:
+            chains: list[int | None] = []
+            next_chain = 0
+            for inst in self.instances:
+                if inst.kind is not InstanceKind.COMPUTE:
+                    chains.append(None)
+                    continue
+                # only the minimum earlier compute dep matters, so the
+                # set is scanned once, not sorted
+                here = len(chains)
+                best = -1
+                for dep in inst.deps:
+                    if (best < 0 or dep < best) and dep < here \
+                            and chains[dep] is not None:
+                        best = dep
+                if best < 0:
+                    chains.append(next_chain)
+                    next_chain += 1
+                else:
+                    chains.append(chains[best])
+            table = self._chains = tuple(chains)
         return table
 
     def adopt_edges(self, succs_sorted: tuple[tuple[int, ...], ...]) -> None:

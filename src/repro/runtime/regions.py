@@ -59,7 +59,7 @@ class ArraySpec:
         return Region(self.name, 0, self.n_elems)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Region:
     """Half-open element range ``[start, end)`` of array ``array``."""
 
@@ -67,11 +67,17 @@ class Region:
     start: int
     end: int
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end < self.start:
+    def __init__(self, array: str, start: int, end: int) -> None:
+        # validate, then fill the slots through their descriptors: a
+        # frozen dataclass's generated __init__ goes through
+        # object.__setattr__ and a __post_init__ call, twice the cost
+        if start < 0 or end < start:
             raise DependenceError(
-                f"invalid region [{self.start}, {self.end}) of {self.array!r}"
+                f"invalid region [{start}, {end}) of {array!r}"
             )
+        _set_array(self, array)
+        _set_start(self, start)
+        _set_end(self, end)
 
     @property
     def size(self) -> int:
@@ -102,6 +108,11 @@ class Region:
 
     def nbytes(self, elem_bytes: int) -> int:
         return self.size * elem_bytes
+
+
+_set_array, _set_start, _set_end = (
+    Region.__dict__[name].__set__ for name in ("array", "start", "end")
+)
 
 
 class IntervalSet:

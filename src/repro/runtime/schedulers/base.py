@@ -53,9 +53,13 @@ class Scheduler:
 
     The executor calls :meth:`assign` at every decision point (instances
     became ready or a resource went idle) with the current ready set in
-    creation order.  The scheduler returns ``(instance, resource_id)``
-    pairs to dispatch now; instances it leaves out stay in the ready set
-    for the next decision point.
+    *release order*: the order the instances became ready, which is not
+    id order — a completion releases its successors behind everything
+    already waiting, so a higher-id instance released early precedes a
+    lower-id one released later.  The scheduler returns
+    ``(instance, resource_id)`` pairs to dispatch now; instances it leaves
+    out stay in the ready set, in the same order, for the next decision
+    point.
 
     ``dynamic`` marks policies that take per-instance decisions at runtime;
     the executor charges them the dynamic scheduling overhead the paper

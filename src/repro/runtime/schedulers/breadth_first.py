@@ -3,7 +3,8 @@
 This reproduces OmpSs' default *breadth-first* scheduler as the paper uses
 it:
 
-* ready task instances are served FIFO in creation order;
+* ready task instances are served FIFO in release order (the order they
+  became ready);
 * only **idle** resources take work (no estimates, no queueing ahead);
 * an instance whose dependence chain has already executed somewhere is kept
   on that *device* to avoid data transfers ("DP-Dep keeps tracking the data
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.runtime.dependence import dependence_chains
 from repro.runtime.graph import TaskGraph, TaskInstance
 from repro.runtime.schedulers.base import Scheduler, SchedulingContext
 
@@ -30,53 +30,55 @@ class BreadthFirstScheduler(Scheduler):
     dynamic = True
 
     def __init__(self) -> None:
-        self._chains: dict[int, int] = {}
+        #: chain id per instance id (the graph's :attr:`TaskGraph.chains`)
+        self._chains: tuple = ()
         #: chain id -> device id where the chain started executing
         self._chain_device: dict[int, str] = {}
+        #: resources in serving order: ``(resource id, device id)``
+        self._order: list[tuple[str, str]] = []
 
     def start(self, graph: TaskGraph, ctx: SchedulingContext) -> None:
-        self._chains = dependence_chains(graph)
+        self._chains = graph.chains
         self._chain_device.clear()
-
-    def assign(
-        self, ready: Sequence[TaskInstance], ctx: SchedulingContext
-    ) -> list[tuple[TaskInstance, str]]:
-        out: list[tuple[TaskInstance, str]] = []
         # accelerator helper threads register before the SMP worker team,
         # so they serve the ready queue first — a fixed, capability-blind
         # order; with the paper's m instances over m threads + 1 GPU this
         # leaves the GPU exactly one instance ("only one task instance is
         # assigned to the GPU and the rest to the CPU").
-        idle = sorted(
-            ctx.idle_resources(), key=lambda r: (not r.is_accelerator,)
-        )
+        self._order = [
+            (r.resource_id, r.device.device_id)
+            for r in sorted(ctx.resources, key=lambda r: not r.is_accelerator)
+        ]
+
+    def assign(
+        self, ready: Sequence[TaskInstance], ctx: SchedulingContext
+    ) -> list[tuple[TaskInstance, str]]:
+        out: list[tuple[TaskInstance, str]] = []
+        inflight = ctx.inflight
+        chains = self._chains
+        chain_device = self._chain_device
         taken: set[int] = set()
-        for resource in idle:
+        for rid, device_id in self._order:
+            if inflight.get(rid, 0) != 0:
+                continue  # only idle resources take work
+            # one pass: an instance whose chain lives on this device wins;
+            # otherwise the oldest one whose chain is bound nowhere yet
             choice: TaskInstance | None = None
-            # first preference: an instance whose chain lives on this device
+            unbound: TaskInstance | None = None
             for inst in ready:
                 if inst.instance_id in taken:
                     continue
-                chain = self._chains.get(inst.instance_id)
-                dev = self._chain_device.get(chain) if chain is not None else None
-                if dev == resource.device.device_id:
+                dev = chain_device.get(chains[inst.instance_id])
+                if dev == device_id:
                     choice = inst
                     break
+                if dev is None and unbound is None:
+                    unbound = inst
             if choice is None:
-                # otherwise: oldest ready instance not bound elsewhere
-                for inst in ready:
-                    if inst.instance_id in taken:
-                        continue
-                    chain = self._chains.get(inst.instance_id)
-                    dev = self._chain_device.get(chain) if chain is not None else None
-                    if dev is None or dev == resource.device.device_id:
-                        choice = inst
-                        break
-            if choice is None:
-                continue
+                choice = unbound
+                if choice is None:
+                    continue
             taken.add(choice.instance_id)
-            chain = self._chains.get(choice.instance_id)
-            if chain is not None:
-                self._chain_device.setdefault(chain, resource.device.device_id)
-            out.append((choice, resource.resource_id))
+            chain_device.setdefault(chains[choice.instance_id], device_id)
+            out.append((choice, rid))
         return out

@@ -34,7 +34,6 @@ from typing import Sequence
 
 from repro.errors import SchedulingError
 from repro.platform.topology import ComputeResource
-from repro.runtime.dependence import dependence_chains
 from repro.runtime.graph import TaskGraph, TaskInstance
 from repro.runtime.schedulers.base import Scheduler, SchedulingContext
 
@@ -80,20 +79,18 @@ class PerfAwareScheduler(Scheduler):
         #: estimated absolute time at which each resource drains its queue
         self._busy_until: dict[str, float] = {}
         self._shares: dict[str, tuple[float, str]] = {}
-        self._graph: TaskGraph | None = None
         self._host_id: str | None = None
         #: dependence-chain tracking (shared policy with DP-Dep)
-        self._chains: dict[int, int] = {}
         self._chain_device: dict[int, str] = {}
-        self._rows: list = []
         #: per-run resource table: ``(resource, resource id, device-class
         #: slot, first resource of its class)``
         self._table: list[tuple[ComputeResource, str, int, bool]] = []
-        #: work units per shared access row (pure in the row's signature)
-        self._work: dict = {}
+        #: per-run instance table, by instance id: the static terms of
+        #: its estimate, ``(kernel name, work units, in + out bytes,
+        #: in bytes, chain id)``; ``None`` for barriers
+        self._terms: list[tuple | None] = []
 
     def start(self, graph: TaskGraph, ctx: SchedulingContext) -> None:
-        self._graph = graph
         self._busy_until = {r.resource_id: 0.0 for r in ctx.resources}
         self._shares = {
             r.resource_id: (r.share, r.device.device_id) for r in ctx.resources
@@ -113,10 +110,25 @@ class PerfAwareScheduler(Scheduler):
                         self.profile.transfer_s_per_byte[dev_id] = (
                             1.0 / link.bandwidth
                         )
-        self._chains = dependence_chains(graph)
         self._chain_device.clear()
-        self._rows = graph.access_rows
-        self._work = {}
+        # the byte totals cover non-FULL accesses only: FULL data is
+        # fetched once per device, not per chunk, so billing it to every
+        # instance would wildly overestimate.  Work units are pure in the
+        # row's signature, so instances sharing a row share them.
+        work_of: dict[int, float] = {}
+        self._terms = terms = []
+        for inst, row, chain in zip(graph.instances, graph.access_rows,
+                                    graph.chains):
+            if row is None:
+                terms.append(None)
+                continue
+            work = work_of.get(id(row))
+            if work is None:
+                work = work_of[id(row)] = inst.kernel.work_units(
+                    inst.lo, inst.hi
+                )
+            terms.append((inst.kernel.name, work, row.in_bytes + row.out_bytes,
+                          row.in_bytes, chain))
         # a device class is a (device, share) pair: every resource of one
         # class gets the same estimate for an instance
         slots: dict[tuple[str, float], int] = {}
@@ -141,62 +153,6 @@ class PerfAwareScheduler(Scheduler):
             self.profile.set(kernel.name, resource.device.device_id, rate)
         return rate
 
-    def _data_home(self, inst: TaskInstance) -> str | None:
-        """Where the instance's dependence chain's data currently lives.
-
-        ``None`` means host memory (fresh chains start there).
-        """
-        chain = self._chains.get(inst.instance_id)
-        if chain is None:
-            return self._host_id
-        return self._chain_device.get(chain, self._host_id)
-
-    def _cost(self, inst: TaskInstance) -> tuple[float, int, int]:
-        """``(work_units, in_bytes, out_bytes)`` of an instance.
-
-        The byte totals cover non-FULL accesses only: FULL data is
-        fetched once per device, not per chunk, so billing it to every
-        instance would wildly overestimate.
-        """
-        row = self._rows[inst.instance_id]
-        work = self._work.get(row)
-        if work is None:
-            work = self._work[row] = inst.kernel.work_units(inst.lo, inst.hi)
-        return work, row.in_bytes, row.out_bytes
-
-    def estimate(self, inst: TaskInstance, resource: ComputeResource) -> float:
-        """Estimated execution time of ``inst`` on ``resource``.
-
-        Compute scales with the resource share.  A transfer charge — the
-        instance's partitioned data volume at nominal link bandwidth — is
-        added when the chain's data would have to cross the link to reach
-        ``resource``: accelerators fetching host/foreign data, or the host
-        pulling an accelerator-resident chain back.  Barriers reset chain
-        residency to the host (taskwait flushes to host memory).
-        """
-        rate = self._rate(inst, resource)
-        # work units, not index counts: for imbalanced kernels (ref [9])
-        # the runtime knows each task instance's size at creation time
-        work, in_b, out_b = self._cost(inst)
-        est = work * rate / resource.share
-        home = self._data_home(inst)
-        target = resource.device.device_id
-        if resource.is_accelerator:
-            # the runtime bills an accelerator task its full partitioned
-            # traffic — inputs in, outputs eventually back — regardless of
-            # current residency (the 0.7-era directory cannot promise a
-            # cached copy survives until the task runs); at execution time
-            # resident data is of course not re-transferred, which is the
-            # systematic GPU-cost overestimate that keeps the equilibrium
-            # stable instead of creeping all chains onto the device.
-            per_byte = self.profile.transfer_s_per_byte.get(target, 0.0)
-            est += (in_b + out_b) * per_byte
-        elif home != self._host_id and home is not None:
-            # pulling a device-resident chain back to the host
-            per_byte = self.profile.transfer_s_per_byte.get(home, 0.0)
-            est += in_b * per_byte
-        return est
-
     # -- policy ------------------------------------------------------------
 
     def assign(
@@ -206,19 +162,57 @@ class PerfAwareScheduler(Scheduler):
         busy_until = self._busy_until
         now = ctx.now
         table = self._table
-        # estimate() is a pure function of the instance and the
+        terms = self._terms
+        chain_device = self._chain_device
+        host_id = self._host_id
+        rates = self.profile.rate_s_per_index
+        per_byte = self.profile.transfer_s_per_byte
+        # The estimated execution time of an instance on a resource:
+        # compute, in work units (for imbalanced kernels, ref [9], the
+        # runtime knows each task instance's size at creation time),
+        # scales with the resource share.  A transfer charge — the
+        # instance's partitioned data volume at nominal link bandwidth —
+        # is added when the chain's data would have to cross the link:
+        # accelerators fetching host/foreign data, or the host pulling an
+        # accelerator-resident chain back.  Barriers reset chain
+        # residency to the host (taskwait flushes to host memory).
+        #
+        # The estimate is a pure function of the instance and the
         # resource's (device, share) class — identical for every thread
         # of the same device — so it runs once per class, at the class's
         # first resource, not once per resource.  It is recomputed for
         # every instance and every call: completions move the rates
         # (EWMA) and assignments move the chains' data homes.
         est_of_slot = [0.0] * len(table)
-        for inst in ready:  # creation order, assigned immediately
+        for inst in ready:  # release order, assigned immediately
+            name, work, in_out, in_b, chain = terms[inst.instance_id]
+            # where the chain's data lives now: fresh chains start at
+            # the host
+            home = chain_device.get(chain, host_id)
             best_rid: str | None = None
             best_finish = float("inf")
             for resource, rid, slot, first in table:
                 if first:
-                    est = est_of_slot[slot] = self.estimate(inst, resource)
+                    device_id = resource.device.device_id
+                    rate = rates.get((name, device_id))
+                    if rate is None:
+                        rate = self._rate(inst, resource)
+                    est = work * rate / resource.share
+                    if resource.is_accelerator:
+                        # the runtime bills an accelerator task its full
+                        # partitioned traffic — inputs in, outputs
+                        # eventually back — regardless of current
+                        # residency (the 0.7-era directory cannot promise
+                        # a cached copy survives until the task runs); at
+                        # execution time resident data is of course not
+                        # re-transferred, which is the systematic GPU-cost
+                        # overestimate that keeps the equilibrium stable
+                        # instead of creeping all chains onto the device
+                        est += in_out * per_byte.get(device_id, 0.0)
+                    elif home != host_id and home is not None:
+                        # pulling a device-resident chain back to the host
+                        est += in_b * per_byte.get(home, 0.0)
+                    est_of_slot[slot] = est
                 else:
                     est = est_of_slot[slot]
                 busy = busy_until[rid]
@@ -228,10 +222,8 @@ class PerfAwareScheduler(Scheduler):
                     best_rid = rid
             if best_rid is None:
                 raise SchedulingError("no resources available for assignment")
-            self._busy_until[best_rid] = best_finish
-            chain = self._chains.get(inst.instance_id)
-            if chain is not None:
-                self._chain_device[chain] = self._shares[best_rid][1]
+            busy_until[best_rid] = best_finish
+            chain_device[chain] = self._shares[best_rid][1]
             out.append((inst, best_rid))
         return out
 
@@ -254,14 +246,15 @@ class PerfAwareScheduler(Scheduler):
         # the transfers it triggered — this is how the scheduler learns
         # that a device is transfer-bound for a kernel
         share, device_id = resource
-        work = self._cost(instance)[0]
+        name, work = self._terms[instance.instance_id][:2]
         if work <= 0:
             return
         measured = (compute_time + transfer_time) * share / work
-        key = (instance.kernel.name, device_id)
-        old = self.profile.rate_s_per_index.get(key)
+        key = (name, device_id)
+        rates = self.profile.rate_s_per_index
+        old = rates.get(key)
         if old is None:
-            self.profile.rate_s_per_index[key] = measured
+            rates[key] = measured
         else:
             a = self.ewma_alpha
-            self.profile.rate_s_per_index[key] = a * measured + (1 - a) * old
+            rates[key] = a * measured + (1 - a) * old

@@ -297,7 +297,8 @@ def _any_overlap(rows: list) -> bool:
 def _quiet(run) -> bool:
     """No transfer on the wire, no pending write-back, nothing ready."""
     return not (
-        run.ready or run._pending_writebacks or any(run._inflight.values())
+        run._pending_writebacks or run.has_ready()
+        or any(run._inflight.values())
     )
 
 
@@ -348,7 +349,7 @@ class PlanEvaluator:
         instances = run.graph.instances
         for succ in succs:
             if not remaining[succ]:
-                run.ready.append(instances[succ])
+                run._release(instances[succ])
         run._pump()
 
     def evaluate(self, run, *, opening: bool = False) -> bool:
