@@ -3,51 +3,68 @@
 The strongest end-to-end check of the static stack: sweep the GPU fraction
 in 10% steps, measure each pinned split on the simulator, and verify the
 model-predicted split lands within tolerance of the sweep minimum for
-every SK-class application.
+every SK-class application.  The sweep is ``repro search``'s coarse grid:
+its SP-Single rows are forced splits at ``PlanConfig(gpu_fraction=f)``,
+and its SP-Single seed row is Glinda's own pick.
 """
 
 from conftest import emit
 
-from repro.apps import get_application
-from repro.bench.whatif import format_curve, split_response_curve
-from repro.partition import get_strategy
+from repro.partition.search import search_plan
 
 
 APPS = ("MatrixMul", "BlackScholes", "Nbody", "HotSpot")
 
 
-def test_response_curves(benchmark, platform):
-    grid = tuple(i / 10 for i in range(11))
+def sp_single_rows(result):
+    """The SP-Single seed row and its grid rows, in fraction order."""
+    rows = [r for r in result.evaluated if r.candidate.strategy == "SP-Single"]
+    seed = next(r for r in rows if r.candidate.gpu_fraction is None)
+    grid = sorted(
+        (r for r in rows if r.candidate.gpu_fraction is not None),
+        key=lambda r: r.candidate.gpu_fraction,
+    )
+    return seed, grid
 
+
+def format_curve(seed, grid, *, width: int = 40) -> str:
+    """ASCII rendering of the measured curve and Glinda's pick."""
+    worst = max(r.makespan_ms for r in grid)
+    best = min(grid, key=lambda r: r.makespan_ms)
+    lines = []
+    for r in grid:
+        bar = "#" * max(1, int(r.makespan_ms / worst * width))
+        mark = "   <- measured optimum" if r is best else ""
+        lines.append(f"  GPU {r.candidate.gpu_fraction:>5.0%} "
+                     f"{r.makespan_ms:>10.1f} ms {bar}{mark}")
+    lines.append(f"  Glinda's pick, GPU {seed.gpu_fraction:.1%}: "
+                 f"{seed.makespan_ms:.1f} ms")
+    return "\n".join(lines)
+
+
+def test_response_curves(benchmark, platform):
     def measure():
-        out = {}
-        for app_name in APPS:
-            app = get_application(app_name)
-            program = app.program()
-            plan = get_strategy("SP-Single").plan(program, platform)
-            predicted = next(
-                iter(plan.decision.gpu_fraction_by_kernel.values())
+        return {
+            app_name: sp_single_rows(
+                search_plan(app_name, platform, grid=11, rounds=0)
             )
-            fractions = tuple(sorted({*grid, round(predicted, 4)}))
-            curve = split_response_curve(program, platform,
-                                         fractions=fractions)
-            out[app_name] = (curve, predicted)
-        return out
+            for app_name in APPS
+        }
 
     results = benchmark.pedantic(measure, rounds=1, iterations=1)
-    for app_name, (curve, predicted) in results.items():
+    best = {}
+    for app_name, (seed, grid) in results.items():
         emit(f"Response curve — {app_name} "
-             f"(Glinda predicts GPU {predicted:.1%})",
-             format_curve(curve, predicted=predicted))
+             f"(Glinda predicts GPU {seed.gpu_fraction:.1%})",
+             format_curve(seed, grid))
+        best[app_name] = min(grid, key=lambda r: r.makespan_ms)
         # the prediction sits in the measured valley (within 6%: the
         # per-iteration taskwait quiescence — a constant Glinda does not
         # model — nudges the loop apps' true optimum a point or two
         # GPU-ward)
-        assert curve.valley_contains(predicted, tolerance=0.06), (
-            app_name, predicted, curve.best_fraction
+        assert seed.makespan_ms <= best[app_name].makespan_ms * 1.06, (
+            app_name, seed.gpu_fraction, best[app_name].candidate.gpu_fraction
         )
     # sanity of the curve shapes themselves
-    mm, _ = results["MatrixMul"]
-    assert mm.best_fraction >= 0.8        # GPU-dominant valley
-    hs, _ = results["HotSpot"]
-    assert hs.best_fraction <= 0.4        # CPU-dominant valley
+    assert best["MatrixMul"].candidate.gpu_fraction >= 0.8  # GPU-dominant
+    assert best["HotSpot"].candidate.gpu_fraction <= 0.4    # CPU-dominant

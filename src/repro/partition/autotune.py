@@ -12,7 +12,7 @@ results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import PartitioningError
 from repro.partition.base import PlanConfig, Strategy
@@ -66,17 +66,10 @@ def autotune_task_count(
         if mult <= 0:
             raise PartitioningError("multipliers must be positive")
         count = m * mult
-        cfg = PlanConfig(
-            cpu_threads=base.cpu_threads,
-            task_count=count,
-            warp_size=base.warp_size,
-            gpu_only_threshold=base.gpu_only_threshold,
-            cpu_only_threshold=base.cpu_only_threshold,
-        )
         result = strategy.run(
             program,
             platform,
-            config=cfg,
+            config=replace(base, task_count=count),
             runtime_config=RuntimeConfig(cpu_threads=m),
         )
         sweep[count] = result.makespan_s

@@ -17,7 +17,10 @@ events dispatched on an integer kind inside an inlined run loop) and the
 closure-per-event oracle :class:`~repro.sim.engine.Simulator` it is
 differentially tested against (``REPRO_NO_FAST_ENGINE=1`` selects the
 oracle; :func:`~repro.sim.fast_engine.make_simulator` honors the flag).
-Either engine produces byte-identical run artifacts.
+Both offer ``now``, ``at``/``after``, ``schedule_call`` and
+``run(max_events=...)``; the fast engine adds ``schedule_completion``
+for resource completions.  Either engine produces byte-identical run
+artifacts.
 """
 
 from repro.sim.analysis import (
@@ -30,7 +33,6 @@ from repro.sim.analysis import (
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
 from repro.sim.fast_engine import (
-    FastEvent,
     FastSimulator,
     fast_engine_enabled,
     make_simulator,
@@ -48,7 +50,6 @@ __all__ = [
     "Simulator",
     "Event",
     "FastSimulator",
-    "FastEvent",
     "fast_engine_enabled",
     "make_simulator",
     "SimResource",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -36,34 +37,17 @@ def max_events_error(max_events: int) -> SimulationError:
 class Simulator:
     """A minimal, deterministic discrete-event simulator.
 
-    Usage: schedule callbacks with :meth:`at` / :meth:`after`, then call
-    :meth:`run`.  Callbacks may schedule further events.  Virtual time only
-    moves forward; scheduling into the past is an error.
+    Usage: schedule callbacks with :meth:`at` / :meth:`after` (or a
+    one-argument call with :meth:`schedule_call`), then call :meth:`run`.
+    Callbacks may schedule further events.  Virtual time only moves
+    forward; scheduling into the past is an error.
     """
 
-    #: default minimum number of cancelled slots before a heap compaction
-    #: is considered (avoids rebuilding tiny heaps); compaction also
-    #: requires cancelled slots to outnumber live ones
-    _COMPACT_MIN = 64
-
-    def __init__(self, *, compact_min: int | None = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[Event] = []
         self._seq = 0
         self._running = False
-        self._cancelled = 0  # cancelled events still occupying heap slots
-        #: cancelled-slot threshold below which the heap is never rebuilt;
-        #: cancel-heavy workloads can raise it to amortize rebuilds over
-        #: larger batches (or lower it to bound heap memory)
-        self._compact_min = (
-            self._COMPACT_MIN if compact_min is None else compact_min
-        )
-        self.compactions = 0  # heap rebuilds performed so far
-
-    @property
-    def compact_min(self) -> int:
-        """Cancelled-slot threshold that arms heap compaction."""
-        return self._compact_min
 
     @property
     def now(self) -> float:
@@ -76,29 +60,16 @@ class Simulator:
         callback: Callable[[], Any],
         *,
         priority: int = PRIORITY_SCHEDULE,
-    ) -> Event:
+    ) -> None:
         """Schedule ``callback`` at absolute virtual time ``time``."""
         if time < self._now - 1e-15:
             raise SimulationError(
                 f"cannot schedule event at {time} before now={self._now}"
             )
-        event = Event(max(time, self._now), priority, self._seq, callback)
-        event.on_cancel = self._note_cancel
+        heapq.heappush(
+            self._heap, Event(max(time, self._now), priority, self._seq, callback)
+        )
         self._seq += 1
-        heapq.heappush(self._heap, event)
-        return event
-
-    def _note_cancel(self) -> None:
-        """Track a cancellation; compact once cancelled slots dominate."""
-        self._cancelled += 1
-        if (
-            self._cancelled >= self._compact_min
-            and self._cancelled * 2 > len(self._heap)
-        ):
-            self._heap = [e for e in self._heap if not e.cancelled]
-            heapq.heapify(self._heap)
-            self._cancelled = 0
-            self.compactions += 1
 
     def after(
         self,
@@ -106,55 +77,44 @@ class Simulator:
         callback: Callable[[], Any],
         *,
         priority: int = PRIORITY_SCHEDULE,
-    ) -> Event:
+    ) -> None:
         """Schedule ``callback`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
-        return self.at(self._now + delay, callback, priority=priority)
+        self.at(self._now + delay, callback, priority=priority)
 
-    def run(
-        self, *, until: float | None = None, max_events: int = DEFAULT_MAX_EVENTS
-    ) -> float:
+    def schedule_call(
+        self,
+        time: float,
+        fn: Callable[[Any], Any],
+        arg: Any,
+        *,
+        priority: int = PRIORITY_COMPLETION,
+    ) -> None:
+        """Schedule ``fn(arg)`` at ``time``: one event, one sequence
+        number, like the fast engine's closure-free call."""
+        self.at(time, partial(fn, arg), priority=priority)
+
+    def run(self, *, max_events: int = DEFAULT_MAX_EVENTS) -> float:
         """Drain the event heap; returns the final virtual time.
 
-        Parameters
-        ----------
-        until:
-            Optional horizon; events after it remain queued.
-        max_events:
-            Safety valve against runaway self-scheduling loops.
+        ``max_events`` is a safety valve against runaway self-scheduling
+        loops.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
+        heap = self._heap
+        pop = heapq.heappop
         processed = 0
         try:
-            while self._heap:
-                event = self._heap[0]
-                if until is not None and event.time > until:
-                    break
-                heapq.heappop(self._heap)
-                if event.cancelled:
-                    if self._cancelled > 0:
-                        self._cancelled -= 1
-                    continue
+            while heap:
+                event = pop(heap)
                 if processed >= max_events:
                     raise max_events_error(max_events)
-                # the event is now firing: a late cancel() from inside any
-                # callback must not inflate the cancelled-slot counter (the
-                # event no longer occupies a heap slot), or ``pending``
-                # would go negative once pops race the counter
-                event.on_cancel = None
                 self._now = event.time
                 event.callback()
                 processed += 1
         finally:
             self._running = False
-        if until is not None and until > self._now:
-            self._now = until
         return self._now
-
-    @property
-    def pending(self) -> int:
-        """Number of queued live (non-cancelled) events."""
-        return len(self._heap) - self._cancelled

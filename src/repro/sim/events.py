@@ -27,23 +27,10 @@ class Event:
     seq:
         Monotonic insertion index; makes ordering total and deterministic.
     callback:
-        Zero-argument callable invoked when the event fires.  Cancelled
-        events keep their heap slot but do nothing.
+        Zero-argument callable invoked when the event fires.
     """
 
     time: float
     priority: int
     seq: int
     callback: Callable[[], Any] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    #: notification hook set by the owning simulator so it can keep a live
-    #: event count and compact the heap (see ``Simulator.pending``)
-    on_cancel: Callable[[], Any] | None = field(default=None, compare=False)
-
-    def cancel(self) -> None:
-        """Prevent the callback from running when the event fires."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self.on_cancel is not None:
-            self.on_cancel()

@@ -55,8 +55,8 @@ each chain anchor (a running head's end, the landing time of the
 chain's fetches, or ``now``), rows taken in by each lane in one call
 (``extend_rows``, or ``append`` for a single row), the shadow directory
 swapped in, eager write-backs (a running head's included) and the
-fence's flush timed on per-link cursors, and one closure-free anchor
-event (``FastSimulator.schedule_call``).  With a fence the anchor fires
+fence's flush timed on per-link cursors, and one anchor event
+(``sim.schedule_call``).  With a fence the anchor fires
 at the modeled barrier completion — ``max(last chain end + quiescence
 overhead, flush lands, write-backs land)`` — and re-enters the drain
 for the next epoch, so a synced loop costs O(1) events per barrier.
@@ -78,7 +78,6 @@ from itertools import accumulate
 
 from repro.platform.topology import HOST_SPACE
 from repro.runtime.graph import InstanceKind
-from repro.sim.engine import PRIORITY_COMPLETION
 
 #: process-wide drain telemetry.  The search driver snapshots this around
 #: a sweep to surface silent engine fallbacks (a run that cannot drain,
@@ -256,25 +255,6 @@ def compile_plan(run, resource_ids: list) -> CompiledPlan:
         fences=fences,
         epoch_sig=epoch_sig,
     )
-
-
-class _EpochAnchor:
-    """Oracle-engine drain anchor: closes one committed epoch.
-
-    The fast engine schedules the anchor through its closure-free
-    ``schedule_call``; the oracle :class:`~repro.sim.engine.Simulator`
-    gets this slotted equivalent so both consume exactly one sequence
-    number per commit.
-    """
-
-    __slots__ = ("evaluator", "args")
-
-    def __init__(self, evaluator, args):
-        self.evaluator = evaluator
-        self.args = args
-
-    def __call__(self) -> None:
-        self.evaluator._close_epoch(self.args)
 
 
 def _any_overlap(rows: list) -> bool:
@@ -731,15 +711,9 @@ class PlanEvaluator:
         return True
 
     def _schedule_anchor(self, run, time: float, fence) -> None:
-        """One closure-free event closing a committed epoch at ``time``;
-        both engines consume exactly one sequence number here."""
-        args = (run, fence)
-        schedule_call = getattr(run.sim, "schedule_call", None)
-        if schedule_call is not None:
-            schedule_call(time, self._close_epoch, args)
-        else:
-            run.sim.at(time, _EpochAnchor(self, args),
-                       priority=PRIORITY_COMPLETION)
+        """One event closing a committed epoch at ``time``; it consumes
+        exactly one sequence number on either engine."""
+        run.sim.schedule_call(time, self._close_epoch, (run, fence))
 
     def _close_epoch(self, args) -> None:
         """Anchor target: the modeled fence completes.  The unfenced

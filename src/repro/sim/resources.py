@@ -8,12 +8,14 @@ occupation hands one row to its :class:`~repro.sim.tracestore.TraceLane`
 :class:`~repro.sim.trace.TraceRecord` object is allocated on this hot
 path — and fires a completion callback through the owning simulator.
 
-Resources work with either engine.  Under the oracle
+Resources work with either engine.  Both offer ``at``/``after`` and
+``schedule_call``; only the
+:class:`~repro.sim.fast_engine.FastSimulator` offers
+``schedule_completion``.  Under the oracle
 :class:`~repro.sim.engine.Simulator` every completion is a closure
-scheduled through ``sim.at``; under the
-:class:`~repro.sim.fast_engine.FastSimulator` completions go through
-``sim.schedule_completion`` and the engine's run loop advances the FIFO
-inline (see :mod:`repro.sim.fast_engine`).  Both paths consume one
+scheduled through ``sim.at``; under the fast engine completions go
+through ``sim.schedule_completion`` and the engine's run loop advances
+the FIFO inline (see :mod:`repro.sim.fast_engine`).  Both paths consume one
 sequence number per completion, so event interleaving — and therefore
 every trace row — is identical across engines.
 

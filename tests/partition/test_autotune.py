@@ -1,9 +1,17 @@
 """Task-size auto-tuning (paper §V)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import PartitioningError
-from repro.partition import DPGuided, DPPerf, SPSingle, autotune_task_count
+from repro.partition import (
+    DPGuided,
+    DPPerf,
+    PlanConfig,
+    SPSingle,
+    autotune_task_count,
+)
 from repro.partition.autotune import AutotuneResult
 
 from tests.conftest import single_kernel_program
@@ -40,6 +48,23 @@ class TestAutotune:
             DPPerf(), program, tiny_platform, multipliers=(1, 16)
         )
         assert result.sweep[4] != result.sweep[64]
+
+    def test_sweep_keeps_every_other_config_field(self, tiny_platform):
+        seen = []
+
+        class RecordingDPPerf(DPPerf):
+            def run(self, program, platform, *, config=None, **kwargs):
+                seen.append(config)
+                return super().run(program, platform, config=config,
+                                   **kwargs)
+
+        program = single_kernel_program(n=100_000, flops=50.0, mem_bytes=0.0)
+        base = PlanConfig(cpu_threads=4, warp_size=64, gpu_fraction=0.3,
+                          gpu_only_threshold=0.9, cpu_only_threshold=0.1)
+        autotune_task_count(RecordingDPPerf(), program, tiny_platform,
+                            config=base, multipliers=(1, 2))
+        assert seen == [replace(base, task_count=4),
+                        replace(base, task_count=8)]
 
     def test_rejects_static_strategy(self, tiny_platform):
         program = single_kernel_program(n=1000)

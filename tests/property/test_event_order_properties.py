@@ -1,11 +1,13 @@
 """Property tests: event ordering is total and engine-independent.
 
 Both engines promise the same contract — events fire in strictly
-increasing ``(time, priority, seq)`` order, and a randomized schedule
-(ties, cancellations, mid-run spawns included) produces the *identical*
-firing sequence on the oracle ``Simulator`` and the ``FastSimulator``.
-This is the semantic half of the differential suite: if interleaving
-ever diverged, artifacts could no longer be byte-identical.
+increasing ``(time, priority, seq)`` order, every ``at``, ``after`` and
+``schedule_call`` consumes exactly one sequence number, and a randomized
+schedule (ties and mid-run spawns included, through all three calls)
+produces the *identical* firing sequence on the oracle ``Simulator`` and
+the ``FastSimulator``.  This is the semantic half of the differential
+suite: if interleaving ever diverged, artifacts could no longer be
+byte-identical.
 """
 
 from hypothesis import given, settings
@@ -17,23 +19,24 @@ from repro.sim.fast_engine import FastSimulator
 #: a small time grid so ties are common, not a measure-zero accident
 TIMES = st.sampled_from([0.0, 1.0, 1.0, 2.0, 2.0, 2.5, 5.0, 7.75])
 PRIORITIES = st.sampled_from([0, 5, 10])
+METHODS = st.sampled_from(["at", "after", "call"])
 
 
 @st.composite
 def schedules(draw):
-    """A script of root events: ``(time, priority, cancel_target, spawn)``.
+    """A script of root events: ``(time, priority, method, spawn)``.
 
-    ``cancel_target`` (an index into the root handles, or None) makes the
-    event cancel another handle when it fires — possibly one that already
-    fired, possibly itself, possibly a later one.  ``spawn`` makes it
-    schedule a child event relative to ``now``.
+    ``method`` is the scheduling call (``at``, ``after`` or
+    ``schedule_call``); ``spawn`` makes the event schedule a child
+    ``(delay, priority, method)`` relative to ``now`` when it fires.
     """
     n = draw(st.integers(min_value=1, max_value=24))
     rows = st.tuples(
         TIMES,
         PRIORITIES,
-        st.none() | st.integers(min_value=0, max_value=n - 1),
-        st.tuples(st.sampled_from([0.0, 0.5, 1.0]), PRIORITIES) | st.none(),
+        METHODS,
+        st.tuples(st.sampled_from([0.0, 0.5, 1.0]), PRIORITIES, METHODS)
+        | st.none(),
     )
     return draw(st.lists(rows, min_size=n, max_size=n))
 
@@ -42,34 +45,42 @@ def run_script(engine, script):
     """Drive ``script`` on ``engine``; return the firing log and keys.
 
     The log records which event fired in order; ``keys`` records each
-    fired event's ``(time, priority, seq)`` in firing order.
+    fired event's ``(time, priority, seq)`` in firing order, with ``seq``
+    counted here as one per scheduling call.
     """
     sim = engine()
     log = []
     keys = []
-    handles = []
+    seq = [0]
 
-    def root_cb(i, cancel_target, spawn):
-        def fire():
+    def schedule(method, delay, prio, fire):
+        key = (sim.now + delay, prio, seq[0])
+        seq[0] += 1
+        if method == "at":
+            sim.at(sim.now + delay, lambda: fire(key), priority=prio)
+        elif method == "after":
+            sim.after(delay, lambda: fire(key), priority=prio)
+        else:
+            sim.schedule_call(sim.now + delay, fire, key, priority=prio)
+
+    def root(i, spawn):
+        def fire(key):
             log.append(("root", i, sim.now))
-            keys.append((handles[i].time, handles[i].priority, handles[i].seq))
-            if cancel_target is not None:
-                handles[cancel_target].cancel()
+            keys.append(key)
             if spawn is not None:
-                delay, prio = spawn
+                delay, prio, method = spawn
 
-                def child():
+                def child(child_key):
                     log.append(("child", i, sim.now))
-                    keys.append((handle.time, handle.priority, handle.seq))
+                    keys.append(child_key)
 
-                handle = sim.after(delay, child, priority=prio)
+                schedule(method, delay, prio, child)
         return fire
 
-    for i, (time, prio, cancel_target, spawn) in enumerate(script):
-        handles.append(sim.at(time, root_cb(i, cancel_target, spawn),
-                              priority=prio))
+    for i, (time, prio, method, spawn) in enumerate(script):
+        schedule(method, time, prio, root(i, spawn))
     final = sim.run()
-    assert sim.pending == 0
+    assert sim._seq == seq[0]
     return log, keys, final
 
 
@@ -86,13 +97,12 @@ def test_engines_fire_identical_sequences(script):
 def test_static_firing_order_is_exactly_sorted_keys(script):
     # spawns stripped: for a schedule fixed before run(), the heap must
     # yield events in exactly sorted (time, priority, seq) order
-    script = [(t, p, cancel, None) for t, p, cancel, _spawn in script]
+    script = [(t, p, method, None) for t, p, method, _spawn in script]
     for engine in (Simulator, FastSimulator):
         _, keys, final = run_script(engine, script)
         assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys)
-        if keys:
-            assert final == max(k[0] for k in keys)
+        assert len(set(keys)) == len(keys) == len(script)
+        assert final == max(k[0] for k in keys)
 
 
 @settings(max_examples=120, deadline=None)
@@ -106,21 +116,3 @@ def test_dynamic_keys_unique_and_time_monotonic(script):
         assert len(set(keys)) == len(keys)
         times = [t for _kind, _i, t in log]
         assert times == sorted(times)
-
-
-@settings(max_examples=60, deadline=None)
-@given(schedules(), st.sampled_from([0.0, 1.0, 2.0, 2.5, 6.0]))
-def test_until_horizon_splits_runs_identically(script, horizon):
-    """Pausing at a horizon and resuming matches a single drain."""
-
-    def split(engine):
-        sim = engine()
-        log = []
-        for i, (time, prio, _cancel, _spawn) in enumerate(script):
-            sim.at(time, lambda i=i: log.append((i, sim.now)), priority=prio)
-        sim.run(until=horizon)
-        assert sim.now == horizon
-        sim.run()
-        return log, sim.now
-
-    assert split(Simulator) == split(FastSimulator)

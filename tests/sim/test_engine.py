@@ -1,4 +1,9 @@
-"""Discrete-event engine semantics."""
+"""Discrete-event engine semantics, one set of cases for both engines.
+
+Every class here runs against its ``engine`` attribute, the oracle
+``Simulator``; ``tests/sim/test_fast_engine.py`` subclasses the classes
+with ``engine = FastSimulator``, so both engines pass the same cases.
+"""
 
 import pytest
 
@@ -7,8 +12,10 @@ from repro.sim.engine import PRIORITY_COMPLETION, PRIORITY_SCHEDULE, Simulator
 
 
 class TestScheduling:
+    engine = Simulator
+
     def test_events_fire_in_time_order(self):
-        sim = Simulator()
+        sim = self.engine()
         log = []
         sim.at(2.0, lambda: log.append("b"))
         sim.at(1.0, lambda: log.append("a"))
@@ -17,7 +24,7 @@ class TestScheduling:
         assert log == ["a", "b", "c"]
 
     def test_simultaneous_events_break_ties_by_priority(self):
-        sim = Simulator()
+        sim = self.engine()
         log = []
         sim.at(1.0, lambda: log.append("sched"), priority=PRIORITY_SCHEDULE)
         sim.at(1.0, lambda: log.append("done"), priority=PRIORITY_COMPLETION)
@@ -25,7 +32,7 @@ class TestScheduling:
         assert log == ["done", "sched"]
 
     def test_same_priority_preserves_insertion_order(self):
-        sim = Simulator()
+        sim = self.engine()
         log = []
         for i in range(5):
             sim.at(1.0, lambda i=i: log.append(i))
@@ -33,7 +40,7 @@ class TestScheduling:
         assert log == [0, 1, 2, 3, 4]
 
     def test_after_is_relative_to_now(self):
-        sim = Simulator()
+        sim = self.engine()
         times = []
 
         def first():
@@ -44,48 +51,60 @@ class TestScheduling:
         assert times == [pytest.approx(1.5)]
 
     def test_cannot_schedule_into_the_past(self):
-        sim = Simulator()
+        sim = self.engine()
         sim.at(5.0, lambda: sim.at(1.0, lambda: None))
         with pytest.raises(SimulationError):
             sim.run()
 
     def test_negative_delay_rejected(self):
-        sim = Simulator()
+        sim = self.engine()
         with pytest.raises(SimulationError):
             sim.after(-1.0, lambda: None)
 
+    def test_schedule_call_passes_its_argument(self):
+        sim = self.engine()
+        got = []
+        sim.schedule_call(2.0, lambda arg: got.append((arg, sim.now)), "x")
+        sim.run()
+        assert got == [("x", 2.0)]
+
+    def test_schedule_call_defaults_to_completion_priority(self):
+        sim = self.engine()
+        log = []
+        sim.at(1.0, lambda: log.append("sched"))
+        sim.schedule_call(1.0, log.append, "call")
+        sim.run()
+        assert log == ["call", "sched"]
+
+    def test_schedule_call_into_the_past_rejected(self):
+        sim = self.engine()
+        sim.at(5.0, lambda: sim.schedule_call(1.0, print, None))
+        with pytest.raises(SimulationError):
+            sim.run()
+
+    def test_every_scheduling_call_consumes_one_sequence_number(self):
+        # identical seq consumption keeps the interleaving, and thus every
+        # artifact, byte-identical between the two engines
+        sim = self.engine()
+        assert sim.at(1.0, lambda: None) is None
+        assert sim.after(1.0, lambda: None) is None
+        assert sim.schedule_call(1.0, print, None) is None
+        assert sim._seq == 3
+
 
 class TestRun:
+    engine = Simulator
+
     def test_run_returns_final_time(self):
-        sim = Simulator()
+        sim = self.engine()
         sim.at(3.5, lambda: None)
         assert sim.run() == pytest.approx(3.5)
 
     def test_empty_run_stays_at_zero(self):
-        assert Simulator().run() == 0.0
-
-    def test_until_horizon_leaves_later_events_queued(self):
-        sim = Simulator()
-        log = []
-        sim.at(1.0, lambda: log.append(1))
-        sim.at(10.0, lambda: log.append(10))
-        sim.run(until=5.0)
-        assert log == [1]
-        assert sim.now == pytest.approx(5.0)
-        assert sim.pending == 1
-        sim.run()
-        assert log == [1, 10]
-
-    def test_cancelled_events_do_not_fire(self):
-        sim = Simulator()
-        log = []
-        event = sim.at(1.0, lambda: log.append("x"))
-        event.cancel()
-        sim.run()
-        assert log == []
+        assert self.engine().run() == 0.0
 
     def test_events_may_schedule_events(self):
-        sim = Simulator()
+        sim = self.engine()
         count = [0]
 
         def tick():
@@ -98,7 +117,7 @@ class TestRun:
         assert count[0] == 10
 
     def test_runaway_guard(self):
-        sim = Simulator()
+        sim = self.engine()
 
         def forever():
             sim.after(0.0, forever)
@@ -107,8 +126,20 @@ class TestRun:
         with pytest.raises(SimulationError):
             sim.run(max_events=1000)
 
+    def test_max_events_error_names_the_config_knob(self):
+        sim = self.engine()
+
+        def forever():
+            sim.after(0.0, forever)
+
+        sim.after(0.0, forever)
+        with pytest.raises(SimulationError, match="max_events=7") as exc:
+            sim.run(max_events=7)
+        assert "RuntimeConfig" in str(exc.value)
+        assert "--max-events" in str(exc.value)
+
     def test_max_events_allows_exactly_that_many_callbacks(self):
-        sim = Simulator()
+        sim = self.engine()
         log = []
         for i in range(5):
             sim.at(float(i), lambda i=i: log.append(i))
@@ -116,7 +147,7 @@ class TestRun:
         assert log == [0, 1, 2, 3, 4]
 
     def test_max_events_raises_before_the_extra_callback(self):
-        sim = Simulator()
+        sim = self.engine()
         log = []
         for i in range(6):
             sim.at(float(i), lambda i=i: log.append(i))
@@ -125,17 +156,17 @@ class TestRun:
         # the guard fires *before* event 6 runs, not after
         assert log == [0, 1, 2, 3, 4]
 
-    def test_cancelled_events_do_not_count_against_max_events(self):
-        sim = Simulator()
+    def test_calls_count_against_max_events(self):
+        sim = self.engine()
         log = []
-        events = [sim.at(float(i), lambda i=i: log.append(i)) for i in range(10)]
-        for event in events[:7]:
-            event.cancel()
-        sim.run(max_events=3)
-        assert log == [7, 8, 9]
+        for i in range(3):
+            sim.schedule_call(float(i), log.append, i)
+        with pytest.raises(SimulationError):
+            sim.run(max_events=2)
+        assert log == [0, 1]
 
     def test_not_reentrant(self):
-        sim = Simulator()
+        sim = self.engine()
         errors = []
 
         def inner():
@@ -147,104 +178,3 @@ class TestRun:
         sim.at(1.0, inner)
         sim.run()
         assert len(errors) == 1
-
-
-class TestPending:
-    def test_pending_counts_only_live_events(self):
-        sim = Simulator()
-        events = [sim.at(float(i + 1), lambda: None) for i in range(4)]
-        assert sim.pending == 4
-        events[0].cancel()
-        events[2].cancel()
-        assert sim.pending == 2
-
-    def test_double_cancel_counted_once(self):
-        sim = Simulator()
-        event = sim.at(1.0, lambda: None)
-        sim.at(2.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert sim.pending == 1
-
-    def test_pending_drops_to_zero_after_run(self):
-        sim = Simulator()
-        event = sim.at(1.0, lambda: None)
-        sim.at(2.0, lambda: None)
-        event.cancel()
-        sim.run()
-        assert sim.pending == 0
-
-    def test_mass_cancellation_compacts_the_heap(self):
-        sim = Simulator()
-        keep = sim.at(1000.0, lambda: None)
-        events = [sim.at(float(i + 1), lambda: None) for i in range(200)]
-        for event in events:
-            event.cancel()
-        # compaction kicked in: cancelled slots were physically removed
-        assert sim.pending == 1
-        assert len(sim._heap) < 200
-        assert sim.run() == pytest.approx(1000.0)
-        assert not keep.cancelled
-
-
-class TestCancelRaces:
-    """``pending`` stays exact when cancels race pops and compaction.
-
-    A cancel of an event that already left the heap (it fired, or a
-    compaction dropped its slot) must not inflate the cancelled-slot
-    counter, or ``pending = len(heap) - cancelled`` goes negative.
-    """
-
-    def test_cancel_of_already_fired_event_is_inert(self):
-        sim = Simulator()
-        fired = []
-        first = sim.at(1.0, lambda: fired.append("a"))
-        sim.at(2.0, first.cancel)
-        sim.at(3.0, lambda: fired.append("b"))
-        sim.run()
-        assert fired == ["a", "b"]
-        assert sim.pending == 0
-
-    def test_callback_cancelling_its_own_event_keeps_pending_exact(self):
-        sim = Simulator()
-        handles = []
-        handles.append(sim.at(1.0, lambda: handles[0].cancel()))
-        sim.at(2.0, lambda: None)
-        sim.run(until=1.5)
-        assert sim.pending == 1
-        sim.run()
-        assert sim.pending == 0
-
-    def test_stale_cancels_after_partial_run_stay_non_negative(self):
-        # fire half the events, then cancel *every* handle — the fired
-        # half are stale and must not count against live heap slots
-        sim = Simulator()
-        n = Simulator._COMPACT_MIN * 4
-        keep = sim.at(float(n + 10), lambda: None)
-        events = [sim.at(float(i + 1), lambda: None) for i in range(n)]
-        sim.run(until=n / 2)
-        for event in events:
-            event.cancel()
-            assert sim.pending >= 1
-        assert sim.pending == 1
-        assert sim.run() == pytest.approx(n + 10)
-        assert not keep.cancelled
-
-    def test_double_cancel_across_a_compaction_boundary(self):
-        # compaction resets the counter; a second cancel of a slot the
-        # compaction already removed must not decrement pending again
-        sim = Simulator()
-        keep = sim.at(1000.0, lambda: None)
-        events = [
-            sim.at(float(i + 1), lambda: None)
-            for i in range(Simulator._COMPACT_MIN * 2)
-        ]
-        for event in events:
-            event.cancel()
-        # compaction ran at least once: cancelled slots were dropped
-        assert len(sim._heap) < len(events)
-        for event in events:
-            event.cancel()  # all stale now
-        assert sim.pending == 1
-        assert sim.run() == pytest.approx(1000.0)
-        assert not keep.cancelled
