@@ -20,8 +20,10 @@ fast engine vs the closure oracle, end-to-end run speedup, cross-engine
 artifact byte parity, the epoch drain vs drain-refused runs), plays the measured-ranking
 tournament on the Table III machine (``matchmaking``: tournament
 matches/sec cold and replayed, and the fraction of (class, sync) cells
-where the measured ordering agrees with Table I), and records everything
-to ``BENCH_pipeline.json`` so CI can track the numbers over time.
+where the measured ordering agrees with Table I).  ``--output FILE``
+writes the record there as JSON (CI passes ``BENCH_pipeline.json`` and
+uploads it to track the numbers over time); without it nothing is
+written.
 
 ``--check-baseline [FILE]`` additionally compares the fresh record against
 the committed ``benchmarks/BENCH_pipeline.baseline.json`` with a tolerance
@@ -62,8 +64,6 @@ from repro.runtime.graph import chunk_ranges, expand_program
 
 import bench_event_core
 
-#: where the recorded numbers land (repo root, next to ROADMAP.md)
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
 #: the committed reference record CI compares fresh runs against
 BASELINE = Path(__file__).resolve().parent / "BENCH_pipeline.baseline.json"
 
@@ -539,7 +539,8 @@ def measure_matchmaking() -> dict:
     }
 
 
-def record() -> dict:
+def record(output: Path | None = None) -> dict:
+    """Measure everything; write the record to ``output`` when given."""
     payload = {
         "benchmark": "pipeline_perf",
         "scenario": {
@@ -559,7 +560,8 @@ def record() -> dict:
         "sim_core": bench_event_core.measure_sim_core(),
         "matchmaking": measure_matchmaking(),
     }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
+    if output is not None:
+        output.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
 
 
@@ -742,8 +744,7 @@ def test_pipeline_perf(benchmark):
         f"{payload['matchmaking']['matches_per_sec']:,.1f}/s cold "
         f"({payload['matchmaking']['warm_matches_per_sec']:,.0f}/s replayed), "
         f"Table I agreement "
-        f"{payload['matchmaking']['table_agreement']:.0%}\n"
-        f"wrote {OUTPUT.name}",
+        f"{payload['matchmaking']['table_agreement']:.0%}",
     )
 
 
@@ -758,9 +759,13 @@ def main(argv: list[str] | None = None) -> int:
              "(default: benchmarks/BENCH_pipeline.baseline.json) and exit "
              "non-zero on regression",
     )
+    parser.add_argument(
+        "--output", metavar="FILE", type=Path, default=None,
+        help="write the record to FILE as JSON (default: write nothing)",
+    )
     args = parser.parse_args(argv)
 
-    payload = record()
+    payload = record(args.output)
     check(payload)
     dep = payload["dependence"]
     sweep = payload["sweep_returns"]
@@ -782,8 +787,8 @@ def main(argv: list[str] | None = None) -> int:
         f"(parity {'ok' if payload['sim_core']['parity'] else 'DIVERGED'}), "
         f"matchmaking {payload['matchmaking']['matches_per_sec']:,.1f} "
         f"matches/s with "
-        f"{payload['matchmaking']['table_agreement']:.0%} Table I agreement "
-        f"-> {OUTPUT}"
+        f"{payload['matchmaking']['table_agreement']:.0%} Table I agreement"
+        + (f" -> {args.output}" if args.output is not None else "")
     )
     if args.check_baseline is not None:
         failures = compare_to_baseline(payload, Path(args.check_baseline))

@@ -139,29 +139,25 @@ class _ReaderIndex:
         self.ends: list[int] = []
         self.ids: list[tuple[int, ...]] = []
 
-    def _overlap_range(self, start: int, end: int) -> tuple[int, int]:
-        """Index range of segments overlapping ``[start, end)``."""
-        lo = bisect_right(self.ends, start)
-        hi = lo
-        n = len(self.starts)
-        while hi < n and self.starts[hi] < end:
-            hi += 1
-        return lo, hi
-
     def overlapping(self, start: int, end: int) -> list[int]:
         """Reader ids with any live read overlapping ``[start, end)``.
 
         Deduplicated in first-read order (a reader may span several
         segments), matching the flat list's one-entry-per-commit order.
         """
-        lo, hi = self._overlap_range(start, end)
+        starts, ids = self.starts, self.ids
+        lo = bisect_right(self.ends, start)
+        hi = lo
+        count = len(starts)
+        while hi < count and starts[hi] < end:
+            hi += 1
         if lo == hi:
             return []
         if hi - lo == 1:
-            return list(self.ids[lo])
+            return list(ids[lo])
         seen: dict[int, None] = {}
         for i in range(lo, hi):
-            for rid in self.ids[i]:
+            for rid in ids[i]:
                 seen.setdefault(rid, None)
         return list(seen)
 
@@ -169,19 +165,44 @@ class _ReaderIndex:
         """Record ``instance_id`` as a live reader of ``[start, end)``."""
         if end <= start:
             return
-        lo, hi = self._overlap_range(start, end)
+        starts, ends, ids = self.starts, self.ends, self.ids
         mine = (instance_id,)
-        if lo == hi:  # nothing live under the read: one new segment
-            starts, ends, ids = self.starts, self.ends, self.ids
+        # the overlapped run is segments [lo, hi): the first whose end
+        # exceeds ``start`` up to the first that starts at ``end`` or later
+        lo = bisect_right(ends, start)
+        count = len(starts)
+        if lo == count or starts[lo] >= end:
+            # nothing live under the read: one new segment
             if (lo and ends[lo - 1] == start and ids[lo - 1] == mine) or (
-                lo < len(starts) and starts[lo] == end and ids[lo] == mine
+                lo < count and starts[lo] == end and ids[lo] == mine
             ):
-                self._splice(lo, hi, [start], [end], [mine])
+                self._splice(lo, lo, [start], [end], [mine])
             else:
                 starts.insert(lo, start)
                 ends.insert(lo, end)
                 ids.insert(lo, mine)
             return
+        hi = lo + 1
+        if hi == count or starts[hi] >= end:
+            if starts[lo] == start and ends[lo] == end:
+                # the read covers exactly one live segment: the reader
+                # joins it in place, merging only when that makes it
+                # equal to a touching neighbour
+                owner = ids[lo]
+                if instance_id in owner:
+                    return
+                joined = owner + mine
+                if (lo and ends[lo - 1] == start
+                        and ids[lo - 1] == joined) or (
+                    hi < count and starts[hi] == end and ids[hi] == joined
+                ):
+                    self._splice(lo, hi, [start], [end], [joined])
+                else:
+                    ids[lo] = joined
+                return
+        else:
+            while hi < count and starts[hi] < end:
+                hi += 1
         # the replacement run, as flat pieces: gaps before a segment go
         # to the new reader alone, the overlapped part of a segment gains
         # it, the parts of the first and last segment outside the read
@@ -190,7 +211,7 @@ class _ReaderIndex:
         pieces: list = []
         cursor = start
         for i in range(lo, hi):
-            s, e, owner = self.starts[i], self.ends[i], self.ids[i]
+            s, e, owner = starts[i], ends[i], ids[i]
             if cursor < s:
                 pieces += (cursor, s, mine)
             split_lo = s if s > start else start
@@ -204,20 +225,20 @@ class _ReaderIndex:
             if split_hi > cursor:
                 cursor = split_hi
         pieces += (cursor, end, mine)
-        starts: list[int] = []
-        ends: list[int] = []
-        ids: list[tuple[int, ...]] = []
+        run_starts: list[int] = []
+        run_ends: list[int] = []
+        run_ids: list[tuple[int, ...]] = []
         for k in range(0, len(pieces), 3):
             s, e, owner = pieces[k], pieces[k + 1], pieces[k + 2]
             if s >= e:
                 continue
-            if ids and ids[-1] == owner and ends[-1] == s:
-                ends[-1] = e  # coalesce equal neighbours
+            if run_ids and run_ids[-1] == owner and run_ends[-1] == s:
+                run_ends[-1] = e  # coalesce equal neighbours
             else:
-                starts.append(s)
-                ends.append(e)
-                ids.append(owner)
-        self._splice(lo, hi, starts, ends, ids)
+                run_starts.append(s)
+                run_ends.append(e)
+                run_ids.append(owner)
+        self._splice(lo, hi, run_starts, run_ends, run_ids)
 
     def _splice(self, lo: int, hi: int, starts: list, ends: list,
                 ids: list) -> None:
@@ -242,25 +263,36 @@ class _ReaderIndex:
 
     def subtract(self, start: int, end: int) -> None:
         """Drop all reads of ``[start, end)`` (a write superseded them)."""
-        lo, hi = self._overlap_range(start, end)
-        if lo == hi:
+        starts, ends, ids = self.starts, self.ends, self.ids
+        lo = bisect_right(ends, start)
+        count = len(starts)
+        if lo == count or starts[lo] >= end:
             return
-        starts: list[int] = []
-        ends: list[int] = []
-        ids: list[tuple[int, ...]] = []
+        hi = lo + 1
+        if hi == count or starts[hi] >= end:
+            if starts[lo] >= start and ends[lo] <= end:
+                # one segment, wholly superseded: drop it in place
+                del starts[lo], ends[lo], ids[lo]
+                return
+        else:
+            while hi < count and starts[hi] < end:
+                hi += 1
+        run_starts: list[int] = []
+        run_ends: list[int] = []
+        run_ids: list[tuple[int, ...]] = []
         for i in range(lo, hi):
-            s, e, owner = self.starts[i], self.ends[i], self.ids[i]
+            s, e, owner = starts[i], ends[i], ids[i]
             if s < start:
-                starts.append(s)
-                ends.append(start)
-                ids.append(owner)
+                run_starts.append(s)
+                run_ends.append(start)
+                run_ids.append(owner)
             if e > end:
-                starts.append(end)
-                ends.append(e)
-                ids.append(owner)
-        self.starts[lo:hi] = starts
-        self.ends[lo:hi] = ends
-        self.ids[lo:hi] = ids
+                run_starts.append(end)
+                run_ends.append(e)
+                run_ids.append(owner)
+        starts[lo:hi] = run_starts
+        ends[lo:hi] = run_ends
+        ids[lo:hi] = run_ids
 
 
 class _ArrayFrontier:
@@ -282,46 +314,40 @@ class _ArrayFrontier:
         self.wids: list[int] = []
         self.readers = _ReaderIndex()
 
-    def _overlap_range(self, start: int, end: int) -> tuple[int, int]:
-        """Index range of writer entries overlapping ``[start, end)``."""
+    def commit_write(self, start: int, end: int, instance_id: int) -> None:
+        """Make ``instance_id`` the last writer of ``[start, end)``."""
+        readers = self.readers
+        if readers.ends:
+            readers.subtract(start, end)
+        wstarts, wends, wids = self.wstarts, self.wends, self.wids
         # entries are disjoint and sorted, so both starts and ends are
         # sorted: the overlapped run begins at the first entry whose end
         # exceeds ``start`` and continues while entry.start < end.
-        lo = bisect_right(self.wends, start)
+        lo = bisect_right(wends, start)
+        count = len(wstarts)
+        if lo < count and wstarts[lo] == start and wends[lo] == end:
+            wids[lo] = instance_id  # the same range, rewritten in place
+            return
         hi = lo
-        n = len(self.wstarts)
-        while hi < n and self.wstarts[hi] < end:
+        while hi < count and wstarts[hi] < end:
             hi += 1
-        return lo, hi
-
-    def writers_overlapping(self, start: int, end: int) -> list[int]:
-        lo, hi = self._overlap_range(start, end)
-        return self.wids[lo:hi]
-
-    def commit_write(self, start: int, end: int, instance_id: int) -> None:
-        """Make ``instance_id`` the last writer of ``[start, end)``."""
-        self.readers.subtract(start, end)
-        lo, hi = self._overlap_range(start, end)
-        starts: list[int] = []
-        ends: list[int] = []
-        ids: list[int] = []
-        if lo < hi and self.wstarts[lo] < start:
-            starts.append(self.wstarts[lo])
-            ends.append(start)
-            ids.append(self.wids[lo])
-        starts.append(start)
-        ends.append(end)
-        ids.append(instance_id)
-        if lo < hi and self.wends[hi - 1] > end:
-            starts.append(end)
-            ends.append(self.wends[hi - 1])
-            ids.append(self.wids[hi - 1])
-        self.wstarts[lo:hi] = starts
-        self.wends[lo:hi] = ends
-        self.wids[lo:hi] = ids
-
-    def commit_read(self, start: int, end: int, instance_id: int) -> None:
-        self.readers.add(start, end, instance_id)
+        run_starts: list[int] = []
+        run_ends: list[int] = []
+        run_ids: list[int] = []
+        if lo < hi and wstarts[lo] < start:
+            run_starts.append(wstarts[lo])
+            run_ends.append(start)
+            run_ids.append(wids[lo])
+        run_starts.append(start)
+        run_ends.append(end)
+        run_ids.append(instance_id)
+        if lo < hi and wends[hi - 1] > end:
+            run_starts.append(end)
+            run_ends.append(wends[hi - 1])
+            run_ids.append(wids[hi - 1])
+        wstarts[lo:hi] = run_starts
+        wends[lo:hi] = run_ends
+        wids[lo:hi] = run_ids
 
 
 def build_dependences(graph: TaskGraph) -> TaskGraph:
@@ -394,14 +420,39 @@ def build_dependences(graph: TaskGraph) -> TaskGraph:
                 array = region.array
                 frontier = frontiers.get(array)
                 if frontier is not None:
-                    # RAW and WAW both look at the write frontier
-                    for src in frontier.writers_overlapping(start, end):
-                        deps.add(src)
-                        instances[src].succs.add(member_id)
-                    if mode.writes:
-                        for src in frontier.readers.overlapping(start, end):
-                            deps.add(src)  # WAR
+                    # the overlap queries, inline: most accesses overlap
+                    # one segment, whose owner is read directly.  RAW and
+                    # WAW both look at the write frontier.
+                    wends = frontier.wends
+                    lo = bisect_right(wends, start)
+                    count = len(wends)
+                    wstarts = frontier.wstarts
+                    if lo < count and wstarts[lo] < end:
+                        hi = lo + 1
+                        if hi == count or wstarts[hi] >= end:
+                            src = frontier.wids[lo]
+                            deps.add(src)
                             instances[src].succs.add(member_id)
+                        else:
+                            while hi < count and wstarts[hi] < end:
+                                hi += 1
+                            for src in frontier.wids[lo:hi]:
+                                deps.add(src)
+                                instances[src].succs.add(member_id)
+                    if mode.writes:
+                        readers = frontier.readers
+                        rends = readers.ends
+                        lo = bisect_right(rends, start)
+                        count = len(rends)
+                        rstarts = readers.starts
+                        if lo < count and rstarts[lo] < end:
+                            if lo + 1 == count or rstarts[lo + 1] >= end:
+                                srcs = readers.ids[lo]
+                            else:
+                                srcs = readers.overlapping(start, end)
+                            for src in srcs:
+                                deps.add(src)  # WAR
+                                instances[src].succs.add(member_id)
                 if mode.writes:
                     writes.append((array, start, end, member_id))
                 if mode.reads:
@@ -415,7 +466,7 @@ def build_dependences(graph: TaskGraph) -> TaskGraph:
             for array, start, end, member_id in writes:
                 frontiers[array].commit_write(start, end, member_id)
             for array, start, end, member_id in reads:
-                frontiers[array].commit_read(start, end, member_id)
+                frontiers[array].readers.add(start, end, member_id)
         i = j
 
     return graph

@@ -445,21 +445,19 @@ class _Run:
         #: region being transferred must wait for the wire, not just for
         #: the (optimistically updated) directory
         self._inflight: dict[tuple[str, str], list[_InflightTransfer]] = {}
+        #: how many transfers ``_inflight`` holds; while none is live, no
+        #: hazard scan can find one
+        self._live_transfers = 0
         #: per-instance regions, shared per signature by the graph
         self._rows = graph.access_rows
-        #: compute durations memoized per signature.  Looped programs
-        #: re-issue the same (kernel object, range, n) chunk once per
-        #: iteration, every thread of one device has the same
-        #: (device, share) class, and durations are pure roofline
-        #: arithmetic of the two, so sharing is value-identical to
-        #: recomputing.
-        self._duration_cache: dict[tuple, float] = {}
-        #: resource id -> its (device, share) class, as a small int
-        classes: dict[tuple, int] = {}
-        self._duration_class = {
-            r.resource_id: classes.setdefault(
-                (r.device.device_id, r.share), len(classes)
-            )
+        #: resource id -> the graph's memo of compute times on the
+        #: resource's (device, share) class.  Looped programs re-issue
+        #: the same (kernel object, range, n) chunk once per iteration,
+        #: every thread of one device has the same class, runs that share
+        #: the graph share the memo, and the times are pure roofline
+        #: arithmetic, so sharing is value-identical to recomputing.
+        self._chunk_times = {
+            r.resource_id: graph.chunk_times(r.device, r.share)
             for r in self.resources
         }
         #: the epoch drain, or None for runs that may not drain
@@ -487,20 +485,22 @@ class _Run:
 
     def _duration(self, inst: TaskInstance, resource: ComputeResource) -> float:
         """Roofline time plus task-creation overhead of ``inst`` on
-        ``resource``, memoized per signature; the drain reads the same
+        ``resource``, the roofline time memoized on the graph
+        (:meth:`TaskGraph.chunk_times`); the drain reads the same
         floats."""
-        kernel = inst.kernel
-        key = (id(kernel), self._duration_class[resource.resource_id],
-               inst.lo, inst.hi, inst.invocation.n)
-        duration = self._duration_cache.get(key)
-        if duration is None:
-            duration = self._duration_cache[key] = kernel.chunk_time(
+        memo = self._chunk_times[resource.resource_id]
+        n = inst.invocation.n
+        key = (self._rows[inst.instance_id], n)
+        seconds = memo.get(key)
+        if seconds is None:
+            kernel = inst.invocation.kernel
+            seconds = memo[key] = kernel.chunk_time(
                 resource.device,
                 kernel.work_units(inst.lo, inst.hi),
-                inst.invocation.n,
+                n,
                 share=resource.share,
-            ) + self.config.task_creation_overhead_s
-        return duration
+            )
+        return seconds + self.config.task_creation_overhead_s
 
     # -- main loop --------------------------------------------------------------
 
@@ -629,36 +629,44 @@ class _Run:
         self.inflight[resource_id] += 1
         space = self._space_of[resource_id]
         # collect transfers already on the wire BEFORE issuing our own
-        waits = self._pending_overlaps(inst, space)
+        waits = (
+            self._pending_overlaps(inst, space) if self._live_transfers else ()
+        )
         ops: list[TransferOp] = []
         for region in self._rows[inst.instance_id].reads:
             ops.extend(self.memory.ensure(region, space))
-        transfer_total = sum(self._transfer_duration(op) for op in ops)
         pending = len(ops) + len(waits)
         if pending == 0:
             self._start_compute(inst, resource, space, 0.0)
             return
 
-        arm = _ComputeArm(self, inst, resource, space, transfer_total, pending)
+        durations = [self._transfer_duration(op) for op in ops]
+        arm = _ComputeArm(
+            self, inst, resource, space, sum(durations), pending
+        )
         for entry in waits:
             entry.waiters.append(arm)
-        for op in ops:
-            self._issue_transfer(op, on_complete=arm)
+        for op, duration in zip(ops, durations):
+            self._issue_transfer(op, duration, on_complete=arm)
 
-    def _issue_transfer(self, op: TransferOp, *, on_complete=None) -> None:
-        duration = self._transfer_duration(op)
+    def _issue_transfer(
+        self, op: TransferOp, duration: float, *, on_complete=None
+    ) -> None:
         direction = "h2d" if op.is_h2d else "d2h"
         self.transfer_bytes[direction] += op.nbytes
         # source-side hazard: data still being staged INTO the source space
         # (device -> host -> device chains) must land before this leg reads
         # it off
-        src_waits = [
-            e for e in self._inflight.get((op.array, op.src_space), ())
-            if not e.done and e.start < op.end and op.start < e.end
-        ]
+        src_waits = []
+        if self._live_transfers:
+            src_waits = [
+                e for e in self._inflight.get((op.array, op.src_space), ())
+                if not e.done and e.start < op.end and op.start < e.end
+            ]
         entry = _InflightTransfer(start=op.start, end=op.end)
         key = (op.array, op.dst_space)
         self._inflight.setdefault(key, []).append(entry)
+        self._live_transfers += 1
 
         xfer = _Transfer(
             self, op, duration, direction, entry, key, on_complete,
@@ -676,6 +684,7 @@ class _Run:
         entry.done = True
         on_wire = self._inflight[xfer.key]
         on_wire.remove(entry)
+        self._live_transfers -= 1
         for waiter in entry.waiters:
             waiter()
         cb = xfer.on_complete
@@ -692,7 +701,8 @@ class _Run:
         transfer_total: float,
     ) -> None:
         """Occupy ``resource`` with ``inst``'s compute."""
-        name = inst.kernel.name
+        name = inst.invocation.kernel.name
+        size = inst.hi - inst.lo
         duration = self._duration(inst, resource)
         if self._pays_decision[inst.instance_id]:
             duration += self.config.dynamic_decision_overhead_s
@@ -703,7 +713,7 @@ class _Run:
             args = (name, inst.lo, inst.hi, inst.instance_id)
             meta = {
                 "kernel": name,
-                "size": inst.size,
+                "size": size,
                 "device_kind": resource.device.kind.value,
                 "device": resource.device.device_id,
                 "invocation": inst.invocation.invocation_id,
@@ -714,31 +724,27 @@ class _Run:
             label="",
             category="compute",
             on_complete=(
-                self._complete_compute,
+                self._complete,
                 (inst, resource, space, duration, transfer_total),
             ),
             lane=self.compute_lanes[resource.resource_id],
             args=args,
-            size=inst.size,
+            size=size,
             kernel=name,
             meta=meta,
         )
 
-    def _complete_compute(self, args: tuple) -> None:
-        """Tuple-callback shim: unpack the compute-completion args."""
-        if self._drain is not None and args[0].instance_id in self.done:
-            return  # a running head a drain commit already completed
-        self._complete(*args)
+    def _complete(self, args: tuple) -> None:
+        """A compute occupation ended: publish the instance's writes, start
+        its eager write-backs and release its successors.
 
-    def _complete(
-        self,
-        inst: TaskInstance,
-        resource: ComputeResource,
-        space: str,
-        compute_time: float,
-        transfer_time: float,
-    ) -> None:
+        ``args`` is the ``(instance, resource, memory space, compute time,
+        transfer time)`` tuple :meth:`_start_compute` hands the resource.
+        """
+        inst, resource, space, compute_time, transfer_time = args
         iid = inst.instance_id
+        if self._drain is not None and iid in self.done:
+            return  # a running head a drain commit already completed
         writes = self._rows[iid].writes
         for region in writes:
             self.memory.write(region, space)
@@ -753,7 +759,10 @@ class _Run:
             for region in writes:
                 for op in self.memory.writeback(region, space):
                     self._pending_writebacks += 1
-                    self._issue_transfer(op, on_complete=self._writeback_done)
+                    self._issue_transfer(
+                        op, self._transfer_duration(op),
+                        on_complete=self._writeback_done,
+                    )
         self.inflight[resource.resource_id] -= 1
         if self._notify:
             self.scheduler.on_complete(
@@ -793,7 +802,9 @@ class _Run:
         arm = _BarrierArm(self, inst, len(ops) + 1)
         self.sim.after(overhead, arm)
         for op in ops:
-            self._issue_transfer(op, on_complete=arm)
+            self._issue_transfer(
+                op, self._transfer_duration(op), on_complete=arm
+            )
 
     def _barrier_done(self, inst: TaskInstance) -> None:
         """A ``taskwait`` completed; a drain may commit the epoch it
@@ -818,7 +829,7 @@ class _Run:
             return
         self._finalized = True
         for op in self.memory.flush_to_host():
-            self._issue_transfer(op)
+            self._issue_transfer(op, self._transfer_duration(op))
 
     # -- result assembly --------------------------------------------------------
 

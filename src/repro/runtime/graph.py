@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from repro.errors import ConfigurationError, DependenceError
+from repro.platform.device import Device
 from repro.runtime.kernels import AccessPattern, Kernel
 from repro.runtime.regions import AccessMode, ArraySpec, Region
 
@@ -282,6 +283,9 @@ class TaskGraph:
     _chains: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _chunk_times: list | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def access_rows(self) -> list[AccessRow | None]:
@@ -375,6 +379,29 @@ class TaskGraph:
             table = self._chains = tuple(chains)
         return table
 
+    def chunk_times(self, device: Device, share: float) -> dict:
+        """The memo of compute times of this graph's chunks on ``device``.
+
+        Maps ``(access row, n)`` to :meth:`Kernel.chunk_time` of the
+        row's chunk of an ``n``-index invocation on ``device`` at
+        ``share``, without the task-creation overhead, which each run's
+        config adds.  The times are pure roofline arithmetic, so every
+        run of the graph reads one memo per ``(device, share)``: the
+        cells of a sweep that share the graph
+        (:class:`~repro.partition.base.SweepScope`) compute each time
+        once.  Devices are matched by identity, and the table holds
+        them, so a memo is never read for another device.
+        """
+        memos = self._chunk_times
+        if memos is None:
+            memos = self._chunk_times = []
+        for held, held_share, memo in memos:
+            if held is device and held_share == share:
+                return memo
+        memo = {}
+        memos.append((device, share, memo))
+        return memo
+
     def adopt_edges(self, succs_sorted: tuple[tuple[int, ...], ...]) -> None:
         """Give this edge-free graph the edges of a ``succs_sorted`` table.
 
@@ -409,8 +436,18 @@ class TaskGraph:
         """Raise :class:`DependenceError` when the graph has a cycle.
 
         Dependences are built from program order so cycles indicate a bug;
-        the integration tests call this on every constructed graph.
+        the integration tests call this on every constructed graph.  A
+        graph whose every edge runs from a lower to a higher instance id,
+        as every edge :func:`~repro.runtime.dependence.build_dependences`
+        adds does, is acyclic by that order and passes in one pass; any
+        other is searched depth-first.
         """
+        for iid, inst in enumerate(self.instances):
+            succs = inst.succs
+            if succs and min(succs) <= iid:
+                break
+        else:
+            return
         state = [0] * len(self.instances)  # 0 new, 1 visiting, 2 done
         for start in range(len(self.instances)):
             if state[start]:

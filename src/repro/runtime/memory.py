@@ -110,11 +110,11 @@ class MemoryManager:
         marking): callers time them on the simulated link, but a second
         reader of the same data will not schedule a duplicate transfer.
         """
-        spec = self.arrays[region.array]
         entry = self._entry(region.array, space)
+        if entry.contains(region.start, region.end):
+            return []  # the common case: already valid, nothing to build
+        spec = self.arrays[region.array]
         missing = entry.missing(region.start, region.end)
-        if not missing:
-            return []
         ops: list[TransferOp] = []
         host = self._valid[region.array][HOST_SPACE]
         for lo, hi in missing:
@@ -183,11 +183,12 @@ class MemoryManager:
 
         The writing space becomes the sole valid holder of the region.
         """
+        per_space = self._valid[region.array]
         for other in self._spaces:
-            entry = self._valid[region.array][other]
+            entry = per_space[other]
             if other == space:
                 entry.add(region.start, region.end)
-            else:
+            elif entry._ivals:  # an emptied device set needs no call
                 entry.remove(region.start, region.end)
 
     def writeback(self, region: Region, space: str) -> list[TransferOp]:

@@ -82,9 +82,13 @@ class PerfAwareScheduler(Scheduler):
         self._host_id: str | None = None
         #: dependence-chain tracking (shared policy with DP-Dep)
         self._chain_device: dict[int, str] = {}
-        #: per-run resource table: ``(resource, resource id, device-class
-        #: slot, first resource of its class)``
-        self._table: list[tuple[ComputeResource, str, int, bool]] = []
+        #: per-run device-class table, one row per ``(device, share)``
+        #: class in first-resource order: ``(slot, first resource, device
+        #: id, share, is accelerator)``
+        self._classes: list[tuple] = []
+        #: per-run resource table, in resource order: ``(resource id,
+        #: device-class slot, device id)``
+        self._table: list[tuple[str, int, str]] = []
         #: per-run instance table, by instance id: the static terms of
         #: its estimate, ``(kernel name, work units, in + out bytes,
         #: in bytes, chain id)``; ``None`` for barriers
@@ -132,13 +136,18 @@ class PerfAwareScheduler(Scheduler):
         # a device class is a (device, share) pair: every resource of one
         # class gets the same estimate for an instance
         slots: dict[tuple[str, float], int] = {}
+        self._classes = []
         self._table = []
         for r in ctx.resources:
-            cls = (r.device.device_id, r.share)
-            first = cls not in slots
-            if first:
-                slots[cls] = len(slots)
-            self._table.append((r, r.resource_id, slots[cls], first))
+            device_id = r.device.device_id
+            cls = (device_id, r.share)
+            slot = slots.get(cls)
+            if slot is None:
+                slot = slots[cls] = len(slots)
+                self._classes.append(
+                    (slot, r, device_id, r.share, r.is_accelerator)
+                )
+            self._table.append((r.resource_id, slot, device_id))
 
     # -- estimation -------------------------------------------------------
 
@@ -179,51 +188,54 @@ class PerfAwareScheduler(Scheduler):
         #
         # The estimate is a pure function of the instance and the
         # resource's (device, share) class — identical for every thread
-        # of the same device — so it runs once per class, at the class's
-        # first resource, not once per resource.  It is recomputed for
-        # every instance and every call: completions move the rates
-        # (EWMA) and assignments move the chains' data homes.
-        est_of_slot = [0.0] * len(table)
+        # of the same device — so it runs once per class, not once per
+        # resource.  It is recomputed for every instance and every call:
+        # completions move the rates (EWMA) and assignments move the
+        # chains' data homes.
+        classes = self._classes
+        est_of_slot = [0.0] * len(classes)
         for inst in ready:  # release order, assigned immediately
             name, work, in_out, in_b, chain = terms[inst.instance_id]
             # where the chain's data lives now: fresh chains start at
             # the host
             home = chain_device.get(chain, host_id)
+            for slot, resource, device_id, share, is_accelerator in classes:
+                rate = rates.get((name, device_id))
+                if rate is None:
+                    rate = self._rate(inst, resource)
+                est = work * rate / share
+                if is_accelerator:
+                    # the runtime bills an accelerator task its full
+                    # partitioned traffic — inputs in, outputs eventually
+                    # back — regardless of current residency (the 0.7-era
+                    # directory cannot promise a cached copy survives
+                    # until the task runs); at execution time resident
+                    # data is of course not re-transferred, which is the
+                    # systematic GPU-cost overestimate that keeps the
+                    # equilibrium stable instead of creeping all chains
+                    # onto the device
+                    est += in_out * per_byte.get(device_id, 0.0)
+                elif home != host_id and home is not None:
+                    # pulling a device-resident chain back to the host
+                    est += in_b * per_byte.get(home, 0.0)
+                est_of_slot[slot] = est
+            # the earliest finish in resource order; a later resource
+            # must beat the best so far by more than 1e-15 s
             best_rid: str | None = None
-            best_finish = float("inf")
-            for resource, rid, slot, first in table:
-                if first:
-                    device_id = resource.device.device_id
-                    rate = rates.get((name, device_id))
-                    if rate is None:
-                        rate = self._rate(inst, resource)
-                    est = work * rate / resource.share
-                    if resource.is_accelerator:
-                        # the runtime bills an accelerator task its full
-                        # partitioned traffic — inputs in, outputs
-                        # eventually back — regardless of current
-                        # residency (the 0.7-era directory cannot promise
-                        # a cached copy survives until the task runs); at
-                        # execution time resident data is of course not
-                        # re-transferred, which is the systematic GPU-cost
-                        # overestimate that keeps the equilibrium stable
-                        # instead of creeping all chains onto the device
-                        est += in_out * per_byte.get(device_id, 0.0)
-                    elif home != host_id and home is not None:
-                        # pulling a device-resident chain back to the host
-                        est += in_b * per_byte.get(home, 0.0)
-                    est_of_slot[slot] = est
-                else:
-                    est = est_of_slot[slot]
+            best_device = None
+            best_finish = bar = float("inf")
+            for rid, slot, device_id in table:
                 busy = busy_until[rid]
-                finish = (busy if busy > now else now) + est
-                if finish < best_finish - 1e-15:
+                finish = (busy if busy > now else now) + est_of_slot[slot]
+                if finish < bar:
                     best_finish = finish
+                    bar = finish - 1e-15
                     best_rid = rid
+                    best_device = device_id
             if best_rid is None:
                 raise SchedulingError("no resources available for assignment")
             busy_until[best_rid] = best_finish
-            chain_device[chain] = self._shares[best_rid][1]
+            chain_device[chain] = best_device
             out.append((inst, best_rid))
         return out
 
@@ -236,7 +248,7 @@ class PerfAwareScheduler(Scheduler):
         transfer_time: float,
     ) -> None:
         """EWMA-refresh the rate estimate from a measured instance."""
-        if instance.size <= 0:
+        if instance.hi <= instance.lo:
             return
         resource = self._shares.get(resource_id)
         if resource is None:

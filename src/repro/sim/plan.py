@@ -278,7 +278,7 @@ def _quiet(run) -> bool:
     """No transfer on the wire, no pending write-back, nothing ready."""
     return not (
         run._pending_writebacks or run.has_ready()
-        or any(run._inflight.values())
+        or run._live_transfers
     )
 
 
