@@ -399,6 +399,10 @@ def _measure_drain(app: str, strategy: str, n: int, iterations: int,
         "waves_drained_per_round": (
             (after["waves_drained"] - before["waves_drained"]) / RUN_ROUNDS
         ),
+        # of those, the waves committed from a steady-wave template
+        "waves_replayed_per_round": (
+            (after["waves_replayed"] - before["waves_replayed"]) / RUN_ROUNDS
+        ),
         "terminal_drains_per_round": (
             (after["terminal_drains"] - before["terminal_drains"])
             / RUN_ROUNDS
@@ -451,6 +455,8 @@ def check_drain(drain: dict) -> None:
 def check_wave_drain(wave_drain: dict) -> None:
     assert wave_drain["parity"], wave_drain
     assert wave_drain["waves_drained_per_round"] > 0, wave_drain
+    # a drain that gates every wave keeps parity but stops replaying
+    assert wave_drain["waves_replayed_per_round"] > 0, wave_drain
     assert wave_drain["wave_fallbacks"] == 0, wave_drain
     assert (
         wave_drain["drain_vs_refused_speedup"] >= WAVE_DRAIN_FLOOR
@@ -505,7 +511,8 @@ def _format_drain(name: str, section: dict, floor: float) -> str:
         f"({section['drain_vs_refused_speedup']:.2f}x, floor {floor:g}x; "
         f"{section['cells']} prebuilt plans, {section['instances']} "
         f"instances / {section['barriers']} barriers each, "
-        f"{section['waves_drained_per_round']:.0f} waves + "
+        f"{section['waves_drained_per_round']:.0f} waves "
+        f"({section['waves_replayed_per_round']:.0f} replayed) + "
         f"{section['terminal_drains_per_round']:.0f} terminal drains/round, "
         f"{section['wave_fallbacks']} fallbacks), parity "
         f"{'ok' if section['parity'] else 'DIVERGED'}"

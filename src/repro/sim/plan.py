@@ -48,23 +48,22 @@ passes — prove the event loop would have produced the same timeline:
   write-backs chain by chain commutes with the engine's completion
   order.
 
-On success the commit replays the engine's exact arithmetic: the first
-links' fetches through real ``ensure`` calls, compute chains bounded by
-the sequential recurrence (``accumulate(durations, initial=t0)``) from
-each chain anchor (a running head's end, the landing time of the
-chain's fetches, or ``now``), rows taken in by each lane in one call
-(``extend_rows``, or ``append`` for a single row), the shadow directory
-swapped in, eager write-backs (a running head's included) and the
-fence's flush timed on per-link cursors, and one anchor event
-(``sim.schedule_call``).  With a fence the anchor fires
-at the modeled barrier completion — ``max(last chain end + quiescence
-overhead, flush lands, write-backs land)`` — and re-enters the drain
-for the next epoch, so a synced loop costs O(1) events per barrier.
-Without one it fires at ``max(last chain end, last write-back
-landing)``, so the final flush starts where the event loop would start
-it.  On top sits the steady-wave template: the first commit of each
-canonical wave class records its resolved transfer ops, and later waves
-of the class replay as a pure float recurrence (``_replay_waves``).
+On success the commit resolves, then times.  Resolving makes the real
+directory calls in the engine's order — the first links' ``ensure``
+fetches, the shadow directory swapped in, eager ``writeback`` calls in
+chain order (a running head's included), the fence's ``flush_to_host``
+— and turns the epoch into a *wave* of plain rows.  Timing is one
+function, :func:`_commit`, which replays the engine's float arithmetic
+on those rows and takes them into the lanes in bulk; one anchor event
+(``sim.schedule_call``) then closes the epoch.  With a fence the anchor
+fires at the modeled barrier completion and re-enters the drain for the
+next epoch, so a synced loop costs O(1) events per barrier.  Without one
+it fires when the last chain or write-back ends, so the final flush
+starts where the event loop would start it.  A steady-wave template is
+a resolved wave itself: the first commit of each canonical wave class
+keeps its wave, and later waves of the class skip gates and directory
+and go straight to :func:`_commit`, a whole stretch at a time
+(``_replay_waves``).
 
 When a gate fails nothing has been mutated and the run continues on the
 ordinary event loop — still exact, just slower; the next quiet point
@@ -298,11 +297,10 @@ class PlanEvaluator:
         self.plan: CompiledPlan | None = None
         #: the current epoch: how many barriers have completed
         self.epoch = 0
-        #: steady-wave templates, keyed by signature: after one
-        #: fully-gated commit of a wave, later waves of the same
-        #: isomorphism class replay as a pure float recurrence (see
-        #: _replay_waves); keyed per class because ping-pong loops
-        #: alternate between two classes every iteration
+        #: steady-wave templates, keyed by signature: the resolved wave
+        #: of one fully-gated commit, which later waves of the same
+        #: isomorphism class time again (see _replay_waves); keyed per
+        #: class because ping-pong loops alternate between two classes
         self.tmpls: dict[int, tuple] = {}
 
     # -- the run's quiet points -------------------------------------------
@@ -553,147 +551,67 @@ class PlanEvaluator:
         if _any_overlap(wb_rows):
             return False
 
-        # -- commit: the engine provably produces these chains ------------
-        now = run.sim.now
+        # -- resolve: the engine's directory calls, in its order, into
+        # one wave.  A running head's row is the last its lane took in,
+        # so the lane's ``last_end`` is the exact float its pending
+        # completion carries; a fetching chain's first link makes real
+        # ensure() calls (the shadow already holds their effect)
         k = self.epoch
-        sig = plan.epoch_sig.get(k)
-        # steady-wave capture (see _build_template): only a wave
-        # committed whole from its opening barrier resolves the ops a
-        # later isomorphic wave will resolve again
-        record = (
-            sig is not None
-            and not dispatched
-            and run.config.barrier_invalidates_devices
-        )
-        p1_ops: dict = {}
-        wb_log: list = []
+        base = plan.epochs[k].start
         duration = run._duration
         resource_of = run._resource_by_id
-        links = run.links
-        lanes = run.transfer_lanes
-        transfer_bytes = run.transfer_bytes
-        transfer_duration = run._transfer_duration
-        #: per-link-channel busy cursor (keyed by SimResource object, so
-        #: a half-duplex link's shared channel serializes both directions)
-        link_busy: dict = {}
-
-        def model_ops(ops, ready_time):
-            # serial occupation on each op's link channel: start at the
-            # later of the issue time and the link cursor, end after the
-            # link's transfer time — the exact floats the engine's
-            # occupy/_finish chain produces event by event
-            land = ready_time
-            for op in ops:
-                direction = "h2d" if op.is_h2d else "d2h"
-                key = f"{op.device_space}:{direction}"
-                link = links[key]
-                cursor = link_busy.get(link, ready_time)
-                start = cursor if cursor > ready_time else ready_time
-                end = start + transfer_duration(op)
-                link_busy[link] = end
-                transfer_bytes[direction] += op.nbytes
-                lanes[key].append(start, end)
-                if end > land:
-                    land = end
-            return land
-
-        # chain anchors: a running head's row is the last its lane took
-        # in, so the lane's ``last_end`` is the exact float the pending
-        # completion carries; a fetching chain starts where its copies
-        # land (real ensure() calls for the ops — the shadow already
-        # holds their effect); anything else starts now
-        heads: list[int] = []
-        t0s: list[float] = []
-        bound_rows: list[list] = []
+        compute_lanes = run.compute_lanes
+        wave_chains = []
         for rid, chain in chains.items():
-            head = 1 if rid in dispatched else 0
-            heads.append(head)
-            if head:
-                t0s.append(run.compute_lanes[rid].last_end)
+            ids = chain
+            fetch = ()
+            head_end = None
+            if rid in dispatched:
+                head_end = compute_lanes[rid].last_end
+                ids = chain[1:]
             elif rid in fetchers:
-                space = space_of[rid]
                 ops = []
                 for region in rows_of[chain[0]].reads:
-                    ops.extend(memory.ensure(region, space))
-                t0s.append(model_ops(ops, now))
-                if record:
-                    p1_ops[rid] = tuple(ops)
-            else:
-                t0s.append(now)
+                    ops.extend(memory.ensure(region, space_of[rid]))
+                fetch = _transfer_rows(run, ops)
             resource = resource_of[rid]
-            bound_rows.append(
-                [duration(instances[i], resource) for i in chain[head:]]
-            )
-
-        # compute chains: the sequential recurrence from every chain
-        # anchor (``k + 1`` bounds per chain: row ``i`` spans ``b[i]`` to
-        # ``b[i + 1]``), bulk-appended per lane
-        bounds = [
-            list(accumulate(row, initial=t0))
-            for t0, row in zip(t0s, bound_rows)
-        ]
-
+            wave_chains.append((
+                rid,
+                tuple([duration(instances[i], resource) for i in ids]),
+                fetch,
+                [instances[i].invocation.kernel.name for i in ids],
+                [instances[i].hi - instances[i].lo for i in ids],
+                tuple([i - base for i in chain]),
+                head_end,
+            ))
         # every drained write lands at once; write-backs then resolve
         # against the final state, which equals the state at each
         # writer's completion: flagged writers belong to the epoch's last
         # invocation, and G3 keeps their regions disjoint
         for (arr, sp), entry in shadow.items():
             real[arr][sp] = entry
-
-        t_ready = now
-        wb_land = now
-        for (rid, chain), head, b in zip(chains.items(), heads, bounds):
-            ids = chain[head:]
-            lane = run.compute_lanes[rid]
-            if len(ids) == 1:
-                inst = instances[ids[0]]
-                lane.append(b[0], b[1], (), inst.hi - inst.lo,
-                            inst.invocation.kernel.name)
-            elif ids:
-                lane.extend_rows(
-                    b[:-1],
-                    b[1:],
-                    sizes=[instances[i].hi - instances[i].lo for i in ids],
-                    kernels=[instances[i].invocation.kernel.name
-                             for i in ids],
-                )
-            if b[-1] > t_ready:
-                t_ready = b[-1]
-            # eager write-backs go on the wire when their link's compute
-            # ends (chain order = issue order on this space's channels)
+        # eager write-backs (a running head's included), chain order =
+        # issue order on this space's channels
+        wbs = []
+        for rid, chain in chains.items():
             space = space_of[rid]
-            for idx, i in enumerate(chain):
-                if not flags[i]:
-                    continue
-                end_i = b[idx + 1 - head]
-                for region in rows_of[i].writes:
-                    ops = memory.writeback(region, space)
-                    if ops:
-                        if record:
-                            wb_log.append((i, tuple(ops)))
-                        land = model_ops(ops, end_i)
-                        if land > wb_land:
-                            wb_land = land
-
-        # the modeled fence: flush at the last compute's end, overhead in
-        # parallel, completion once write-backs have landed too — exactly
-        # the engine's _BarrierArm + _wb_waiters semantics
-        flush_ops: list = []
-        t_done = t_ready
+            for i in chain:
+                if flags[i]:
+                    for region in rows_of[i].writes:
+                        ops = memory.writeback(region, space)
+                        if ops:
+                            wbs.append((i - base, _transfer_rows(run, ops)))
+        flush = ()
         if fence is not None:
-            flush_ops = memory.flush_to_host(
+            flush = _transfer_rows(run, memory.flush_to_host(
                 invalidate=run.config.barrier_invalidates_devices
-            )
-            t_done += run._barrier_overhead(instances[fence])
-            if flush_ops:
-                land = model_ops(flush_ops, t_ready)
-                if land > t_done:
-                    t_done = land
+            ))
+        wave = (tuple(wave_chains), tuple(wbs), flush)
+        t_done = _commit(run, [(wave, fence)], run.sim.now)
+        if fence is not None:
             _STATS["waves_drained"] += 1
         else:
             _STATS["terminal_drains"] += 1
-        if wb_land > t_done:
-            t_done = wb_land
 
         # bookkeeping: every chain member is done; a running head still
         # completes through its own pending event (the run skips it) and
@@ -705,9 +623,13 @@ class PlanEvaluator:
                 run.sim_resources[rid]._queue.clear()
 
         self._schedule_anchor(run, t_done, fence)
-        if record:
-            self._build_template(run, plan, sig, plan.epochs[k], chains,
-                                 p1_ops, wb_log, flush_ops)
+        # steady-wave template: a wave committed whole from its opening
+        # barrier, with an invalidating flush, resolves to the rows every
+        # later wave of its class resolves again
+        sig = plan.epoch_sig.get(k)
+        if (sig is not None and not dispatched
+                and run.config.barrier_invalidates_devices):
+            self.tmpls[sig] = wave
         return True
 
     def _schedule_anchor(self, run, time: float, fence) -> None:
@@ -722,190 +644,172 @@ class PlanEvaluator:
         if fence is not None:
             self.open_epoch(run, run.graph.instances[fence])
 
-    def _build_template(self, run, plan, sig, members, chains, p1_ops,
-                        wb_log, flush_ops) -> None:
-        """Freeze this wave's resolved commit into a replayable template.
-
-        Everything a wave commit touches is reduced to plain tuples:
-        per-chain member positions, duration chains, and the kernel and
-        size columns the lanes fold, plus the resolved transfer ops as
-        ``(lane_key, link, duration, nbytes, direction)`` rows.  Validity
-        rests on the canonical post-flush state: an invalidating barrier
-        wipes device residency and revalidates the host, so an
-        isomorphic wave resolves ensure, write-back, and flush ops to
-        exactly these rows again.
-        """
-        instances = run.graph.instances
-        resource_of = run._resource_by_id
-        links = run.links
-        pos_of = {i: p for p, i in enumerate(members)}
-
-        def op_rows(ops):
-            rows = []
-            for op in ops:
-                direction = "h2d" if op.is_h2d else "d2h"
-                key = f"{op.device_space}:{direction}"
-                rows.append((
-                    key, links[key], run._transfer_duration(op),
-                    op.nbytes, direction,
-                ))
-            return tuple(rows)
-
-        groups = tuple(
-            (
-                rid,
-                tuple(run._duration(instances[i], resource_of[rid])
-                      for i in chain),
-                op_rows(p1_ops.get(rid, ())),
-                [instances[i].invocation.kernel.name for i in chain],
-                [instances[i].hi - instances[i].lo for i in chain],
-                tuple(pos_of[i] for i in chain),
-            )
-            for rid, chain in chains.items()
-        )
-        wbs = tuple((pos_of[i], op_rows(ops)) for i, ops in wb_log)
-        flush = op_rows(flush_ops)
-        nbytes = {"h2d": 0, "d2h": 0}
-        for _, _, ops, _, _, _ in groups:
-            for row in ops:
-                nbytes[row[4]] += row[3]
-        for _, ops in wbs:
-            for row in ops:
-                nbytes[row[4]] += row[3]
-        for row in flush:
-            nbytes[row[4]] += row[3]
-        self.tmpls[sig] = (groups, wbs, flush, nbytes["h2d"], nbytes["d2h"])
-
     def _replay_waves(self, run, plan: CompiledPlan) -> None:
-        """Commit every remaining templated wave as a float recurrence.
+        """Commit every remaining templated wave with no gates and no
+        directory.
 
-        The float arithmetic below is op-for-op the commit sequence of
-        ``_try_drain`` (which itself mirrors the engine event by event):
-        per-link cursors rooted at the wave's barrier time, scalar
-        left-to-right duration chains (the ``accumulate`` recurrence of
-        the drain), write-backs timed
-        from their member's end, flush and overhead folded into the
-        fence's completion.  The stretch runs as long as each wave's
-        signature has a recorded template — ping-pong loops alternate
-        between two classes, so the lookup is per wave, not one class
-        for the whole stretch.  Trace rows accumulate per lane across
-        the stretch and land in bulk ``extend_rows`` calls — per-lane
-        row order is exactly the per-wave order, which is all the
-        summary's group-ordered accumulations observe.  The directory is
-        never touched: replayed waves would leave it exactly where the
-        template wave's invalidating flush already put it.  One anchor
-        event resumes the ordinary path at the last fence.
+        The stretch runs as long as each wave's signature has a recorded
+        template — ping-pong loops alternate between two classes, so the
+        lookup is per wave, not one class for the whole stretch.  The
+        directory is never touched: replayed waves would leave it
+        exactly where the template wave's invalidating flush already put
+        it.  One anchor event resumes the ordinary path at the last
+        fence.
         """
         tmpls = self.tmpls
         epoch_sig = plan.epoch_sig
         epochs = plan.epochs
         fences = plan.fences
-        instances = run.graph.instances
         done = run.done
-        compute_lanes = run.compute_lanes
-        transfer_lanes = run.transfer_lanes
-        #: lane key -> (starts, ends)
-        xfer_acc = {key: ([], []) for key in transfer_lanes}
-        #: rid -> (starts, ends, kernels, sizes)
-        comp_acc = {rid: ([], [], [], []) for rid in compute_lanes}
-        nb_h2d_total = 0
-        nb_d2h_total = 0
-
-        def on_links(ops, t0, link_busy):
-            # serial occupation on each op's link channel from ``t0``;
-            # returns the last landing (``t0`` without ops)
-            land = t0
-            for key, link, dur, _nb, _d in ops:
-                cursor = link_busy.get(link, t0)
-                start = cursor if cursor > t0 else t0
-                end = start + dur
-                link_busy[link] = end
-                starts, ends = xfer_acc[key]
-                starts.append(start)
-                ends.append(end)
-                if end > land:
-                    land = end
-            return land
-
-        t_prev = run.sim.now
         k = self.epoch
-        tmpl = tmpls[epoch_sig[k]]
-        waves = 0
+        stretch = []
         while True:
-            groups, wbs, flush, nb_h2d, nb_d2h = tmpl
-            members = epochs[k]
-            fence = fences[k]
-            t0 = t_prev
-            link_busy: dict = {}
-            t_ready = t0
-            #: member position -> compute end
-            member_end: dict = {}
-            for rid, durs, ops, names, gszs, positions in groups:
-                anchor = on_links(ops, t0, link_busy) if ops else t0
-                starts, ends, kernels, szs = comp_acc[rid]
-                kernels.extend(names)
-                szs.extend(gszs)
-                if len(durs) == 1:  # one link: no chain to walk
-                    end = anchor + durs[0]
-                    starts.append(anchor)
-                    ends.append(end)
-                    if wbs:
-                        member_end[positions[0]] = end
-                else:
-                    # the left-to-right chain: bound k+1 = bound k + dur k
-                    bounds = list(accumulate(durs, initial=anchor))
-                    chain_ends = bounds[1:]
-                    starts.extend(bounds[:-1])
-                    ends.extend(chain_ends)
-                    if wbs:
-                        member_end.update(zip(positions, chain_ends))
-                    end = bounds[-1]
-                if end > t_ready:
-                    t_ready = end
-            wb_land = t0
-            for pos, ops in wbs:
-                land = on_links(ops, member_end[pos], link_busy)
-                if land > wb_land:
-                    wb_land = land
-            t_done = t_ready + run._barrier_overhead(instances[fence])
+            done.update(epochs[k])
+            stretch.append((tmpls[epoch_sig[k]], fences[k]))
+            if epoch_sig.get(k + 1) not in tmpls:
+                break
+            # the next wave replays too: its opening fence closes inline
+            done.add(fences[k])
+            k += 1
+        self.epoch = k
+        t_done = _commit(run, stretch, run.sim.now)
+        _STATS["waves_drained"] += len(stretch)
+        _STATS["waves_replayed"] += len(stretch)
+        self._schedule_anchor(run, t_done, fences[k])
+
+
+def _transfer_rows(run, ops) -> tuple:
+    """Resolved transfer ops as ``(lane key, link, duration, nbytes,
+    direction)`` rows."""
+    links = run.links
+    rows = []
+    for op in ops:
+        direction = "h2d" if op.is_h2d else "d2h"
+        key = f"{op.device_space}:{direction}"
+        rows.append((key, links[key], run._transfer_duration(op), op.nbytes,
+                     direction))
+    return tuple(rows)
+
+
+def _commit(run, stretch: list, t0: float) -> float:
+    """Time ``stretch`` from ``t0``, take its rows in, and return the
+    last completion time.
+
+    ``stretch`` holds ``(wave, fence)`` pairs, each wave opening where
+    the previous one's fence completes.  A wave is ``(chains,
+    write-backs, flush)``: each chain ``(rid, durations, fetch rows,
+    kernels, sizes, member positions, running-head end or None)`` — the
+    durations, kernels and sizes of the rows the commit takes in (a
+    running head's row is already in its lane), the epoch-relative
+    positions of every member, running head first; each write-back
+    ``(member position, rows)``; ``flush`` the fence's rows.
+
+    The float arithmetic is op for op the engine's, event by event:
+    serial occupation on per-link-channel cursors rooted at each wave's
+    start (keyed by ``SimResource`` object, so a half-duplex link's
+    shared channel serializes both directions), each chain's sequential
+    recurrence from its anchor (a running head's end, the landing of its
+    fetches, or the wave's start), write-backs on the wire when their
+    member's compute ends, and the fence's completion at ``max(last
+    chain end + quiescence overhead, flush lands, write-backs land)`` —
+    the engine's ``_BarrierArm`` + ``_wb_waiters`` semantics.  An
+    unfenced wave ends at ``max(last chain end, last write-back
+    landing)``.  Rows accumulate per lane across the stretch and land in
+    one bulk call per lane: per-lane row order is exactly the per-wave
+    order, which is all the summary's group-ordered accumulations
+    observe.
+    """
+    instances = run.graph.instances
+    transfer_bytes = run.transfer_bytes
+    #: lane key -> (starts, ends)
+    xfer_acc: dict = {}
+    #: rid -> (starts, ends, kernels, sizes)
+    comp_acc: dict = {}
+
+    def on_links(rows, t, link_busy):
+        # serial occupation on each row's link channel from ``t``;
+        # returns the last landing (``t`` without rows)
+        land = t
+        for key, link, dur, nbytes, direction in rows:
+            cursor = link_busy.get(link, t)
+            start = cursor if cursor > t else t
+            end = start + dur
+            link_busy[link] = end
+            acc = xfer_acc.get(key)
+            if acc is None:
+                acc = xfer_acc[key] = ([], [])
+            acc[0].append(start)
+            acc[1].append(end)
+            transfer_bytes[direction] += nbytes
+            if end > land:
+                land = end
+        return land
+
+    for (chains, wbs, flush), fence in stretch:
+        link_busy: dict = {}
+        t_ready = t0
+        #: member position -> compute end
+        member_end: dict = {}
+        for rid, durs, fetch, kernels, sizes, positions, head_end in chains:
+            acc = comp_acc.get(rid)
+            if acc is None:
+                acc = comp_acc[rid] = ([], [], [], [])
+            starts, ends, kernel_col, size_col = acc
+            kernel_col.extend(kernels)
+            size_col.extend(sizes)
+            if head_end is not None:
+                anchor = head_end
+                if wbs:
+                    member_end[positions[0]] = head_end
+                    positions = positions[1:]
+            elif fetch:
+                anchor = on_links(fetch, t0, link_busy)
+            else:
+                anchor = t0
+            if len(durs) == 1:  # one link: no chain to walk
+                end = anchor + durs[0]
+                starts.append(anchor)
+                ends.append(end)
+                if wbs:
+                    member_end[positions[0]] = end
+            elif durs:
+                # the left-to-right chain: bound k+1 = bound k + dur k
+                bounds = list(accumulate(durs, initial=anchor))
+                chain_ends = bounds[1:]
+                starts.extend(bounds[:-1])
+                ends.extend(chain_ends)
+                if wbs:
+                    member_end.update(zip(positions, chain_ends))
+                end = bounds[-1]
+            else:  # only the running head
+                end = anchor
+            if end > t_ready:
+                t_ready = end
+        wb_land = t0
+        for pos, rows in wbs:
+            land = on_links(rows, member_end[pos], link_busy)
+            if land > wb_land:
+                wb_land = land
+        t_done = t_ready
+        if fence is not None:
+            t_done += run._barrier_overhead(instances[fence])
             if flush:
                 land = on_links(flush, t_ready, link_busy)
                 if land > t_done:
                     t_done = land
-            if wb_land > t_done:
-                t_done = wb_land
-            nb_h2d_total += nb_h2d
-            nb_d2h_total += nb_d2h
+        if wb_land > t_done:
+            t_done = wb_land
+        t0 = t_done
 
-            done.update(members)
-            waves += 1
-            t_prev = t_done
-            tmpl = tmpls.get(epoch_sig.get(k + 1))
-            if tmpl is None:
-                break
-            # the next wave replays too: its opening fence closes inline
-            done.add(fence)
-            k += 1
-        self.epoch = k
-
-        for rid, (starts, ends, kernels, szs) in comp_acc.items():
-            if len(starts) == 1:
-                compute_lanes[rid].append(starts[0], ends[0], (), szs[0],
-                                          kernels[0])
-            elif starts:
-                compute_lanes[rid].extend_rows(
-                    starts, ends, sizes=szs, kernels=kernels,
-                )
-        for key, (starts, ends) in xfer_acc.items():
-            if starts:
-                transfer_lanes[key].extend_rows(starts, ends)
-        if nb_h2d_total:
-            run.transfer_bytes["h2d"] += nb_h2d_total
-        if nb_d2h_total:
-            run.transfer_bytes["d2h"] += nb_d2h_total
-
-        _STATS["waves_drained"] += waves
-        _STATS["waves_replayed"] += waves
-        # one anchor for the whole stretch; the last fence resumes the
-        # ordinary path (the drain or the event loop) from t_prev
-        self._schedule_anchor(run, t_prev, fence)
+    compute_lanes = run.compute_lanes
+    for rid, (starts, ends, kernels, sizes) in comp_acc.items():
+        if len(starts) == 1:
+            compute_lanes[rid].append(starts[0], ends[0], (), sizes[0],
+                                      kernels[0])
+        elif starts:
+            compute_lanes[rid].extend_rows(starts, ends, sizes=sizes,
+                                           kernels=kernels)
+    transfer_lanes = run.transfer_lanes
+    for key, (starts, ends) in xfer_acc.items():
+        transfer_lanes[key].extend_rows(starts, ends)
+    return t0

@@ -280,6 +280,28 @@ def test_wave_drain_engages_on_synced_loop(paper_platform):
     assert after["wave_fallbacks"] == before["wave_fallbacks"]
 
 
+def test_synced_loop_replays_pinned_wave_counts(paper_platform):
+    """Templates must keep replaying, not just waves keep draining.
+
+    A drain that gated every wave would stay exact, so every parity
+    test would still pass; this pins the counter deltas of one synced
+    run instead.  HotSpot's ping-pong loop alternates two wave classes:
+    wave 0 commits from its running heads, waves 1 and 2 pass the gates
+    and record one template per class, and waves 3–7 replay as one
+    stretch.  The empty epoch after the last barrier commits nothing.
+    """
+    run = _static_run(paper_platform, "HotSpot", 1024, 8, "SP-Single",
+                      sync=True, drain=True)
+    before = drain_stats()
+    run.go()
+    after = drain_stats()
+    delta = {key: after[key] - before[key] for key in
+             ("waves_drained", "waves_replayed", "terminal_drains",
+              "wave_fallbacks")}
+    assert delta == {"waves_drained": 8, "waves_replayed": 5,
+                     "terminal_drains": 0, "wave_fallbacks": 0}
+
+
 @contextmanager
 def _lane_intake(monkeypatch):
     """Log every row the trace lanes take in, per lane, in intake order.
@@ -323,22 +345,35 @@ def _as_floats(values):
     return [float(v) for v in values]
 
 
-@pytest.mark.parametrize("app,n,iterations", SYNCED_APPS)
+#: (app, n, iterations, sync) cells of the lane-intake property: the
+#: synced apps' fenced waves, plus sync-free STREAM-Loop, where
+#: SP-Unified ends in a terminal drain that absorbs a running head per
+#: resource and SP-Varied's per-kernel fences open waves whose first
+#: links fetch
+LANE_CELLS = [(*row, True) for row in SYNCED_APPS] + [
+    ("STREAM-Loop", 2048, 4, False),
+]
+
+
+@pytest.mark.parametrize(
+    "app,n,iterations,sync", LANE_CELLS,
+    ids=[f"{app}-{n}-{iterations}" + ("" if sync else "-sync-free")
+         for app, n, iterations, sync in LANE_CELLS],
+)
 @pytest.mark.parametrize("strategy", ("SP-Single", "SP-Unified", "SP-Varied"))
 def test_wave_commits_never_reorder_lanes(paper_platform, app, n, iterations,
-                                          strategy, monkeypatch):
-    """Property: wave commits feed rows in the oracle's firing order.
+                                          sync, strategy, monkeypatch):
+    """Property: drain commits feed rows in the oracle's firing order.
 
-    The committed wave feeds each lane in one bulk ``extend_rows``; this
-    checks row-by-row (start, end, kernel, size) equality of every
-    lane's intake against the drain-refused event loop's, which is
-    stronger than the summary equality the matrix tests assert
-    (summaries aggregate, so they could mask two reorderings that
-    cancel).
+    A commit feeds each lane in one bulk intake; this checks row-by-row
+    (start, end, kernel, size) equality of every lane's intake against
+    the drain-refused event loop's, which is stronger than the summary
+    equality the matrix tests assert (summaries aggregate, so they could
+    mask two reorderings that cancel).
     """
     def build(drain):
         return _static_run(paper_platform, app, n, iterations, strategy,
-                           sync=True, drain=drain)
+                           sync=sync, drain=drain)
 
     run = build(drain=False)
     if run is None:
