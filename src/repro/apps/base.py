@@ -19,12 +19,14 @@ task implementations are the *sequential* (unvectorized) kernels run on
 from __future__ import annotations
 
 import abc
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.runtime.graph import KernelInvocation, Program
 from repro.runtime.kernels import Kernel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Application(abc.ABC):

@@ -15,7 +15,7 @@ magnitude slower per option.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.apps.base import Application
 from repro.platform.device import DeviceKind
@@ -23,6 +23,9 @@ from repro.runtime.graph import Program
 from repro.runtime.kernels import AccessSpec, Kernel, KernelCostModel
 from repro.runtime.regions import AccessMode, ArraySpec
 from repro.units import FLOAT32_BYTES
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: riskless rate and volatility, as in the SDK sample
 RISKFREE = 0.02
@@ -41,6 +44,7 @@ GPU_MEM_EFF = 1.00
 
 def _cnd(d: np.ndarray) -> np.ndarray:
     """Cumulative normal distribution (Abramowitz & Stegun 26.2.17)."""
+    import numpy as np
     a1, a2, a3, a4, a5 = (
         0.31938153, -0.356563782, 1.781477937, -1.821255978, 1.330274429,
     )
@@ -54,6 +58,7 @@ def _blackscholes_impl(
     arrays: dict[str, np.ndarray], lo: int, hi: int, n: int,
     *, riskfree: float, volatility: float,
 ) -> None:
+    import numpy as np
     s = arrays["S"][lo:hi].astype(np.float64)
     k = arrays["K"][lo:hi].astype(np.float64)
     t = arrays["T"][lo:hi].astype(np.float64)
@@ -126,6 +131,7 @@ class BlackScholes(Application):
         )
 
     def arrays(self, n: int, *, seed: int = 0) -> dict[str, np.ndarray]:
+        import numpy as np
         rng = np.random.default_rng(seed)
         return {
             "S": rng.uniform(5.0, 30.0, n).astype(np.float32),
@@ -138,6 +144,7 @@ class BlackScholes(Application):
     @staticmethod
     def put_call_parity_gap(arrays: dict[str, np.ndarray]) -> np.ndarray:
         """``call - put - (S - K e^{-rT})``; ~0 for correct prices."""
+        import numpy as np
         s = arrays["S"].astype(np.float64)
         k = arrays["K"].astype(np.float64)
         t = arrays["T"].astype(np.float64)

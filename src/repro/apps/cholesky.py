@@ -20,7 +20,7 @@ MK-DAG, and only the dynamic strategies apply.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.apps.base import Application
 from repro.errors import ConfigurationError
@@ -29,6 +29,9 @@ from repro.runtime.graph import KernelInvocation, Program
 from repro.runtime.kernels import AccessPattern, AccessSpec, Kernel, KernelCostModel
 from repro.runtime.regions import AccessMode, ArraySpec
 from repro.units import FLOAT32_BYTES
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CPU_COMPUTE_EFF = 0.10
 GPU_COMPUTE_EFF = 0.15
@@ -41,11 +44,13 @@ def _tile(arrays: dict[str, np.ndarray], name: str, b: int) -> np.ndarray:
 
 
 def _potrf_impl(arrays, lo, hi, n, *, tile: str, b: int) -> None:
+    import numpy as np
     a = _tile(arrays, tile, b).astype(np.float64)
     arrays[tile][:] = np.linalg.cholesky(a).astype(np.float32).ravel()
 
 
 def _trsm_impl(arrays, lo, hi, n, *, diag: str, tile: str, b: int) -> None:
+    import numpy as np
     l_kk = np.tril(_tile(arrays, diag, b).astype(np.float64))
     a_ik = _tile(arrays, tile, b).astype(np.float64)
     # A_ik <- A_ik * L_kk^{-T}
@@ -53,12 +58,14 @@ def _trsm_impl(arrays, lo, hi, n, *, diag: str, tile: str, b: int) -> None:
 
 
 def _syrk_impl(arrays, lo, hi, n, *, src: str, tile: str, b: int) -> None:
+    import numpy as np
     l_ik = _tile(arrays, src, b).astype(np.float64)
     a_ii = _tile(arrays, tile, b).astype(np.float64)
     arrays[tile][:] = (a_ii - l_ik @ l_ik.T).astype(np.float32).ravel()
 
 
 def _gemm_impl(arrays, lo, hi, n, *, src_i: str, src_j: str, tile: str, b: int) -> None:
+    import numpy as np
     l_ik = _tile(arrays, src_i, b).astype(np.float64)
     l_jk = _tile(arrays, src_j, b).astype(np.float64)
     a_ij = _tile(arrays, tile, b).astype(np.float64)
@@ -184,6 +191,7 @@ class Cholesky(Application):
 
     def arrays(self, n: int, *, seed: int = 0) -> dict[str, np.ndarray]:
         """A random SPD matrix, stored tile by tile (lower triangle)."""
+        import numpy as np
         t = n
         b = self.tile_size
         rng = np.random.default_rng(seed)
@@ -200,6 +208,7 @@ class Cholesky(Application):
     @staticmethod
     def assemble_lower(arrays: dict[str, np.ndarray], t: int, b: int) -> np.ndarray:
         """Reassemble the factor ``L`` from the tiles (upper zeroed)."""
+        import numpy as np
         full = np.zeros((t * b, t * b), dtype=np.float64)
         for i in range(t):
             for j in range(i + 1):

@@ -17,7 +17,7 @@ The Yee update (1-D, normalized units, Mur-style fixed boundaries):
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.apps.base import Application
 from repro.platform.device import DeviceKind
@@ -25,6 +25,9 @@ from repro.runtime.graph import Program
 from repro.runtime.kernels import AccessSpec, Kernel, KernelCostModel
 from repro.runtime.regions import AccessMode, ArraySpec
 from repro.units import FLOAT32_BYTES
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Courant number of the normalized update
 COURANT = 0.5
@@ -115,6 +118,7 @@ class FDTD(Application):
 
     def arrays(self, n: int, *, seed: int = 0) -> dict[str, np.ndarray]:
         """A Gaussian pulse in the middle of an otherwise quiet grid."""
+        import numpy as np
         x = np.arange(n, dtype=np.float64)
         centre, width = n / 2.0, max(n / 50.0, 2.0)
         ez = np.exp(-(((x - centre) / width) ** 2)).astype(np.float32)
@@ -123,6 +127,7 @@ class FDTD(Application):
     @staticmethod
     def field_energy(arrays: dict[str, np.ndarray]) -> float:
         """Total field energy ~ sum(E^2 + H^2) (bounded under the update)."""
+        import numpy as np
         e = arrays["ez"].astype(np.float64)
         h = arrays["hy"].astype(np.float64)
         return float(np.sum(e * e) + np.sum(h * h))

@@ -14,7 +14,7 @@ application exists to exercise.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.apps.base import Application
 from repro.platform.device import DeviceKind
@@ -22,6 +22,9 @@ from repro.runtime.graph import Program
 from repro.runtime.kernels import AccessPattern, AccessSpec, Kernel, KernelCostModel
 from repro.runtime.regions import AccessMode, ArraySpec
 from repro.units import FLOAT32_BYTES
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: stencil flops per cell (4 neighbour diffs, power term, ambient term)
 FLOPS_PER_CELL = 15.0
@@ -45,6 +48,7 @@ def _hotspot_impl(
     *, cols: int, src: str, dst: str,
 ) -> None:
     """Stencil update of rows ``[lo, hi)`` (edge-clamped neighbours)."""
+    import numpy as np
     t = arrays[src].reshape(n, cols).astype(np.float64)
     p = arrays["power"].reshape(n, cols).astype(np.float64)
     up = t[np.maximum(np.arange(lo, hi) - 1, 0), :]
@@ -127,6 +131,7 @@ class HotSpot(Application):
         )
 
     def arrays(self, n: int, *, seed: int = 0) -> dict[str, np.ndarray]:
+        import numpy as np
         rng = np.random.default_rng(seed)
         return {
             "temp_a": rng.uniform(70.0, 90.0, n * n).astype(np.float32),

@@ -16,7 +16,7 @@ Figs. 5a/6.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.apps.base import Application
 from repro.platform.device import DeviceKind
@@ -24,6 +24,9 @@ from repro.runtime.graph import Program
 from repro.runtime.kernels import AccessPattern, AccessSpec, Kernel, KernelCostModel
 from repro.runtime.regions import AccessMode, ArraySpec
 from repro.units import FLOAT32_BYTES
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: fraction of peak FLOPS the sequential CPU code sustains
 CPU_COMPUTE_EFF = 0.060
@@ -96,6 +99,7 @@ class MatrixMul(Application):
         )
 
     def arrays(self, n: int, *, seed: int = 0) -> dict[str, np.ndarray]:
+        import numpy as np
         rng = np.random.default_rng(seed)
         return {
             "A": rng.standard_normal(n * n).astype(np.float32),

@@ -21,7 +21,7 @@ is exact all-pairs (tests run at small ``n``).
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.apps.base import Application
 from repro.platform.device import DeviceKind
@@ -29,6 +29,9 @@ from repro.runtime.graph import Program
 from repro.runtime.kernels import AccessPattern, AccessSpec, Kernel, KernelCostModel
 from repro.runtime.regions import AccessMode, ArraySpec
 from repro.units import FLOAT32_BYTES
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: interaction budget per body per iteration (blocked/cut-off loop)
 INTERACTIONS_PER_BODY = 4096
@@ -50,6 +53,7 @@ def _nbody_impl(
     *, src: str, dst: str, dt: float, softening: float,
 ) -> None:
     """All-pairs gravity step for bodies ``[lo, hi)`` (float64 internally)."""
+    import numpy as np
     pos = arrays[f"pos_{src}"].reshape(n, 4).astype(np.float64)
     vel = arrays[f"vel_{src}"].reshape(n, 4).astype(np.float64)
     xyz = pos[:, :3]
@@ -135,6 +139,7 @@ class Nbody(Application):
         )
 
     def arrays(self, n: int, *, seed: int = 0) -> dict[str, np.ndarray]:
+        import numpy as np
         rng = np.random.default_rng(seed)
         pos = rng.uniform(-1.0, 1.0, (n, 4)).astype(np.float32)
         pos[:, 3] = rng.uniform(0.5, 2.0, n).astype(np.float32)  # masses
@@ -149,6 +154,7 @@ class Nbody(Application):
     @staticmethod
     def momentum(arrays: dict[str, np.ndarray], n: int, buffer: str = "a") -> np.ndarray:
         """Total momentum vector (conserved by symmetric forces)."""
+        import numpy as np
         pos = arrays[f"pos_{buffer}"].reshape(n, 4).astype(np.float64)
         vel = arrays[f"vel_{buffer}"].reshape(n, 4).astype(np.float64)
         return (pos[:, 3:4] * vel[:, :3]).sum(axis=0)

@@ -18,7 +18,7 @@ same ``n`` always yields the same matrix structure.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.apps.base import Application
 from repro.platform.device import DeviceKind
@@ -26,6 +26,9 @@ from repro.runtime.graph import Program
 from repro.runtime.kernels import AccessPattern, AccessSpec, Kernel, KernelCostModel
 from repro.runtime.regions import AccessMode, ArraySpec
 from repro.units import FLOAT32_BYTES
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: mean nonzeros per row of the generated matrices
 MEAN_NNZ_PER_ROW = 16
@@ -47,6 +50,7 @@ def row_lengths(n: int) -> np.ndarray:
     regime where index-balanced partitioning fails and ref [9]'s
     work-balanced partitioning matters.
     """
+    import numpy as np
     rng = np.random.default_rng(0xC5A + n)
     raw = rng.pareto(TAIL_ALPHA, n) + 1.0
     lengths = np.minimum(
@@ -67,12 +71,14 @@ class SpMV(Application):
     paper_iterations = 1
 
     def _structure(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
         lengths = row_lengths(n)
         row_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(lengths, out=row_ptr[1:])
         return lengths, row_ptr
 
     def _kernel(self, n: int) -> tuple[Kernel, dict[str, ArraySpec]]:
+        import numpy as np
         _, row_ptr = self._structure(n)
         nnz = int(row_ptr[-1])
         specs = {
@@ -125,6 +131,7 @@ class SpMV(Application):
         )
 
     def arrays(self, n: int, *, seed: int = 0) -> dict[str, np.ndarray]:
+        import numpy as np
         _, row_ptr = self._structure(n)
         nnz = int(row_ptr[-1])
         rng = np.random.default_rng(seed)
@@ -141,6 +148,7 @@ class SpMV(Application):
     @staticmethod
     def reference(arrays: dict[str, np.ndarray], n: int) -> np.ndarray:
         """Dense-reconstruction reference product (small ``n`` only)."""
+        import numpy as np
         row_ptr = arrays["row_ptr"]
         y = np.zeros(n, dtype=np.float64)
         x = arrays["x"].astype(np.float64)
@@ -154,6 +162,7 @@ class SpMV(Application):
 
 def _spmv_impl(arrays: dict[str, np.ndarray], lo: int, hi: int, n: int,
                *, n_rows: int) -> None:
+    import numpy as np
     row_ptr = arrays["row_ptr"]
     vals = arrays["vals"].astype(np.float64)
     cols = arrays["cols"]

@@ -25,7 +25,7 @@ Only-GPU) and the CPU receives the larger share of the unified split.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.apps.base import Application
 from repro.platform.device import DeviceKind
@@ -33,6 +33,9 @@ from repro.runtime.graph import Program
 from repro.runtime.kernels import AccessSpec, Kernel, KernelCostModel
 from repro.runtime.regions import AccessMode, ArraySpec
 from repro.units import FLOAT32_BYTES
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: the scalar of scale/triad
 SCALAR = 3.0
@@ -145,6 +148,7 @@ class _StreamBase(Application):
         )
 
     def arrays(self, n: int, *, seed: int = 0) -> dict[str, np.ndarray]:
+        import numpy as np
         rng = np.random.default_rng(seed)
         return {
             "a": rng.standard_normal(n).astype(np.float32),
@@ -155,6 +159,7 @@ class _StreamBase(Application):
     @staticmethod
     def reference_pass(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """One sequential STREAM pass over copies of the inputs."""
+        import numpy as np
         a = arrays["a"].copy()
         b = arrays["b"].copy()
         c = arrays["c"].copy()

@@ -38,12 +38,11 @@ import hashlib
 import os
 import pickle
 import struct
+import sys
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Hashable
-
-import numpy as np
 
 __all__ = [
     "CacheStats",
@@ -351,11 +350,14 @@ _LENGTH = struct.Struct("<Q").pack
 
 def _feed(update: Callable[[Any], None], part: object) -> None:
     """Feed one framed part to ``update`` (a hash's ``update`` method)."""
+    # no ndarray can exist before numpy is imported, so an unloaded numpy
+    # means no part is an array and the fingerprint path never loads it
+    np = sys.modules.get("numpy")
     if type(part) is tuple:
         update(b"T" + _LENGTH(len(part)))
         for item in part:
             _feed(update, item)
-    elif isinstance(part, np.ndarray):
+    elif np is not None and isinstance(part, np.ndarray):
         if part.dtype.hasobject:
             raise TypeError("cannot fingerprint an object array")
         header = f"{part.dtype.str}{part.shape}".encode()

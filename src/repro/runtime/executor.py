@@ -460,6 +460,13 @@ class _Run:
             r.resource_id: graph.chunk_times(r.device, r.share)
             for r in self.resources
         }
+        #: resource id -> the program's memo of the same times, keyed on
+        #: the kernel and its work rather than on this graph's rows, so
+        #: the graphs a sweep pins from one program share it
+        self._program_times = {
+            r.resource_id: graph.program.chunk_times(r.device, r.share)
+            for r in self.resources
+        }
         #: the epoch drain, or None for runs that may not drain
         self._drain = (
             drain_for(self) if detail == "summary" and config.drain else None
@@ -486,7 +493,8 @@ class _Run:
     def _duration(self, inst: TaskInstance, resource: ComputeResource) -> float:
         """Roofline time plus task-creation overhead of ``inst`` on
         ``resource``, the roofline time memoized on the graph
-        (:meth:`TaskGraph.chunk_times`); the drain reads the same
+        (:meth:`TaskGraph.chunk_times`), and on a miss there on the
+        program (:meth:`Program.chunk_times`); the drain reads the same
         floats."""
         memo = self._chunk_times[resource.resource_id]
         n = inst.invocation.n
@@ -494,12 +502,15 @@ class _Run:
         seconds = memo.get(key)
         if seconds is None:
             kernel = inst.invocation.kernel
-            seconds = memo[key] = kernel.chunk_time(
-                resource.device,
-                kernel.work_units(inst.lo, inst.hi),
-                n,
-                share=resource.share,
-            )
+            units = kernel.work_units(inst.lo, inst.hi)
+            shared = self._program_times[resource.resource_id]
+            shared_key = (id(kernel), units, n)
+            seconds = shared.get(shared_key)
+            if seconds is None:
+                seconds = shared[shared_key] = kernel.chunk_time(
+                    resource.device, units, n, share=resource.share
+                )
+            memo[key] = seconds
         return seconds + self.config.task_creation_overhead_s
 
     # -- main loop --------------------------------------------------------------

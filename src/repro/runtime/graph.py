@@ -71,12 +71,29 @@ class KernelInvocation:
             )
 
 
+def _class_memo(memos: list, device: Device, share: float) -> dict:
+    """The memo in ``memos`` for ``(device, share)``, added when missing.
+
+    Devices are matched by identity, and ``memos`` holds them, so a memo
+    is never read for another device.
+    """
+    for held, held_share, memo in memos:
+        if held is device and held_share == share:
+            return memo
+    memo = {}
+    memos.append((device, share, memo))
+    return memo
+
+
 @dataclass
 class Program:
     """An ordered sequence of kernel invocations plus the data arrays."""
 
     invocations: list[KernelInvocation]
     arrays: dict[str, ArraySpec]
+    _chunk_times: list | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         ids = [inv.invocation_id for inv in self.invocations]
@@ -103,6 +120,27 @@ class Program:
     def total_indices(self) -> int:
         """Sum of problem sizes over all invocations (workload proxy)."""
         return sum(inv.n for inv in self.invocations)
+
+    def chunk_times(self, device: Device, share: float) -> dict:
+        """The memo of compute times of this program's chunks on ``device``.
+
+        Maps ``(id(kernel), work units, n)`` to :meth:`Kernel.chunk_time`
+        on ``device`` at ``share``, without the task-creation overhead.
+        It backs :meth:`TaskGraph.chunk_times`: every graph built from
+        the program — the static candidates of a sweep each pin their
+        own — reads one memo per ``(device, share)``.  The program keeps
+        its kernels alive, so their ids stay theirs; ``Kernel`` itself
+        is unhashable (its ``params`` is a dict).
+        """
+        if self._chunk_times is None:
+            self._chunk_times = []
+        return _class_memo(self._chunk_times, device, share)
+
+    def __getstate__(self) -> dict:
+        # kernel ids do not survive a copy or a pickle: drop the memo
+        state = dict(self.__dict__)
+        state["_chunk_times"] = None
+        return state
 
 
 @dataclass
@@ -389,18 +427,13 @@ class TaskGraph:
         run of the graph reads one memo per ``(device, share)``: the
         cells of a sweep that share the graph
         (:class:`~repro.partition.base.SweepScope`) compute each time
-        once.  Devices are matched by identity, and the table holds
-        them, so a memo is never read for another device.
+        once.  A miss here is filled from the program's memo
+        (:meth:`Program.chunk_times`), which graphs with other rows
+        share.
         """
-        memos = self._chunk_times
-        if memos is None:
-            memos = self._chunk_times = []
-        for held, held_share, memo in memos:
-            if held is device and held_share == share:
-                return memo
-        memo = {}
-        memos.append((device, share, memo))
-        return memo
+        if self._chunk_times is None:
+            self._chunk_times = []
+        return _class_memo(self._chunk_times, device, share)
 
     def adopt_edges(self, succs_sorted: tuple[tuple[int, ...], ...]) -> None:
         """Give this edge-free graph the edges of a ``succs_sorted`` table.

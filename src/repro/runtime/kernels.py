@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.errors import ConfigurationError
 from repro.platform.device import Device, DeviceKind
 from repro.runtime.regions import AccessMode, ArraySpec, Region
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Signature of a functional kernel body: mutates ``arrays`` in place for the
 #: index chunk ``[lo, hi)`` out of ``n`` total indices.
@@ -193,6 +194,7 @@ class Kernel:
         if not any(a.mode.writes for a in self.accesses):
             raise ConfigurationError(f"kernel {self.name!r} writes nothing")
         if self.work_prefix is not None:
+            import numpy as np
             wp = self.work_prefix
             if wp.ndim != 1 or len(wp) < 2 or wp[0] != 0:
                 raise ConfigurationError(

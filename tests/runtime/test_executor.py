@@ -1,11 +1,14 @@
 """Runtime engine: timing, transfers, barriers, overheads, deadlocks."""
 
+import pickle
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.runtime.dependence import build_dependences
 from repro.runtime.executor import RuntimeConfig, RuntimeEngine
 from repro.runtime.graph import chunk_ranges, expand_program
+from repro.runtime.kernels import Kernel
 from repro.runtime.schedulers.base import StaticScheduler
 from repro.runtime.schedulers.breadth_first import BreadthFirstScheduler
 
@@ -266,6 +269,48 @@ class TestOverheads:
             graph, StaticScheduler()
         ).makespan_s
         assert t == pytest.approx(80e-6 + 5e-3)
+
+
+class TestComputeTimeMemo:
+    """Compute times are memoized per program, across its graphs."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        real = Kernel.chunk_time
+
+        def chunk_time(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Kernel, "chunk_time", chunk_time)
+        return calls
+
+    @staticmethod
+    def _makespan(platform, program):
+        def halves(inv):
+            return [(0, inv.n // 2, None, "cpu:0"),
+                    (inv.n // 2, inv.n, None, "cpu:0")]
+
+        return RuntimeEngine(platform, config=EXACT).execute(
+            build(program, halves), StaticScheduler()
+        ).makespan_s
+
+    def test_graphs_of_one_program_share_times(self, tiny_platform, monkeypatch):
+        program = chain_program(2, n=4096)
+        calls = self._counted(monkeypatch)
+        first = self._makespan(tiny_platform, program)
+        # two kernels, each with two equal-work halves
+        assert len(calls) == 2
+        assert self._makespan(tiny_platform, program) == first
+        assert len(calls) == 2
+
+    def test_memo_stays_out_of_pickles(self, tiny_platform):
+        """Kernel ids do not survive a pickle, so the memo is not sent."""
+        program = chain_program(2, n=4096)
+        pickled = pickle.dumps(program)
+        self._makespan(tiny_platform, program)
+        assert pickle.dumps(program) == pickled
 
 
 class TestResultAccounting:

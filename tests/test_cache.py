@@ -308,6 +308,50 @@ class TestPrefixFingerprints:
             assert out == expected
 
 
+#: digests as computed before numpy left the import path; a moved digest
+#: would re-key every existing ``--cache-dir`` snapshot
+SPMV_KERNEL_FP = "113485d2d30daf73"
+STREAM_KERNEL_FPS = [
+    "5675281616567949", "f8ac6de5798bcaac", "ec55a15e6622aec4",
+    "5f3f8071dcaff737",
+]
+PAPER_PLATFORM_FP = "076c583bfeec8e7a"
+
+_PINNED_FPS = (
+    "from repro.apps import get_application\n"
+    "from repro.cache import kernel_fingerprint, platform_fingerprint\n"
+    "from repro.platform import shen_icpp15_platform\n"
+    "stream = get_application('STREAM-Loop').program(1024, iterations=1)\n"
+    "print(*[kernel_fingerprint(k) for k in stream.kernels])\n"
+    "print(platform_fingerprint(shen_icpp15_platform()))\n"
+    "print('numpy' in sys.modules)\n"
+)
+
+
+class TestFingerprintPins:
+    def test_spmv_kernel(self):
+        assert kernel_fingerprint(_spmv_kernel()) == SPMV_KERNEL_FP
+
+    def test_stream_kernels(self):
+        program = get_application("STREAM-Loop").program(1024, iterations=1)
+        assert [kernel_fingerprint(k) for k in program.kernels] \
+            == STREAM_KERNEL_FPS
+
+    def test_paper_platform(self, paper_platform):
+        assert platform_fingerprint(paper_platform) == PAPER_PLATFORM_FP
+
+    def test_pins_hold_with_numpy_unloaded(self):
+        """The fingerprint path keys the same without ever loading numpy."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys\n" + _PINNED_FPS], env=env,
+            check=True, capture_output=True, text=True,
+        ).stdout.splitlines()
+        assert out == [" ".join(STREAM_KERNEL_FPS), PAPER_PLATFORM_FP, "False"]
+
+
 @functools.lru_cache(maxsize=None)
 def _real_snapshot() -> bytes:
     """Snapshot bytes after one small sweep cell warmed the stores."""
