@@ -4,23 +4,19 @@ Replays the occupation schedule of the pipeline bench scenario (DP-Perf on
 STREAM-Loop, the same cell ``bench_pipeline_perf.py`` sizes sweep returns
 with) through both simulation engines and records events/sec:
 
-* ``oracle_traced`` — the seed system's only replay path: the closure
-  oracle :class:`~repro.sim.engine.Simulator` driving traced
+* ``oracle_traced`` — the closure oracle
+  :class:`~repro.sim.engine.Simulator` driving
   :class:`~repro.sim.resources.SimResource` objects, one ``occupy()`` per
-  occupation with a lazy tuple label and a meta dict, one ``Event``
-  dataclass plus one closure per completion, one trace row per occupation;
-* ``fast_traced`` — the production executor path:
-  :class:`~repro.sim.fast_engine.FastSimulator` inlining ``_K_FINISH``
-  completions over traced resources;
-* ``fast_traced_lane`` — the executor's shape after the staged-ingestion
-  PR: per-event ``occupy()`` completions writing through pre-interned
-  :class:`~repro.sim.tracestore.TraceLane` staging buffers (constants
-  interned once per stream, no per-row ``dict(meta)`` copy).
+  occupation writing its row through a staging
+  :class:`~repro.sim.tracestore.TraceLane` (label arguments and a meta
+  dict per row), one ``Event`` dataclass plus one closure per completion;
+* ``fast_traced`` — the production executor path: the same occupations
+  and lanes, with :class:`~repro.sim.fast_engine.FastSimulator` inlining
+  the ``_K_FINISH`` completions.
 
-The headline is ``traced_lane_speedup`` over ``oracle_traced``, because
-the lane shape is the path the executor runs; ``traced_speedup`` is
-recorded alongside so the number's composition stays honest: part
-engine loop, part shed tracing machinery.
+Both variants write every row through the same lanes, so the headline
+``traced_speedup`` (``oracle_traced`` over ``fast_traced``) is an
+engine-only ratio.
 
 Also measures end-to-end wall clock of the full scenario under both
 engines (``run_speedup``), verifies their artifacts pickle byte-identical
@@ -56,7 +52,7 @@ from repro.platform import shen_icpp15_platform
 from repro.sim.engine import Simulator
 from repro.sim.fast_engine import FastSimulator
 from repro.sim.resources import SimResource
-from repro.sim.trace import ExecutionTrace
+from repro.sim.tracestore import TraceStore
 
 #: standalone-run output (the pipeline bench embeds the same record)
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_event_core.json"
@@ -96,7 +92,7 @@ WAVE_DRAIN_FLOOR = 4.07
 #: events/sec shifts with runner hardware, but two engine variants timed
 #: back-to-back on the same box regress together unless the code did
 BASELINE_RATIOS = (
-    "traced_lane_speedup",
+    "traced_speedup",
 )
 
 #: nested-section ratios ``--check-baseline`` also verifies: section
@@ -170,42 +166,20 @@ def _streams(artifact) -> dict[str, list[tuple[float, str]]]:
 
 
 def _replay_engine(streams, *, fast: bool) -> float:
-    """Replay every stream through traced SimResources on one engine; seconds.
+    """Replay every stream through SimResources on one engine; seconds.
 
-    This is the seed system's replay shape: one ``occupy()`` per
-    occupation — lazy tuple label, per-occupation meta dict, trace row —
-    with completions dispatched by the engine (closures on the oracle,
-    inlined ``_K_FINISH`` events on the fast engine).
+    The runtime executor's shape: one ``occupy()`` per occupation, its
+    row written through a pre-interned staging lane per (resource,
+    category) with per-row label arguments and a meta dict, completions
+    dispatched by the engine (closures on the oracle, inlined
+    ``_K_FINISH`` events on the fast engine).  The final lane flush is
+    inside the timed region.
     """
     sim = FastSimulator() if fast else Simulator()
-    trace = ExecutionTrace()
+    trace = TraceStore()
     t0 = time.perf_counter()
     for rid, occs in streams.items():
-        res = SimResource(sim, rid, trace)
-        for i, (duration, category) in enumerate(occs):
-            res.occupy(
-                duration,
-                label=("replay {} {}", rid, i),
-                category=category,
-                meta={"idx": i},
-            )
-    sim.run()
-    return time.perf_counter() - t0
-
-
-def _replay_engine_lane(streams, *, fast: bool) -> float:
-    """Per-event traced replay through staging lanes; seconds.
-
-    Same event count and row content as :func:`_replay_engine`
-    but rows go through pre-interned :class:`TraceLane` buffers — the
-    runtime executor's shape after the staged-ingestion PR.  The final
-    lane flush is inside the timed region.
-    """
-    sim = FastSimulator() if fast else Simulator()
-    trace = ExecutionTrace()
-    t0 = time.perf_counter()
-    for rid, occs in streams.items():
-        res = SimResource(sim, rid, trace)
+        res = SimResource(sim, rid)
         lanes: dict[str, object] = {}
         for i, (duration, category) in enumerate(occs):
             lane = lanes.get(category)
@@ -213,16 +187,9 @@ def _replay_engine_lane(streams, *, fast: bool) -> float:
                 lane = lanes[category] = trace.lane(
                     rid, category, "replay {} {}"
                 )
-            res.occupy(
-                duration,
-                label="",
-                category=category,
-                lane=lane,
-                args=(rid, i),
-                meta={"idx": i},
-            )
+            res.occupy(duration, lane=lane, args=(rid, i), meta={"idx": i})
     sim.run()
-    trace.store._ensure_flushed()
+    len(trace)  # flushes the staged rows
     return time.perf_counter() - t0
 
 
@@ -241,7 +208,6 @@ def measure_event_core(artifact=None) -> dict:
 
     oracle_traced = _best_of(_replay_engine, streams, fast=False)
     fast_traced = _best_of(_replay_engine, streams, fast=True)
-    fast_traced_lane = _best_of(_replay_engine_lane, streams, fast=True)
 
     return {
         "events": events,
@@ -249,11 +215,8 @@ def measure_event_core(artifact=None) -> dict:
         "rounds": ROUNDS,
         "oracle_traced_events_per_sec": events / oracle_traced,
         "fast_traced_events_per_sec": events / fast_traced,
-        "fast_traced_lane_events_per_sec": events / fast_traced_lane,
-        # the traced production path in its two shapes (per-row
-        # record, per-event lanes)
+        # same occupations, same lanes: the engines' ratio
         "traced_speedup": oracle_traced / fast_traced,
-        "traced_lane_speedup": oracle_traced / fast_traced_lane,
     }
 
 
@@ -526,11 +489,9 @@ def _format(payload: dict) -> str:
         f"oracle replay:        "
         f"{payload['oracle_traced_events_per_sec']:,.0f} ev/s traced\n"
         f"fast engine:          "
-        f"{payload['fast_traced_events_per_sec']:,.0f} ev/s traced, "
-        f"{payload['fast_traced_lane_events_per_sec']:,.0f} ev/s lane-traced\n"
-        f"traced path:          {payload['traced_lane_speedup']:9.1f}x "
-        f"per-event lanes (per-event rows "
-        f"{payload['traced_speedup']:.1f}x)\n"
+        f"{payload['fast_traced_events_per_sec']:,.0f} ev/s traced\n"
+        f"traced path:          {payload['traced_speedup']:9.1f}x "
+        f"engine speedup (both through lanes)\n"
         f"end-to-end run:       {payload['fast_run_s']:.2f} s fast vs "
         f"{payload['oracle_run_s']:.2f} s oracle "
         f"({payload['run_speedup']:.2f}x, floor {RUN_SPEEDUP_FLOOR:g}x, "

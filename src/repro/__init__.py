@@ -49,7 +49,7 @@ from repro.partition import (
     run_plan,
 )
 from repro.artifact import RunArtifact, TraceSummary
-from repro.runtime import ExecutionResult, RuntimeConfig
+from repro.runtime import RuntimeConfig
 
 __version__ = "1.0.0"
 
@@ -76,7 +76,6 @@ __all__ = [
     "get_strategy",
     "list_strategies",
     "run_plan",
-    "ExecutionResult",
     "RunArtifact",
     "RuntimeConfig",
     "TraceSummary",

@@ -1,11 +1,9 @@
 """Run artifacts: the single result unit flowing through the pipeline.
 
-One simulated run used to travel as a mutable ``ExecutionResult`` carrying
-the *full* :class:`~repro.sim.trace.ExecutionTrace`, which every consumer
-(figure tables, speedup rows, validation checks, CSV export) re-scanned
-for each derived number — and which ``run_sweep`` workers pickled
-wholesale back to the parent.  This module replaces that with a two-level
-bundle:
+One simulated run travels through the pipeline as a two-level bundle,
+so that no consumer (figure tables, speedup rows, validation checks, CSV
+export) re-scans a trace for each derived number and ``run_sweep``
+workers need not pickle whole traces back to the parent:
 
 * :class:`TraceSummary` — every number the reporting layers derive from a
   trace (makespan, per-resource busy times, per-direction transfer times,
@@ -25,10 +23,10 @@ bundle:
   (the ``run_sweep`` worker default) are orders of magnitude smaller on
   the wire.
 
-``RunArtifact`` exposes the full historical ``ExecutionResult`` API
-(``makespan_ms``, ``gpu_fraction``, ``ratio_by_kernel()``, ...), so it is
-a drop-in replacement; ``repro.runtime.executor.ExecutionResult`` is kept
-as a compatibility alias.
+``RunArtifact`` derives the reported figures (``makespan_ms``,
+``gpu_fraction``, ``ratio_by_kernel()``, ...) from its summary; its
+``trace``, when kept, is the run's
+:class:`~repro.sim.tracestore.TraceStore`.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ import pickle
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.sim.trace import ExecutionTrace
 from repro.sim.tracestore import SUMMARY_DIRECTIONS, TraceLane, TraceStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -188,9 +185,9 @@ class RunArtifact:
     #: "summary" (trace dropped) or "full" (trace attached)
     detail: str = "full"
     #: the raw trace; only present under ``detail="full"``
-    trace: ExecutionTrace | None = field(default=None, compare=False)
+    trace: TraceStore | None = field(default=None, compare=False)
 
-    # -- compatibility facade (the historical ExecutionResult API) -------
+    # -- derived figures (read from the summary) --------------------------
 
     @property
     def makespan_ms(self) -> float:
@@ -241,8 +238,7 @@ class RunArtifact:
     def ratio_by_kernel(self) -> dict[str, dict[str, int]]:
         """Kernel name -> device kind -> indices (per-kernel split ratios).
 
-        Returns a fresh copy (the historical API returned a new dict per
-        call, and callers are free to mutate it).
+        Returns a fresh copy per call, which callers are free to mutate.
         """
         return {k: dict(v) for k, v in self.summary.ratio_by_kernel.items()}
 
@@ -253,7 +249,7 @@ class RunArtifact:
 
     # -- detail management -----------------------------------------------
 
-    def require_trace(self) -> ExecutionTrace:
+    def require_trace(self) -> TraceStore:
         """The raw trace; raises when the run was summarized."""
         if self.trace is None:
             raise ValueError(

@@ -14,8 +14,7 @@ platform, the kernel cost model, or the model parameters — used by
   platform fingerprint + scenario + strategy, so ``repro rank`` replays
   a platform's round-robin for free once it has been played).
 
-Hit/miss counters are kept per store and surfaced
-:class:`~repro.runtime.executor.ExecutionResult`-style via
+Hit/miss counters are kept per store and surfaced via
 :func:`cache_stats` / :meth:`MemoCache.stats`; strategies snapshot them
 into their :class:`~repro.partition.base.StrategyDecision` notes and
 ``benchmarks/bench_pipeline_perf.py`` records them in

@@ -68,8 +68,9 @@ from repro.errors import WorkerProtocolError
 
 #: bump on any frame-layout or payload-shape change; peers must match
 #: (v2: per-cell MSG_CELL streaming; MSG_RESULT became the end-of-batch
-#: marker and stopped carrying artifacts)
-PROTOCOL_VERSION = 2
+#: marker and stopped carrying artifacts; v3: a full-detail artifact's
+#: trace pickles as its TraceStore, without the label-string column)
+PROTOCOL_VERSION = 3
 
 #: frame magic: rejects peers that are not speaking this protocol at all
 MAGIC = b"RPRO"

@@ -31,7 +31,7 @@ from repro.runtime.graph import (
 )
 from repro.runtime.dependence import build_dependences
 from repro.runtime.memory import MemoryManager, TransferOp
-from repro.runtime.executor import ExecutionResult, RuntimeConfig, RuntimeEngine
+from repro.runtime.executor import RuntimeConfig, RuntimeEngine
 
 __all__ = [
     "AccessMode",
@@ -50,7 +50,6 @@ __all__ = [
     "build_dependences",
     "MemoryManager",
     "TransferOp",
-    "ExecutionResult",
     "RuntimeConfig",
     "RuntimeEngine",
 ]

@@ -47,8 +47,7 @@ from repro.sim.engine import DEFAULT_MAX_EVENTS
 from repro.sim.fast_engine import make_simulator
 from repro.sim.plan import drain_for
 from repro.sim.resources import SimResource
-from repro.sim.trace import ExecutionTrace
-from repro.sim.tracestore import TraceLane
+from repro.sim.tracestore import TraceLane, TraceStore
 
 #: per-run instance classes: how the pump routes a ready instance
 _BARRIER, _PINNED, _FREE = 0, 1, 2
@@ -131,10 +130,10 @@ class _Transfer:
         run = self.run
         op = self.op
         key = f"{op.device_space}:{self.direction}"
-        # lane path: label/category come from the lane's constants; at
-        # full detail the varying args pack into the lazy label columns
-        # and the meta dict is handed over un-copied, at summary detail
-        # the lane only folds the row, so neither is built
+        # the lane holds the category and label template; at full detail
+        # the varying args pack into the lazy label columns and the meta
+        # dict is handed over un-copied, at summary detail the lane only
+        # folds the row, so neither is built
         if run.trace is None:
             args, meta = (), None
         else:
@@ -147,10 +146,8 @@ class _Transfer:
             }
         run.links[key].occupy(
             self.duration,
-            label="",
-            category="transfer",
-            on_complete=(run._transfer_done, self),
             lane=run.transfer_lanes[key],
+            on_complete=(run._transfer_done, self),
             args=args,
             meta=meta,
         )
@@ -245,14 +242,6 @@ class RuntimeConfig:
     drain: bool = True
 
 
-#: Compatibility alias: the historical result type.  One simulated run now
-#: travels as a frozen :class:`~repro.artifact.RunArtifact`, which exposes
-#: the full old ``ExecutionResult`` API (``makespan_ms``, ``gpu_fraction``,
-#: ``ratio_by_kernel()``, ``trace`` ...) — derived numbers come from its
-#: :class:`~repro.artifact.TraceSummary` instead of per-query trace scans.
-ExecutionResult = RunArtifact
-
-
 class RuntimeEngine:
     """Executes task graphs on a platform under a given scheduler."""
 
@@ -281,7 +270,7 @@ class _Run:
     """Single-use execution state (the engine itself stays reusable).
 
     ``detail`` decides what the run keeps of its trace: at ``"full"``
-    its lanes stage every row into an :class:`ExecutionTrace`, at
+    its lanes stage every row into a :class:`TraceStore`, at
     ``"summary"`` there is no trace (``self.trace is None``) and the
     lanes only fold.  Either way the lanes are the only producer of the
     run's :class:`~repro.artifact.TraceSummary`.
@@ -309,7 +298,7 @@ class _Run:
         self.detail = detail
 
         self.sim = make_simulator()
-        self.trace = ExecutionTrace() if detail == "full" else None
+        self.trace = TraceStore() if detail == "full" else None
         self.memory = MemoryManager(platform, graph.program.arrays)
 
         self.resources: list[ComputeResource] = platform.compute_resources(
@@ -328,7 +317,7 @@ class _Run:
             for r in self.resources
         }
         self.sim_resources: dict[str, SimResource] = {
-            r.resource_id: SimResource(self.sim, r.resource_id, self.trace)
+            r.resource_id: SimResource(self.sim, r.resource_id)
             for r in self.resources
         }
         self.links: dict[str, SimResource] = {}
@@ -336,13 +325,11 @@ class _Run:
             link = platform.link_for(acc.device_id)
             if link.duplex:
                 self.links[f"{acc.device_id}:h2d"] = SimResource(
-                    self.sim, f"link:{acc.device_id}:h2d", self.trace
-                )
+                    self.sim, f"link:{acc.device_id}:h2d")
                 self.links[f"{acc.device_id}:d2h"] = SimResource(
-                    self.sim, f"link:{acc.device_id}:d2h", self.trace
-                )
+                    self.sim, f"link:{acc.device_id}:d2h")
             else:
-                shared = SimResource(self.sim, f"link:{acc.device_id}", self.trace)
+                shared = SimResource(self.sim, f"link:{acc.device_id}")
                 self.links[f"{acc.device_id}:h2d"] = shared
                 self.links[f"{acc.device_id}:d2h"] = shared
 
@@ -732,13 +719,11 @@ class _Run:
             }
         self.sim_resources[resource.resource_id].occupy(
             duration,
-            label="",
-            category="compute",
+            lane=self.compute_lanes[resource.resource_id],
             on_complete=(
                 self._complete,
                 (inst, resource, space, duration, transfer_total),
             ),
-            lane=self.compute_lanes[resource.resource_id],
             args=args,
             size=size,
             kernel=name,

@@ -4,12 +4,13 @@ The runtime replays task execution on the simulated platform through this
 engine: compute resources and interconnect channels are serial
 :class:`~repro.sim.resources.SimResource` objects, the
 :class:`~repro.sim.engine.Simulator` advances virtual time through an event
-heap, and every occupation of a resource is appended as one row of the
-columnar :class:`~repro.sim.tracestore.TraceStore` for later analysis
+heap, and every occupation of a resource enters the run's trace — a
+columnar :class:`~repro.sim.tracestore.TraceStore` — as one row through a
+:class:`~repro.sim.tracestore.TraceLane`, for later analysis
 (partitioning ratios, Gantt charts, transfer accounting).  Analysis runs
 as insertion-order scans over the store's array-backed columns, and
-:class:`~repro.sim.trace.TraceRecord` rows are materialized only on
-demand, for compatibility.
+:class:`~repro.sim.trace.TraceRecord` rows are built only for callers
+that ask for them (``TraceStore.records``).
 
 Two interchangeable engines exist: the slot-dispatched
 :class:`~repro.sim.fast_engine.FastSimulator` (the default — tuple
@@ -38,7 +39,7 @@ from repro.sim.fast_engine import (
     make_simulator,
 )
 from repro.sim.resources import SimResource
-from repro.sim.trace import ExecutionTrace, TraceRecord, render_gantt
+from repro.sim.trace import TraceRecord, render_gantt
 from repro.sim.tracestore import TraceStore
 
 __all__ = [
@@ -53,7 +54,6 @@ __all__ = [
     "fast_engine_enabled",
     "make_simulator",
     "SimResource",
-    "ExecutionTrace",
     "TraceRecord",
     "TraceStore",
     "render_gantt",

@@ -3,31 +3,22 @@
 The paper's discussion reasons about execution overlap ("the optimal
 partitioning ensures a perfect execution overlap between processors") and
 transfer shares ("the data transfer takes around 88% of the overall
-execution time").  This module computes those quantities from any
-:class:`~repro.sim.trace.ExecutionTrace` (or a bare
-:class:`~repro.sim.tracestore.TraceStore`), so they can be asserted in
+execution time").  This module computes those quantities from a run's
+:class:`~repro.sim.tracestore.TraceStore`, so they can be asserted in
 tests and printed alongside the figures.
 
 Both entry points operate on the store's columns directly — no
-:class:`~repro.sim.trace.TraceRecord` is ever materialized — through the
+:class:`~repro.sim.trace.TraceRecord` is ever built — through the
 store's insertion-order column scans, so every figure is bit-identical
-to the original record scans
+to a scan over the records
 (``tests/property/test_trace_analytics_properties.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
-from repro.sim.trace import ExecutionTrace
 from repro.sim.tracestore import TraceStore
-
-TraceLike = Union[ExecutionTrace, TraceStore]
-
-
-def _store_of(trace: TraceLike) -> TraceStore:
-    return trace.store if isinstance(trace, ExecutionTrace) else trace
 
 
 @dataclass(frozen=True)
@@ -83,14 +74,13 @@ def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, 
     return merged
 
 
-def compute_overlap_fraction(trace: TraceLike) -> float:
+def compute_overlap_fraction(store: TraceStore) -> float:
     """Fraction of the makespan with compute active on >= 2 devices.
 
     Devices are identified by the ``device`` metadata of compute records;
     CPU threads collectively count as one device, matching the paper's
     processor-level notion of overlap.
     """
-    store = _store_of(trace)
     makespan = store.makespan()
     if makespan <= 0:
         return 0.0
@@ -119,9 +109,8 @@ def compute_overlap_fraction(trace: TraceLike) -> float:
     return overlap / makespan
 
 
-def analyze_trace(trace: TraceLike) -> TraceStats:
-    """Summarize a trace into :class:`TraceStats`."""
-    store = _store_of(trace)
+def analyze_trace(store: TraceStore) -> TraceStats:
+    """Summarize a run's trace into :class:`TraceStats`."""
     makespan = store.makespan()
     by_category = store.busy_by_resource()
 
@@ -130,7 +119,7 @@ def analyze_trace(trace: TraceLike) -> TraceStats:
     transfer_share: dict[str, float] = {}
     for rid in store.resource_ids_seen():
         # busy accumulates over *all* of the resource's rows in insertion
-        # order (not per-category subtotals), matching the original scan
+        # order (not per-category subtotals), as a record scan does
         busy = store.busy_time(rid)
         by_cat = by_category[rid]
         util = busy / makespan if makespan else 0.0

@@ -17,9 +17,10 @@ budgets — but represents events as plain tuples
     A resource-occupation completion scheduled through
     :meth:`schedule_completion`: ``a0`` is the
     :class:`~repro.sim.resources.SimResource`, ``a1`` the occupation.
-    The loop advances the resource's FIFO, records the trace row, and
-    re-schedules the next completion *inline* — no per-event closure, no
-    Event allocation, and tuple comparisons run at C level in the heap.
+    The loop advances the resource's FIFO, hands the next occupation's
+    row to its trace lane, and re-schedules the next completion *inline*
+    — no per-event closure, no Event allocation, and tuple comparisons
+    run at C level in the heap.
     This is the executor's hot path.
 ``_K_CALL``
     A deferred call ``a0(a1)``, scheduled through :meth:`schedule_call`
@@ -187,10 +188,11 @@ class FastSimulator:
                 self._now = t
                 if ev[3] == _K_FINISH:
                     # inlined SimResource completion: advance the FIFO,
-                    # record the row, re-arm the next occupation — the
-                    # body of SimResource._finish/_start without the call
-                    # chain (the shared-semantics contract is enforced by
-                    # the property and differential suites)
+                    # hand the next row to its lane, re-arm the next
+                    # occupation — the body of SimResource._finish/_start
+                    # without the call chain (the shared-semantics
+                    # contract is enforced by the property and
+                    # differential suites)
                     res = ev[4]
                     queue = res._queue
                     if queue:
@@ -198,13 +200,8 @@ class FastSimulator:
                         end = t + nxt.duration
                         if not queue:
                             res._busy_until = end
-                        lane = nxt.lane
-                        if lane is not None:
-                            lane.append(t, end, nxt.args, nxt.size,
+                        nxt.lane.append(t, end, nxt.args, nxt.size,
                                         nxt.kernel, nxt.meta)
-                        else:
-                            res._record(res.resource_id, nxt.label,
-                                        nxt.category, t, end, nxt.meta)
                         seq = self._seq
                         self._seq = seq + 1
                         push(heap, (end, PRIORITY_COMPLETION, seq, _K_FINISH,

@@ -3,10 +3,8 @@
 A :class:`SimResource` executes one occupation at a time.  Occupations are
 either started immediately (if the resource is idle) or queued FIFO.  Each
 occupation hands one row to its :class:`~repro.sim.tracestore.TraceLane`
-(or, lane-less, to the shared trace's columnar
-:class:`~repro.sim.tracestore.TraceStore`) — no per-occupation
-:class:`~repro.sim.trace.TraceRecord` object is allocated on this hot
-path — and fires a completion callback through the owning simulator.
+— no per-occupation row object is allocated on this hot path — and fires
+a completion callback through the owning simulator.
 
 Resources work with either engine.  Both offer ``at``/``after`` and
 ``schedule_call``; only the
@@ -33,22 +31,17 @@ from typing import Any, Callable
 
 from repro.errors import SimulationError
 from repro.sim.engine import PRIORITY_COMPLETION, Simulator
-from repro.sim.trace import ExecutionTrace
 from repro.sim.tracestore import TraceLane
 
 
 @dataclass(slots=True)
 class _Occupation:
     duration: float
-    #: display string, or a lazy ``(template, *args)`` tuple the trace
-    #: store formats only when a row is materialized
-    label: str | tuple
-    category: str
     on_complete: Callable[[], Any] | tuple | None
+    #: the lane this occupation's row goes to (its resource, category
+    #: and label template are the lane's constants)
+    lane: TraceLane
     meta: dict[str, Any] | None = None
-    #: staging lane this occupation's row goes to instead of
-    #: ``TraceStore.record`` (resource/category/template pre-interned)
-    lane: TraceLane | None = None
     #: per-row lane arguments: label args, element count, kernel name
     args: tuple = ()
     size: int = -1
@@ -56,31 +49,20 @@ class _Occupation:
 
 
 class SimResource:
-    """A serial resource bound to a simulator and a shared trace.
+    """A serial resource bound to a simulator.
 
     Parameters
     ----------
     sim:
         The owning simulator (oracle or fast engine).
     resource_id:
-        Unique identifier; appears in trace records.
-    trace:
-        Shared :class:`ExecutionTrace` that collects occupation records,
-        or ``None`` when every occupation passes a fold-only ``lane``.
+        Unique identifier; the lanes its occupations write to carry it
+        into the trace.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        resource_id: str,
-        trace: ExecutionTrace | None,
-    ) -> None:
+    def __init__(self, sim: Simulator, resource_id: str) -> None:
         self.sim = sim
         self.resource_id = resource_id
-        self.trace = trace
-        #: prebound row appender: one attribute load per row instead of two
-        #: (absent without a trace: every occupation then goes to a lane)
-        self._record = trace.record if trace is not None else None
         #: engines that inline completion handling expose
         #: ``schedule_completion``; the oracle path allocates a closure
         self._schedule_completion = getattr(sim, "schedule_completion", None)
@@ -112,36 +94,28 @@ class SimResource:
         self,
         duration: float,
         *,
-        label: str | tuple,
-        category: str,
+        lane: TraceLane,
         on_complete: Callable[[], Any] | tuple | None = None,
         meta: dict[str, Any] | None = None,
-        lane: TraceLane | None = None,
         args: tuple = (),
         size: int = -1,
         kernel: str | None = None,
     ) -> None:
         """Enqueue an occupation of ``duration`` seconds.
 
-        ``category`` tags the record for trace analysis (``"compute"``,
-        ``"transfer"``, ``"overhead"`` ...).  ``on_complete`` — a
-        callable or a ``(fn, arg)`` tuple — fires at the occupation's end
-        time, *after* the resource is marked free.
-
-        Passing ``lane`` routes the trace row through a pre-interned
-        :class:`~repro.sim.tracestore.TraceLane` instead of
-        ``TraceStore.record``: ``label``/``category`` are ignored for the
-        row (the lane's template and constants win) and ``args``, ``size``
-        and ``kernel`` become the per-row lane payload.  The lane must
-        belong to this resource's trace store.
+        The row goes to ``lane``, whose constants (resource id, category
+        such as ``"compute"`` or ``"transfer"``, label template) describe
+        it; ``args``, ``size``, ``kernel`` and ``meta`` are the per-row
+        payload (see :meth:`~repro.sim.tracestore.TraceLane.append`).
+        ``on_complete`` — a callable or a ``(fn, arg)`` tuple — fires at
+        the occupation's end time, *after* the resource is marked free.
         """
         if duration < 0:
             raise SimulationError(
                 f"{self.resource_id}: occupation duration must be >= 0"
             )
         occ = _Occupation(
-            duration, label, category, on_complete, meta,
-            lane, args, size, kernel,
+            duration, on_complete, lane, meta, args, size, kernel,
         )
         if self._busy:
             self._queue.append(occ)
@@ -155,15 +129,7 @@ class SimResource:
         end = start + occ.duration
         if not self._queue:
             self._busy_until = end
-        # columnar append: no TraceRecord allocation on the hot path
-        lane = occ.lane
-        if lane is not None:
-            lane.append(start, end, occ.args, occ.size, occ.kernel, occ.meta)
-        else:
-            self._record(
-                self.resource_id, occ.label, occ.category, start, end,
-                occ.meta,
-            )
+        occ.lane.append(start, end, occ.args, occ.size, occ.kernel, occ.meta)
         schedule = self._schedule_completion
         if schedule is not None:
             schedule(end, self, occ)

@@ -1,82 +1,69 @@
 """Columnar trace storage: the simulator's flight recorder, indexed.
 
-The original :class:`~repro.sim.trace.ExecutionTrace` kept a Python list
-of :class:`~repro.sim.trace.TraceRecord` dataclasses and answered every
-query — ``by_resource``, ``busy_time``, ``elements_by_device`` — with a
-fresh linear scan over it.  PR 2 made the storage columnar but kept the
-columns as Python lists of boxed floats and strings.
-
-:class:`TraceStore` now keeps the numeric columns in ``array`` buffers
-(``starts``/``ends`` as ``array('d')``, the ``size`` metadata as
-``array('q')``) and **interns** every string column (resource ids,
-categories, labels, plus the hot metadata keys ``device_kind``,
-``kernel``, ``device``, ``direction``) as small-int code columns over a
+A run's trace is a :class:`TraceStore`.  It keeps the numeric columns in
+``array`` buffers (``starts``/``ends`` as ``array('d')``, the ``size``
+metadata as ``array('q')``) and **interns** every string column (resource
+ids, categories, plus the hot metadata keys ``device_kind``, ``kernel``,
+``device``, ``direction``) as small-int code columns over a
 :class:`_StringPool` side table — one machine word per row instead of a
-boxed object, roughly a 4x shrink of full-detail traces.  Appends are
-O(1) array pushes with no per-record object; per-resource and
-per-category row indexes are built lazily and extended incrementally.
+boxed object.  Per-resource and per-category row indexes are built
+lazily and extended incrementally.
 
-Display labels are additionally **lazily formatted**: producers may pass
-``(template, *args)`` instead of a pre-built string, and the store packs
-the template code plus up to one string and three integer arguments into
-fixed-width columns — per-row-unique labels like ``"copy[0:512)#3"``
-never hit the intern pool unless someone actually materializes the row
-(:meth:`TraceStore.label_at` formats on demand; the formatted text is
-identical to the old eager f-strings).
+Display labels are **lazily formatted**: every row carries a label
+template plus up to one string and three integer arguments in
+fixed-width columns, so per-row-unique labels like ``"copy[0:512)#3"``
+never hit an intern pool; :meth:`TraceStore.label_at` formats on demand.
 
-Ingestion has one entry point per caller shape:
-
-* :meth:`TraceStore.record` — one row per call, full generality (the
-  original API).  The metadata dict is copied, so callers may keep
-  mutating it.
-* :class:`TraceLane` — a run's persistent intake for one fully
-  pre-declared stream (resource, category, label template, constant hot
-  metadata).  :meth:`TraceLane.append` takes one row per event (the
-  executor and the plan evaluator), :meth:`TraceLane.extend_rows` a
-  whole run of rows (the evaluator's drains).  Every lane **folds** each
-  row into running aggregates as it arrives — row count, latest and last
-  end, the ``end - start`` sum in intake order, element sums per kernel
-  — and :meth:`repro.artifact.TraceSummary.from_lanes` merges a run's
-  lanes into its summary; no store is read for it.  A lane opened with
-  :meth:`TraceStore.lane` (full detail) additionally *stages* its rows:
-  its constants are interned once at creation, staged rows go into small
-  parallel ``array`` buffers with no interning and no dict traffic, and
-  they are flushed into the store's columns in C-speed blocks the first
-  time anything reads, pickles, or indexes the store.  Staged rows are
-  therefore *deferred*: they take their row numbers at flush time (lane
-  registration order), not append time — identical under every engine
-  and backend, which is what keeps cross-engine artifact pickles
-  byte-identical.  A lane built without a store (summary detail) only
-  folds: no row, label or metadata dict is kept.
+Every row enters through a :class:`TraceLane`, a run's persistent intake
+for one fully pre-declared stream (resource, category, label template,
+constant hot metadata).  :meth:`TraceLane.append` takes one row per event
+(the executor), :meth:`TraceLane.extend_rows` a whole run of rows (the
+drain's commits).  Every lane **folds** each row into running aggregates
+as it arrives — row count, latest and last end, the ``end - start`` sum
+in intake order, element sums per kernel — and
+:meth:`repro.artifact.TraceSummary.from_lanes` merges a run's lanes into
+its summary; no store is read for it.  A lane opened with
+:meth:`TraceStore.lane` (full detail) additionally *stages* its rows:
+its constants are interned once at creation, staged rows go into small
+parallel ``array`` buffers with no interning and no dict traffic, and
+they are flushed into the store's columns in C-speed blocks the first
+time anything reads, pickles, or indexes the store.  Staged rows are
+therefore *deferred*: they take their row numbers at flush time (lane
+registration order), not append time — identical under every engine
+and backend, which is what keeps cross-engine artifact pickles
+byte-identical.  A lane built without a store (summary detail) only
+folds: no row, label or metadata dict is kept.
 
 Aggregate queries are column scans: each walks exactly the matching
-rows and accumulates floats in insertion order per group — the same
-order the original filtered record scans used — so every float computed
-from a store is bit-identical to the record-scan path.  They are the
-oracle for the lanes' fold (:meth:`repro.artifact.TraceSummary.from_store`)
-and serve :class:`~repro.sim.trace.ExecutionTrace`, the trace analysis
-and the Gantt renderer; the differential suites in
-``tests/sim/test_tracestore.py``,
+rows and accumulates floats in insertion order per group, so every float
+computed from a store is bit-identical to a scan over its
+:attr:`TraceStore.records`.  They are the oracle for the lanes' fold
+(:meth:`repro.artifact.TraceSummary.from_store`) and serve the trace
+analysis and the Gantt renderer; the differential suites in
+``tests/sim/test_trace_ingestion.py``,
 ``tests/property/test_trace_analytics_properties.py`` and
-``tests/integration/test_artifact_differential.py`` enforce this.
+``tests/integration/test_artifact_differential.py`` enforce this against
+the record-scan oracle of ``tests/sim/trace_oracle.py``.
 
-Metadata fidelity: the full metadata dict of each row is still kept in
-the ``metas`` side table (``meta_at`` returns it unchanged); the hot keys
-are *additionally* extracted into columns at append time so the analytics
-never have to touch the dicts.  A hot-key value of ``None`` is treated as
-absent.  ``meta["device"]`` distinguishes absent (falls back to the
+Metadata fidelity: the full metadata dict of each row is kept in the
+``metas`` side table (``meta_at`` returns it unchanged); the hot keys
+are *additionally* held in columns so the analytics never have to touch
+the dicts.  ``meta["device"]`` distinguishes absent (falls back to the
 resource id in device grouping) from any present value, which is
 stringified.
 
-:class:`~repro.sim.trace.ExecutionTrace` remains as a thin compatibility
-facade over a store, materializing :class:`TraceRecord` rows on demand.
+:attr:`TraceStore.records`, :meth:`TraceStore.by_category` and
+:meth:`TraceStore.by_resource` build :class:`~repro.sim.trace.TraceRecord`
+rows per call for callers that want row objects.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator
+
+from repro.sim.trace import TraceRecord
 
 #: shared empty metadata mapping (row meta index -1 points here)
 _NO_META: dict[str, Any] = {}
@@ -445,7 +432,6 @@ class TraceLane:
         store.starts.extend(self.starts)
         store.ends.extend(self.ends)
         store.resource_codes.extend(_const_i(self._resource_code, k))
-        store.label_codes.extend(_const_i(-1, k))
         store.category_codes.extend(_const_i(self._category_code, k))
         store.kind_codes.extend(_const_i(self._kind_code, k))
         store.kernel_codes.extend(self.kernel_codes)
@@ -497,13 +483,12 @@ class TraceStore:
         "sizes",
         # interned string columns (codes into the pools below; -1 = absent)
         "resource_codes",
-        "label_codes",
         "category_codes",
         "kind_codes",
         "kernel_codes",
         "device_codes",
         "direction_codes",
-        # packed lazy-label columns (used when label_codes[row] == -1)
+        # packed lazy-label columns: template code plus its arguments
         "label_tmpl_codes",
         "label_arg_strs",
         "label_arg_a",
@@ -511,7 +496,6 @@ class TraceStore:
         "label_arg_c",
         # intern side tables
         "resource_pool",
-        "label_pool",
         "category_pool",
         "kind_pool",
         "kernel_pool",
@@ -538,7 +522,6 @@ class TraceStore:
         self.meta_idx = array("q")
         self.sizes = array("q")
         self.resource_codes = array("i")
-        self.label_codes = array("i")
         self.category_codes = array("i")
         self.kind_codes = array("i")
         self.kernel_codes = array("i")
@@ -550,7 +533,6 @@ class TraceStore:
         self.label_arg_b = array("q")
         self.label_arg_c = array("q")
         self.resource_pool = _StringPool()
-        self.label_pool = _StringPool()
         self.category_pool = _StringPool()
         self.kind_pool = _StringPool()
         self.kernel_pool = _StringPool()
@@ -611,123 +593,6 @@ class TraceStore:
         """Rows currently staged across all lanes (0 when none open)."""
         return sum(len(lane.starts) for lane in self._lanes)
 
-    # -- writing ---------------------------------------------------------
-
-    def _append_label(self, label: "str | tuple") -> None:
-        """Append the label columns for one row.
-
-        A plain string label interns into ``label_pool`` exactly as
-        before.  A ``(template, *args)`` tuple is stored *unformatted*
-        when it fits the packed shape — at most one leading string
-        argument plus up to three integers — so per-row labels like
-        ``"copy[0:512)#3"`` cost four small columns instead of a unique
-        pooled string each (``label_at`` formats on materialization).
-        Tuples that do not fit are formatted eagerly: laziness is an
-        optimization, never a constraint on callers.
-
-        Packability is decided on *exact* types: only a leading ``str``
-        (not a subclass) may fill the string slot, and the int slots
-        accept only true ``int`` s — ``bool`` is an ``int`` subclass
-        but formats as ``"True"``/``"False"``, so a bool (or any
-        int/str subclass) routes the whole label through the eager
-        ``template.format(*args)`` path, which renders every type
-        faithfully.  The property suite asserts lazy and eager
-        formatting agree for str/int/bool/mixed argument mixes.
-        """
-        if type(label) is tuple:
-            template = label[0]
-            args = label[1:]
-            str_arg: str | None = None
-            ints = args
-            if args and type(args[0]) is str:
-                str_arg = args[0]
-                ints = args[1:]
-            if len(ints) <= 3 and all(type(v) is int for v in ints):
-                self.label_codes.append(-1)
-                self.label_tmpl_codes.append(
-                    self.label_tmpl_pool.intern(template)
-                )
-                self.label_arg_strs.append(
-                    -1 if str_arg is None
-                    else self.label_arg_pool.intern(str_arg)
-                )
-                padded = tuple(ints) + (0,) * (3 - len(ints))
-                self.label_arg_a.append(padded[0])
-                self.label_arg_b.append(padded[1])
-                self.label_arg_c.append(padded[2])
-                return
-            label = template.format(*args)
-        self.label_codes.append(self.label_pool.intern(label))
-        self.label_tmpl_codes.append(-1)
-        self.label_arg_strs.append(-1)
-        self.label_arg_a.append(0)
-        self.label_arg_b.append(0)
-        self.label_arg_c.append(0)
-
-    def record(
-        self,
-        resource_id: str,
-        label: "str | tuple",
-        category: str,
-        start: float,
-        end: float,
-        meta: Mapping[str, Any] | None = None,
-    ) -> int:
-        """Append one occupation; returns its row number.
-
-        ``label`` is a display string, or a lazy ``(template, *args)``
-        tuple formatted only when the row is materialized (see
-        :meth:`_append_label`).
-
-        ``meta`` is defensively copied, so callers may keep mutating a
-        shared dict.
-        """
-        row = len(self.starts)
-        self.starts.append(start)
-        self.ends.append(end)
-        self.resource_codes.append(self.resource_pool.intern(resource_id))
-        self._append_label(label)
-        self.category_codes.append(self.category_pool.intern(category))
-        if meta:
-            self.meta_idx.append(len(self.metas))
-            self.metas.append(dict(meta))
-            size = meta.get("size")
-            if size is None:
-                self.sizes.append(-1)
-            else:
-                try:
-                    self.sizes.append(int(size))
-                except (TypeError, ValueError):
-                    self.sizes.append(-1)
-            kind = meta.get("device_kind")
-            self.kind_codes.append(
-                -1 if kind is None else self.kind_pool.intern(str(kind))
-            )
-            kernel = meta.get("kernel")
-            self.kernel_codes.append(
-                -1 if kernel is None else self.kernel_pool.intern(str(kernel))
-            )
-            device = meta.get("device", _MISSING)
-            self.device_codes.append(
-                -1 if device is _MISSING
-                else self.device_pool.intern(str(device))
-            )
-            direction = meta.get("direction")
-            self.direction_codes.append(
-                self.direction_pool.intern(direction)
-                if isinstance(direction, str) else -1
-            )
-        else:
-            self.meta_idx.append(-1)
-            self.sizes.append(-1)
-            self.kind_codes.append(-1)
-            self.kernel_codes.append(-1)
-            self.device_codes.append(-1)
-            self.direction_codes.append(-1)
-        if end > self._max_end:
-            self._max_end = end
-        return row
-
     # -- pickling --------------------------------------------------------
     #
     # Only the columns, pools and metadata travel; the group indexes are
@@ -737,12 +602,12 @@ class TraceStore:
         self._ensure_flushed()
         return (
             self.starts, self.ends, self.meta_idx, self.sizes,
-            self.resource_codes, self.label_codes, self.category_codes,
+            self.resource_codes, self.category_codes,
             self.kind_codes, self.kernel_codes, self.device_codes,
             self.direction_codes,
             self.label_tmpl_codes, self.label_arg_strs,
             self.label_arg_a, self.label_arg_b, self.label_arg_c,
-            self.resource_pool, self.label_pool, self.category_pool,
+            self.resource_pool, self.category_pool,
             self.kind_pool, self.kernel_pool, self.device_pool,
             self.direction_pool,
             self.label_tmpl_pool, self.label_arg_pool,
@@ -752,12 +617,12 @@ class TraceStore:
     def __setstate__(self, state) -> None:
         (
             self.starts, self.ends, self.meta_idx, self.sizes,
-            self.resource_codes, self.label_codes, self.category_codes,
+            self.resource_codes, self.category_codes,
             self.kind_codes, self.kernel_codes, self.device_codes,
             self.direction_codes,
             self.label_tmpl_codes, self.label_arg_strs,
             self.label_arg_a, self.label_arg_b, self.label_arg_c,
-            self.resource_pool, self.label_pool, self.category_pool,
+            self.resource_pool, self.category_pool,
             self.kind_pool, self.kernel_pool, self.device_pool,
             self.direction_pool,
             self.label_tmpl_pool, self.label_arg_pool,
@@ -830,11 +695,9 @@ class TraceStore:
         return self.resource_pool.table[self.resource_codes[row]]
 
     def label_at(self, row: int) -> str:
-        """The display label of ``row`` (packed labels format here)."""
+        """The display label of ``row``: its template, formatted with
+        the row's packed arguments."""
         self._ensure_flushed()
-        code = self.label_codes[row]
-        if code >= 0:
-            return self.label_pool.table[code]
         template = self.label_tmpl_pool.table[self.label_tmpl_codes[row]]
         n_args = template.count("{}")
         args: list[Any] = []
@@ -846,10 +709,6 @@ class TraceStore:
         )
         args.extend(ints[: n_args - len(args)])
         return template.format(*args)
-
-    def category_at(self, row: int) -> str:
-        self._ensure_flushed()
-        return self.category_pool.table[self.category_codes[row]]
 
     def meta_at(self, row: int) -> dict[str, Any]:
         """Metadata dict of ``row`` (a shared empty dict when absent)."""
@@ -869,6 +728,36 @@ class TraceStore:
             return self.device_pool.table[code]
         return self.resource_pool.table[self.resource_codes[row]]
 
+    # -- row view ----------------------------------------------------------
+    #
+    # Row objects are built per call and never cached: the columns stay
+    # the trace, and a caller that keeps the list owns it.
+
+    def _record_at(self, row: int) -> TraceRecord:
+        idx = self.meta_idx[row]
+        return TraceRecord(
+            resource_id=self.resource_pool.table[self.resource_codes[row]],
+            label=self.label_at(row),
+            category=self.category_pool.table[self.category_codes[row]],
+            start=self.starts[row],
+            end=self.ends[row],
+            meta=self.metas[idx] if idx >= 0 else {},
+        )
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """Every row as a :class:`TraceRecord`, in row order."""
+        self._ensure_flushed()
+        return [self._record_at(row) for row in range(len(self.starts))]
+
+    def by_category(self, category: str) -> list[TraceRecord]:
+        """The rows tagged ``category``, in row order."""
+        return [self._record_at(row) for row in self.rows_by_category(category)]
+
+    def by_resource(self, resource_id: str) -> list[TraceRecord]:
+        """The rows on ``resource_id``, in row order."""
+        return [self._record_at(row) for row in self.rows_by_resource(resource_id)]
+
     # -- memory accounting ------------------------------------------------
 
     def column_nbytes(self) -> int:
@@ -884,7 +773,7 @@ class TraceStore:
         total = 0
         for name in (
             "starts", "ends", "meta_idx", "sizes",
-            "resource_codes", "label_codes", "category_codes",
+            "resource_codes", "category_codes",
             "kind_codes", "kernel_codes", "device_codes", "direction_codes",
             "label_tmpl_codes", "label_arg_strs",
             "label_arg_a", "label_arg_b", "label_arg_c",
@@ -892,7 +781,7 @@ class TraceStore:
             column = getattr(self, name)
             total += sys.getsizeof(column)
         for name in (
-            "resource_pool", "label_pool", "category_pool", "kind_pool",
+            "resource_pool", "category_pool", "kind_pool",
             "kernel_pool", "device_pool", "direction_pool",
             "label_tmpl_pool", "label_arg_pool",
         ):
@@ -903,9 +792,9 @@ class TraceStore:
 
     # -- aggregate queries ----------------------------------------------
     #
-    # Accumulation order matters: each aggregate adds its floats in the
-    # same (insertion) order the old filtered record scans did, so the
-    # results are bit-identical to the pre-columnar path.
+    # Accumulation order matters: each aggregate adds its floats in
+    # insertion order per group, as a filtered scan of the records does,
+    # so the results are bit-identical to that scan.
 
     def makespan(self) -> float:
         """Latest end time across all rows (0.0 for an empty store)."""
@@ -1027,8 +916,8 @@ class TraceStore:
     def transfer_time_by_direction(self) -> dict[str, float]:
         """Link-busy seconds per transfer direction ("h2d"/"d2h").
 
-        Matches the old per-direction filtered scans: both directions are
-        accumulated in insertion order over the transfer rows.
+        Both directions are accumulated in insertion order over the
+        transfer rows, as per-direction filtered record scans do.
         """
         out = {"h2d": 0.0, "d2h": 0.0}
         starts, ends = self.starts, self.ends

@@ -94,7 +94,7 @@ class TestRunSweep:
         serial = run_sweep(cells, jobs=1, detail="full")
         parallel = run_sweep(cells, jobs=2, detail="full")
         for a, b in zip(serial, parallel):
-            assert list(a.trace) == list(b.trace)
+            assert a.trace.records == b.trace.records
 
     def test_summary_detail_drops_traces(self, paper_platform):
         results = run_sweep(self._cells(paper_platform))

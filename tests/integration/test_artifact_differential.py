@@ -20,6 +20,7 @@ from repro.bench.export import scenario_rows, to_csv, to_json
 from repro.bench.harness import run_scenario
 from repro.cache import clear_all
 from repro.partition import get_strategy
+from tests.sim.trace_oracle import row_key
 
 
 SCALE = 0.05  # shrink the paper problem sizes; identity must hold anyway
@@ -67,7 +68,7 @@ def test_summary_matches_trace_recomputation(paper_platform):
     app = get_application("STREAM-Loop")
     program = app.program(4096, iterations=2, sync=False)
     result = get_strategy("DP-Perf").run(program, paper_platform, detail="full")
-    recomputed = TraceSummary.from_store(result.trace.store)
+    recomputed = TraceSummary.from_store(result.trace)
     assert recomputed == result.summary
     assert result.makespan_s >= result.summary.trace_makespan_s
 
@@ -95,7 +96,11 @@ class TestArtifactPickle:
     def test_full_detail_round_trips_trace(self, paper_platform):
         artifact = self._artifact(paper_platform, detail="full")
         clone = pickle.loads(pickle.dumps(artifact))
-        assert list(clone.trace) == list(artifact.trace)
+        assert clone.trace.records == artifact.trace.records
+        # TraceRecord equality skips meta: compare every field
+        assert [row_key(r) for r in clone.trace.records] == [
+            row_key(r) for r in artifact.trace.records
+        ]
 
     def test_summarized_view_of_full_artifact(self, paper_platform):
         artifact = self._artifact(paper_platform, detail="full")

@@ -118,7 +118,7 @@ def test_full_detail_identical(paper_platform):
     cell = _cell(paper_platform, "STREAM-Loop", 2048, 4, "SP-Unified")
     ref = _run(cell, drain=False, detail="full")
     ev = _run(cell, drain=True, detail="full")
-    assert list(ev.trace) == list(ref.trace)
+    assert ev.trace.records == ref.trace.records
     assert ev == ref
 
 
@@ -263,7 +263,7 @@ def test_synced_full_detail_identical(paper_platform):
     cell = _cell(paper_platform, "HotSpot", 1024, 4, "SP-Single", sync=True)
     ref = _run(cell, drain=False, detail="full")
     ev = _run(cell, drain=True, detail="full")
-    assert list(ev.trace) == list(ref.trace)
+    assert ev.trace.records == ref.trace.records
     assert ev == ref
 
 

@@ -1,91 +1,102 @@
-"""Lazy-packed labels must format exactly like eager ``format(*args)``.
+"""Packed labels must format exactly like ``template.format(*args)``.
 
-``TraceStore._append_label`` packs a ``(template, *args)`` tuple into
-fixed-width columns only when the args fit the packed shape — at most
-one leading *exact* ``str`` plus up to three *exact* ``int`` s.
-Anything else (bools, str/int subclasses, floats, too many args) must
-route through the eager ``template.format(*args)`` path.  Hypothesis
-drives arbitrary str/int/bool/mixed argument tuples through ``record``
-and demands ``label_at`` equal the eager rendering, character for
-character — the packed representation is an encoding, never a lossy
-one.
+Every trace row enters through a :class:`~repro.sim.tracestore.TraceLane`
+whose label template has an optional leading string slot and up to
+three integer slots; the store keeps the template code and the packed
+arguments, and :meth:`~repro.sim.tracestore.TraceStore.label_at` formats
+on demand.  Hypothesis draws templates of that shape and argument rows
+for them, feeds the rows through a staging lane one
+:meth:`~repro.sim.tracestore.TraceLane.append` at a time and in one
+:meth:`~repro.sim.tracestore.TraceLane.extend_rows` call, and demands
+``label_at`` equal the eager rendering, character for character — the
+packed representation is an encoding, never a lossy one.
 """
+
+import pickle
+from array import array
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim.tracestore import TraceStore
 
-
-class _IntSub(int):
-    """An int subclass whose str() differs from the base rendering."""
-
-    def __str__(self) -> str:
-        return f"sub({int(self)})"
-
-
-class _StrSub(str):
-    pass
-
-
-_arg = st.one_of(
-    st.booleans(),
-    st.integers(min_value=-(1 << 62), max_value=1 << 62),
-    st.text(
-        alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8
-    ),
-    st.builds(_IntSub, st.integers(0, 99)),
-    st.builds(_StrSub, st.text(max_size=4)),
+_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)),
+                max_size=8)
+_literal = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",),
+                           blacklist_characters="{}"),
+    max_size=4,
 )
+_int = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
 
 
-@given(args=st.lists(_arg, max_size=5))
-def test_lazy_label_formats_like_eager(args):
-    template = "lbl " + " ".join("{}" for _ in args)
+@st.composite
+def labelled_rows(draw):
+    """A template and argument rows for it: ``(template, has_str,
+    n_ints, rows)`` with each row ``(str_arg or None, ints)``."""
+    has_str = draw(st.booleans())
+    n_ints = draw(st.integers(0, 3))
+    pieces = [draw(_literal)]
+    for _ in range(int(has_str) + n_ints):
+        pieces += ["{}", draw(_literal)]
+    rows = draw(st.lists(
+        st.tuples(
+            _text if has_str else st.none(),
+            st.lists(_int, min_size=n_ints, max_size=n_ints),
+        ),
+        min_size=1, max_size=6,
+    ))
+    return "".join(pieces), has_str, n_ints, rows
+
+
+def _args(str_arg, ints) -> tuple:
+    return tuple(ints) if str_arg is None else (str_arg, *ints)
+
+
+def _appended(template, rows) -> TraceStore:
     store = TraceStore()
-    store.record("r", (template, *args), "compute", 0.0, 1.0)
-    assert store.label_at(0) == template.format(*args)
+    lane = store.lane("r", "compute", template)
+    for i, (str_arg, ints) in enumerate(rows):
+        lane.append(float(i), float(i + 1), _args(str_arg, ints))
+    return store
 
 
-@given(
-    s=st.text(max_size=6),
-    ints=st.lists(
-        st.integers(min_value=-(1 << 62), max_value=1 << 62),
-        min_size=0, max_size=3,
-    ),
-)
-def test_packable_shapes_stay_unpooled(s, ints):
-    """str + <=3 ints takes the packed path: no label_pool entry."""
-    args = (s, *ints)
-    template = " ".join("{}" for _ in args)
+def _extended(template, has_str, n_ints, rows) -> TraceStore:
     store = TraceStore()
-    store.record("r", (template, *args), "compute", 0.0, 1.0)
-    assert len(store.label_pool) == 0
-    assert store.label_at(0) == template.format(*args)
+    slots = [
+        array("q", [ints[k] for _, ints in rows]) if k < n_ints else None
+        for k in range(3)
+    ]
+    store.lane("r", "compute", template).extend_rows(
+        [float(i) for i in range(len(rows))],
+        [float(i + 1) for i in range(len(rows))],
+        str_args=[s for s, _ in rows] if has_str else None,
+        args_a=slots[0], args_b=slots[1], args_c=slots[2],
+    )
+    return store
 
 
-def test_bool_routes_eager():
-    """bool is an int subclass but renders True/False: must not pack."""
-    store = TraceStore()
-    store.record("r", ("flag {}", True), "compute", 0.0, 1.0)
-    assert store.label_at(0) == "flag True"
-    # eager path pools the formatted string
-    assert len(store.label_pool) == 1
+@given(labelled_rows())
+def test_lazy_label_formats_like_eager(drawn):
+    template, has_str, n_ints, rows = drawn
+    expected = [template.format(*_args(s, ints)) for s, ints in rows]
+    appended = _appended(template, rows)
+    extended = _extended(template, has_str, n_ints, rows)
+    for store in (appended, extended):
+        assert [store.label_at(i) for i in range(len(rows))] == expected
+        assert [r.label for r in store.records] == expected
+    # the two intakes stage the same bytes
+    assert pickle.dumps(appended, 5) == pickle.dumps(extended, 5)
 
 
-def test_int_subclass_routes_eager():
-    store = TraceStore()
-    store.record("r", ("v {}", _IntSub(5)), "compute", 0.0, 1.0)
-    assert store.label_at(0) == "v sub(5)"
-    assert len(store.label_pool) == 1
-
-
-def test_str_subclass_leading_arg_routes_eager():
-    """A str subclass may format differently; only exact str packs."""
-    store = TraceStore()
-    store.record("r", (_StrSub("x"), 1), "compute", 0.0, 1.0)
-    # template position is still a plain format call either way; the
-    # *argument* position is what the predicate guards
-    store.record("r", ("a {} {}", _StrSub("x"), 1), "compute", 1.0, 2.0)
-    assert store.label_at(1) == "a x 1"
-    assert len(store.label_pool) >= 1
+@given(labelled_rows())
+def test_packable_shapes_stay_unpooled(drawn):
+    """No formatted label is kept: the pools hold the template and the
+    distinct string arguments, nothing else."""
+    template, has_str, _, rows = drawn
+    store = _appended(template, rows)
+    assert len(store) == len(rows)
+    assert store.label_tmpl_pool.table == [template]
+    assert store.label_arg_pool.table == (
+        list(dict.fromkeys(s for s, _ in rows)) if has_str else []
+    )

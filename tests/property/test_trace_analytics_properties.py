@@ -10,8 +10,8 @@ bit-identical (``==``, never approx) across three routes:
   :meth:`~repro.sim.tracestore.TraceStore.lane`, several lanes per
   resource and per transfer direction, merged by
   :meth:`TraceSummary.from_lanes`,
-* a naive re-scan of the materialized :class:`TraceRecord` rows (the
-  pre-columnar oracle).
+* a naive scan of the same rows held as records, the oracle of
+  ``tests/sim/trace_oracle.py``.
 """
 
 import pickle
@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 from repro.artifact import TraceSummary
 from repro.sim.analysis import analyze_trace
-from repro.sim.trace import ExecutionTrace
 from repro.sim.tracestore import TraceStore
+from tests.sim.trace_oracle import TraceOracle, row_key, stage, staged_order
 
 RESOURCES = ("cpu:0", "gpu:0", "link:h2d", "dev")
 CATEGORIES = ("compute", "transfer", "overhead")
@@ -56,11 +56,13 @@ def _row(draw):
 
 @st.composite
 def traces(draw):
-    trace = ExecutionTrace()
+    """Rows staged through lanes, and the oracle holding them in the
+    store's row order."""
+    rows = []
     for i in range(draw(st.integers(0, 60))):
         rid, cat, start, end, meta = _row(draw)
-        trace.record(rid, f"t{i}", cat, start, end, meta)
-    return trace
+        rows.append((rid, cat, "t{}", (i,), start, end, meta))
+    return stage(rows), TraceOracle(staged_order(rows))
 
 
 @st.composite
@@ -73,51 +75,33 @@ def laned_rows(draw):
     ]
 
 
-def record_scan_aggregates(records):
-    """The pre-columnar oracle: one pass per aggregate over the records."""
-    busy = {}
-    by_resource = {}
-    transfer = {"h2d": 0.0, "d2h": 0.0}
-    elements = {}
-    ratio = {}
-    for r in records:
-        busy[r.resource_id] = busy.get(r.resource_id, 0.0) + r.duration
-        per = by_resource.setdefault(r.resource_id, {})
-        per[r.category] = per.get(r.category, 0.0) + r.duration
-        if r.category == "transfer":
-            direction = r.meta.get("direction")
-            if direction in transfer:
-                transfer[direction] += r.duration
-        if r.category == "compute":
-            kind, size = r.meta.get("device_kind"), r.meta.get("size")
-            kernel = r.meta.get("kernel")
-            if kind is not None and size is not None:
-                elements[str(kind)] = elements.get(str(kind), 0) + int(size)
-                if kernel is not None:
-                    per_k = ratio.setdefault(str(kernel), {})
-                    per_k[str(kind)] = per_k.get(str(kind), 0) + int(size)
-    return {
-        "busy": busy,
-        "by_resource": by_resource,
-        "transfer": transfer,
-        "elements": elements,
-        "ratio": ratio,
-    }
+def assert_aggregates_match(store, oracle):
+    assert [row_key(r) for r in store.records] == [
+        row_key(r) for r in oracle.records
+    ]
+    assert {
+        rid: store.busy_time(rid) for rid in store.resource_ids_seen()
+    } == {rid: oracle.busy_time(rid) for rid in oracle.resource_ids_seen()}
+    assert store.busy_by_resource() == oracle.busy_by_resource()
+    assert store.transfer_time_by_direction() == (
+        oracle.transfer_time_by_direction()
+    )
+    assert store.elements_by_device() == oracle.elements_by_device()
+    assert store.elements_by_device(key="device") == (
+        oracle.elements_by_device(key="device")
+    )
+    assert store.instance_count_by_device() == (
+        oracle.instance_count_by_device()
+    )
+    assert store.ratio_by_kernel() == oracle.ratio_by_kernel()
+    assert analyze_trace(store).overlap_fraction == oracle.overlap_fraction()
 
 
 @settings(max_examples=150, deadline=None)
 @given(traces())
 def test_python_path_matches_record_scan(trace):
-    store = trace.store
-    records = list(trace)
-    oracle = record_scan_aggregates(records)
-    assert {
-        rid: store.busy_time(rid) for rid in store.resource_ids_seen()
-    } == oracle["busy"]
-    assert store.busy_by_resource() == oracle["by_resource"]
-    assert store.transfer_time_by_direction() == oracle["transfer"]
-    assert store.elements_by_device() == oracle["elements"]
-    assert store.ratio_by_kernel() == oracle["ratio"]
+    store, oracle = trace
+    assert_aggregates_match(store, oracle)
 
 
 @settings(max_examples=150, deadline=None)
@@ -125,6 +109,9 @@ def test_python_path_matches_record_scan(trace):
 def test_lane_fold_matches_store_and_record_scan(rows):
     store = TraceStore()
     lanes = {}
+    # the flushed store holds each lane's rows as one block, lanes in
+    # registration order; the oracle holds them in that order too
+    blocks: dict[tuple, list[tuple]] = {}
     for i, (rid, cat, start, end, meta, slot) in enumerate(rows):
         key = (rid, cat, meta.get("device_kind"), meta.get("device"),
                meta.get("direction"), slot)
@@ -135,46 +122,39 @@ def test_lane_fold_matches_store_and_record_scan(rows):
             lane = lanes[key] = store.lane(rid, cat, "t{}", **consts)
         lane.append(start, end, (i,), meta.get("size", -1),
                     meta.get("kernel"), dict(meta) if meta else None)
+        blocks.setdefault(key, []).append(
+            (rid, cat, "t{}", (i,), start, end, meta)
+        )
+    oracle = TraceOracle(row for block in blocks.values() for row in block)
     # folded before anything reads (and so flushes) the store
     folded = TraceSummary.from_lanes(lanes.values())
     stored = TraceSummary.from_store(store)
     assert folded == stored
     assert pickle.dumps(folded, 5) == pickle.dumps(stored, 5)
 
-    # the flushed store holds each lane's rows as one block; the oracle
-    # scans them in that order
-    records = list(ExecutionTrace(store))
-    oracle = record_scan_aggregates(records)
-    instances = {}
-    for r in records:
-        kind = r.meta.get("device_kind")
-        if r.category == "compute" and kind is not None:
-            instances[kind] = instances.get(kind, 0) + 1
-    assert folded.record_count == len(records) == len(rows)
-    assert folded.trace_makespan_s == max(
-        (r.end for r in records), default=0.0
-    )
-    assert folded.busy_by_resource == oracle["by_resource"]
-    assert folded.transfer_time_s == oracle["transfer"]
-    assert folded.elements_by_device == oracle["elements"]
-    assert folded.instances_by_device == instances
-    assert folded.ratio_by_kernel == oracle["ratio"]
+    assert_aggregates_match(store, oracle)
+    assert folded.record_count == len(oracle) == len(rows)
+    assert folded.trace_makespan_s == oracle.makespan()
+    assert folded.busy_by_resource == oracle.busy_by_resource()
+    assert folded.transfer_time_s == oracle.transfer_time_by_direction()
+    assert folded.elements_by_device == oracle.elements_by_device()
+    assert folded.instances_by_device == oracle.instance_count_by_device()
+    assert folded.ratio_by_kernel == oracle.ratio_by_kernel()
     # the trace analysis reads the laned store like any other
     stats = analyze_trace(store)
-    for rid, busy in oracle["busy"].items():
-        assert stats.resource(rid).busy_s == busy
-        assert stats.resource(rid).by_category == oracle["by_resource"][rid]
+    for rid, per_cat in oracle.busy_by_resource().items():
+        assert stats.resource(rid).busy_s == oracle.busy_time(rid)
+        assert stats.resource(rid).by_category == per_cat
 
 
 @settings(max_examples=60, deadline=None)
 @given(traces())
 def test_makespan_and_pickle_stability(trace):
-    import pickle
-
-    store = trace.store
-    records = list(trace)
-    expected = max((r.end for r in records), default=0.0)
-    assert store.makespan() == expected
+    store, oracle = trace
+    assert store.makespan() == oracle.makespan()
     clone = pickle.loads(pickle.dumps(store))
     assert clone.makespan() == store.makespan()
     assert clone.busy_by_resource() == store.busy_by_resource()
+    assert [row_key(r) for r in clone.records] == [
+        row_key(r) for r in oracle.records
+    ]

@@ -85,7 +85,7 @@ def test_full_run_is_freed_once_artifact_is_dropped(
         assert run_refs[-1]() is None
         # the trace outlives its run and stays readable through the artifact
         records = artifact.trace.records
-        assert len(records) == len(artifact.trace.store.starts) > 0
+        assert len(records) == len(artifact.trace.starts) > 0
         assert max(r.end for r in records) <= artifact.makespan_s
         del artifact, records
         assert gc.collect() == 0
@@ -106,7 +106,7 @@ def test_queried_full_trace_is_freed_once_artifact_is_dropped(
     gc.disable()
     try:
         artifact = engine.execute(plan.graph, plan.scheduler, detail="full")
-        store = artifact.trace.store
+        store = artifact.trace
         by_resource = store.busy_by_resource()  # builds the group indexes
         assert list(by_resource) == store.resource_ids_seen()
         assert store.rows_by_category("compute")

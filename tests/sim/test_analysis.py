@@ -7,23 +7,19 @@ from repro.sim.analysis import (
     compute_overlap_fraction,
     format_stats,
 )
-from repro.sim.trace import ExecutionTrace, TraceRecord
+from repro.sim.tracestore import TraceStore
+from tests.sim.trace_oracle import stage
 
 
 def rec(resource, start, end, *, category="compute", device=None, **meta):
+    """One row in the oracle's shape (see ``tests/sim/trace_oracle.py``)."""
     if device is not None:
         meta["device"] = device
-    return TraceRecord(
-        resource_id=resource, label="t", category=category,
-        start=start, end=end, meta=meta,
-    )
+    return (resource, category, "t", (), float(start), float(end), meta)
 
 
-def trace_of(*records):
-    t = ExecutionTrace()
-    for r in records:
-        t.add(r)
-    return t
+def trace_of(*rows):
+    return stage(rows)
 
 
 class TestOverlapFraction:
@@ -73,7 +69,7 @@ class TestOverlapFraction:
         assert compute_overlap_fraction(t) == pytest.approx(0.6)
 
     def test_empty_trace(self):
-        assert compute_overlap_fraction(ExecutionTrace()) == 0.0
+        assert compute_overlap_fraction(TraceStore()) == 0.0
 
 
 class TestAnalyzeTrace:

@@ -6,7 +6,7 @@ the classes below rerun them with ``engine = FastSimulator``.
 
 import pytest
 
-from repro.sim import ExecutionTrace, SimResource
+from repro.sim import SimResource, TraceStore
 from repro.sim.engine import Simulator
 from repro.sim.fast_engine import (
     FastSimulator,
@@ -30,25 +30,25 @@ class TestInlineCompletions:
         # identical seq consumption is what keeps interleaving (and thus
         # artifacts) byte-identical between the two engines
         sim = FastSimulator()
-        res = SimResource(sim, "cpu0", ExecutionTrace())
-        res.occupy(1.0, label="a", category="compute")
+        res = SimResource(sim, "cpu0")
+        res.occupy(1.0, lane=TraceStore().lane("cpu0", "compute", "a"))
         assert sim._seq == 1
         sim.at(0.5, lambda: None)
         assert sim._seq == 2
 
     def test_resource_trace_identical_across_engines(self):
         def drive(sim):
-            trace = ExecutionTrace()
-            res = SimResource(sim, "r0", trace)
+            trace = TraceStore()
+            res = SimResource(sim, "r0")
             done = []
-            res.occupy(1.0, label="first", category="compute",
+            res.occupy(1.0, lane=trace.lane("r0", "compute", "first"),
                        on_complete=lambda: done.append(sim.now))
-            res.occupy(0.5, label=("second {}", 1), category="transfer",
-                       meta={"k": 1})
+            res.occupy(0.5, lane=trace.lane("r0", "transfer", "second {}"),
+                       args=(1,), meta={"k": 1})
             sim.run()
             return done, [
                 (r.resource_id, r.label, r.category, r.start, r.end, r.meta)
-                for r in trace
+                for r in trace.records
             ]
 
         assert drive(FastSimulator()) == drive(Simulator())
@@ -56,9 +56,9 @@ class TestInlineCompletions:
     def test_tuple_on_complete_dispatch(self):
         # the executor passes (fn, arg) pairs to skip closure allocation
         sim = FastSimulator()
-        res = SimResource(sim, "r0", ExecutionTrace())
+        res = SimResource(sim, "r0")
         got = []
-        res.occupy(1.0, label="x", category="compute",
+        res.occupy(1.0, lane=TraceStore().lane("r0", "compute", "x"),
                    on_complete=(got.append, "payload"))
         sim.run()
         assert got == ["payload"]

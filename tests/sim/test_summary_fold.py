@@ -114,7 +114,7 @@ def test_fold_equals_stored_trace(platform, app, n, iterations):
             continue
         ran += 1
         artifact = _engine(plan, platform, rt, "full")
-        stored = TraceSummary.from_store(artifact.trace.store)
+        stored = TraceSummary.from_store(artifact.trace)
         assert artifact.summary == stored, strategy
         assert pickle.dumps(artifact.summary, 5) == pickle.dumps(stored, 5), \
             strategy
@@ -177,19 +177,15 @@ def test_summary_detail_evaluator_pickles_like_full(
 
 @pytest.fixture
 def store_traffic(monkeypatch):
-    """Counts trace stores built, rows recorded, and rows taken in by
-    staging and by fold-only lanes."""
-    counts = {"stores": 0, "records": 0, "staged": 0, "folded": 0}
-    init, record = TraceStore.__init__, TraceStore.record
+    """Counts trace stores built and rows taken in by staging and by
+    fold-only lanes."""
+    counts = {"stores": 0, "staged": 0, "folded": 0}
+    init = TraceStore.__init__
     append, extend_rows = TraceLane.append, TraceLane.extend_rows
 
     def counting_init(self, *a, **kw):
         counts["stores"] += 1
         init(self, *a, **kw)
-
-    def counting_record(self, *a, **kw):
-        counts["records"] += 1
-        return record(self, *a, **kw)
 
     def counting_append(lane, *a, **kw):
         counts["staged" if lane.staging else "folded"] += 1
@@ -200,7 +196,6 @@ def store_traffic(monkeypatch):
         extend_rows(lane, starts, *a, **kw)
 
     monkeypatch.setattr(TraceStore, "__init__", counting_init)
-    monkeypatch.setattr(TraceStore, "record", counting_record)
     monkeypatch.setattr(TraceLane, "append", counting_append)
     monkeypatch.setattr(TraceLane, "extend_rows", counting_extend)
     return counts
@@ -222,7 +217,6 @@ def test_summary_detail_stages_no_row(paper_platform, store_traffic,
     assert (commits > 0) == (not plan.scheduler.dynamic)
     assert artifact.summary.record_count == store_traffic["folded"] > 0
     assert store_traffic["stores"] == 0
-    assert store_traffic["records"] == 0
     assert store_traffic["staged"] == 0
 
 
@@ -231,7 +225,7 @@ def test_full_detail_stages_every_folded_row(paper_platform, store_traffic):
     artifact = _engine(plan, paper_platform, rt, "full")
     assert store_traffic["folded"] == 0
     assert artifact.summary.record_count == store_traffic["staged"] \
-        == len(artifact.trace.store)
+        == len(artifact.trace)
 
 
 class TestMultiLaneGroups:

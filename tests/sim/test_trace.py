@@ -2,36 +2,38 @@
 
 import pytest
 
-from repro.sim.trace import ExecutionTrace, TraceRecord, render_gantt
-
-
-def rec(resource, start, end, *, category="compute", label="t", **meta):
-    return TraceRecord(
-        resource_id=resource, label=label, category=category,
-        start=start, end=end, meta=meta,
-    )
+from repro.sim.trace import TraceRecord, render_gantt
+from repro.sim.tracestore import TraceStore
 
 
 @pytest.fixture
 def trace():
-    t = ExecutionTrace()
-    t.add(rec("cpu:0", 0.0, 1.0, size=100, device_kind="cpu", kernel="k"))
-    t.add(rec("gpu0", 0.0, 0.5, size=300, device_kind="gpu", kernel="k"))
-    t.add(rec("link", 0.5, 0.8, category="transfer", direction="h2d"))
-    t.add(rec("gpu0", 0.8, 1.4, size=200, device_kind="gpu", kernel="j"))
+    t = TraceStore()
+    cpu = t.lane("cpu:0", "compute", "t", device_kind="cpu")
+    gpu = t.lane("gpu0", "compute", "t", device_kind="gpu")
+    link = t.lane("link", "transfer", "t", direction="h2d")
+    cpu.append(0.0, 1.0, size=100, kernel="k",
+               meta={"size": 100, "device_kind": "cpu", "kernel": "k"})
+    gpu.append(0.0, 0.5, size=300, kernel="k",
+               meta={"size": 300, "device_kind": "gpu", "kernel": "k"})
+    link.append(0.5, 0.8, meta={"direction": "h2d"})
+    gpu.append(0.8, 1.4, size=200, kernel="j",
+               meta={"size": 200, "device_kind": "gpu", "kernel": "j"})
     return t
 
 
 class TestQueries:
     def test_len_and_iter(self, trace):
         assert len(trace) == 4
-        assert len(list(trace)) == 4
+        assert [(r.resource_id, r.start) for r in trace.records] == [
+            ("cpu:0", 0.0), ("gpu0", 0.0), ("gpu0", 0.8), ("link", 0.5),
+        ]
 
     def test_makespan(self, trace):
         assert trace.makespan() == pytest.approx(1.4)
 
     def test_makespan_empty(self):
-        assert ExecutionTrace().makespan() == 0.0
+        assert TraceStore().makespan() == 0.0
 
     def test_by_category(self, trace):
         assert len(trace.by_category("compute")) == 3
@@ -55,13 +57,14 @@ class TestQueries:
         assert trace.instance_count_by_device() == {"cpu": 1, "gpu": 2}
 
     def test_duration_property(self):
-        r = rec("x", 1.0, 3.5)
+        r = TraceRecord(resource_id="x", label="t", category="compute",
+                        start=1.0, end=3.5)
         assert r.duration == pytest.approx(2.5)
 
 
 class TestGantt:
     def test_empty_trace(self):
-        assert render_gantt(ExecutionTrace()) == "(empty trace)"
+        assert render_gantt(TraceStore()) == "(empty trace)"
 
     def test_rows_per_resource(self, trace):
         out = render_gantt(trace, width=40)

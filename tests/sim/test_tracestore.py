@@ -1,10 +1,11 @@
-"""Columnar TraceStore vs the list-of-records scans it replaced.
+"""Columnar TraceStore vs the record-scan oracle.
 
-Every aggregate the store answers used to be a filtered linear scan over
-``ExecutionTrace.records``.  These tests regenerate that scan naively from
-the materialized records and demand *equality* — not approx — because the
-store promises bit-identical accumulation order, and downstream reports
-rely on it for byte-identical figure/table numbers.
+Every aggregate the store answers is a column scan.  These tests stage
+generated rows through trace lanes and compare each answer with a naive
+scan over the same rows held as records (``tests/sim/trace_oracle.py``),
+demanding *equality* — not approx — because the store promises
+bit-identical accumulation order, and downstream reports rely on it for
+byte-identical figure/table numbers.
 """
 
 import pickle
@@ -12,18 +13,18 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.sim.trace import ExecutionTrace, TraceRecord
 from repro.sim.tracestore import TraceStore
+from tests.sim.trace_oracle import TraceOracle, row_key, stage, staged_order
 
 CATEGORIES = ("compute", "transfer", "overhead")
 KINDS = ("cpu", "gpu")
 KERNELS = ("copy", "scale", "triad")
 
 
-def random_trace(seed: int, n: int = 400) -> ExecutionTrace:
-    """A generated trace mixing compute/transfer/overhead rows."""
+def random_rows(seed: int, n: int = 400) -> list[tuple]:
+    """Generated oracle rows mixing compute/transfer/overhead."""
     rng = np.random.default_rng(seed)
-    trace = ExecutionTrace()
+    rows = []
     for i in range(n):
         category = CATEGORIES[int(rng.integers(len(CATEGORIES)))]
         start = float(rng.uniform(0.0, 50.0))
@@ -40,117 +41,94 @@ def random_trace(seed: int, n: int = 400) -> ExecutionTrace:
             meta = {"direction": ("h2d", "d2h")[int(rng.integers(2))]}
         if rng.random() < 0.1:
             meta = {}  # some rows carry no metadata at all
-        trace.record(resource, f"t{i}", category, start, end, meta)
-    return trace
+        rows.append((resource, category, "t{}", (i,), start, end, meta))
+    return rows
 
 
-# -- naive record-scan oracles (the pre-columnar implementations) --------
-
-
-def scan_busy(records, resource, category=None):
-    return sum(
-        r.duration for r in records
-        if r.resource_id == resource
-        and (category is None or r.category == category)
-    )
-
-
-def scan_elements(records):
-    out = {}
-    for r in records:
-        if r.category != "compute":
-            continue
-        kind, size = r.meta.get("device_kind"), r.meta.get("size")
-        if kind is None or size is None:
-            continue
-        out[str(kind)] = out.get(str(kind), 0) + int(size)
-    return out
-
-
-def scan_ratio(records):
-    out = {}
-    for r in records:
-        if r.category != "compute":
-            continue
-        kernel, kind, size = (
-            r.meta.get("kernel"), r.meta.get("device_kind"), r.meta.get("size")
-        )
-        if kernel is None or kind is None or size is None:
-            continue
-        per = out.setdefault(str(kernel), {})
-        per[str(kind)] = per.get(str(kind), 0) + int(size)
-    return out
+def random_trace(seed: int, n: int = 400) -> tuple[TraceStore, TraceOracle]:
+    """The generated rows staged through lanes, and their oracle (which
+    holds them in the order the store does)."""
+    rows = random_rows(seed, n)
+    return stage(rows), TraceOracle(staged_order(rows))
 
 
 @pytest.mark.parametrize("seed", range(20))
 class TestStoreMatchesRecordScans:
     def test_group_queries(self, seed):
-        trace = random_trace(seed)
-        records = list(trace)
-        store = trace.store
+        store, oracle = random_trace(seed)
+        records = [row_key(r) for r in store.records]
+        assert records == [row_key(r) for r in oracle.records]
+        assert store.resource_ids_seen() == oracle.resource_ids_seen()
         for rid in store.resource_ids_seen():
             assert [records[i] for i in store.rows_by_resource(rid)] == [
-                r for r in records if r.resource_id == rid
+                row_key(r) for r in oracle.by_resource(rid)
             ]
+            assert [row_key(r) for r in store.by_resource(rid)] == [
+                row_key(r) for r in oracle.by_resource(rid)
+            ]
+        assert store.categories_seen() == oracle.categories_seen()
         for cat in store.categories_seen():
             assert [records[i] for i in store.rows_by_category(cat)] == [
-                r for r in records if r.category == cat
+                row_key(r) for r in oracle.by_category(cat)
+            ]
+            assert [row_key(r) for r in store.by_category(cat)] == [
+                row_key(r) for r in oracle.by_category(cat)
             ]
 
     def test_aggregates_bit_identical(self, seed):
-        trace = random_trace(seed)
-        records = list(trace)
-        store = trace.store
-        assert store.makespan() == max(r.end for r in records)
+        store, oracle = random_trace(seed)
+        assert store.makespan() == oracle.makespan()
         for rid in store.resource_ids_seen():
-            assert store.busy_time(rid) == scan_busy(records, rid)
-            assert store.busy_time(rid, category="compute") == scan_busy(
-                records, rid, "compute"
+            assert store.busy_time(rid) == oracle.busy_time(rid)
+            assert store.busy_time(rid, category="compute") == (
+                oracle.busy_time(rid, category="compute")
             )
         for cat in CATEGORIES:
-            assert store.total_time(category=cat) == sum(
-                r.duration for r in records if r.category == cat
+            assert store.total_time(category=cat) == (
+                oracle.total_time(category=cat)
             )
-        assert store.elements_by_device() == scan_elements(records)
-        assert store.ratio_by_kernel() == scan_ratio(records)
+        assert store.elements_by_device() == oracle.elements_by_device()
+        assert store.instance_count_by_device() == (
+            oracle.instance_count_by_device()
+        )
+        assert store.ratio_by_kernel() == oracle.ratio_by_kernel()
 
     def test_transfer_time_by_direction(self, seed):
-        trace = random_trace(seed)
-        records = list(trace)
-        got = trace.store.transfer_time_by_direction()
+        store, oracle = random_trace(seed)
+        got = store.transfer_time_by_direction()
         assert set(got) == {"h2d", "d2h"}
-        for direction in ("h2d", "d2h"):
-            assert got[direction] == sum(
-                r.duration for r in records
-                if r.category == "transfer"
-                and r.meta.get("direction") == direction
-            )
+        assert got == oracle.transfer_time_by_direction()
 
     def test_busy_by_resource(self, seed):
-        trace = random_trace(seed)
-        records = list(trace)
-        got = trace.store.busy_by_resource()
+        store, oracle = random_trace(seed)
+        got = store.busy_by_resource()
+        assert got == oracle.busy_by_resource()
         for rid, per_cat in got.items():
             for cat, seconds in per_cat.items():
-                assert seconds == scan_busy(records, rid, cat)
+                assert seconds == oracle.busy_time(rid, category=cat)
 
 
 class TestIncrementalIndexes:
     def test_queries_interleaved_with_appends(self):
         store = TraceStore()
-        store.record("a", "t0", "compute", 0.0, 1.0)
+        a_compute = store.lane("a", "compute", "t0")
+        a_compute.append(0.0, 1.0)
         assert store.rows_by_resource("a") == [0]
-        store.record("b", "t1", "compute", 1.0, 2.0)
-        store.record("a", "t2", "transfer", 2.0, 3.0)
+        store.lane("b", "compute", "t1").append(1.0, 2.0)
+        store.lane("a", "transfer", "t2").append(2.0, 3.0)
         # the index extends over the new rows instead of rescanning
         assert store.rows_by_resource("a") == [0, 2]
         assert store.rows_by_category("compute") == [0, 1]
         assert store.resource_ids_seen() == ["a", "b"]
+        # a flushed lane keeps staging; its next row lands after the rest
+        a_compute.append(3.0, 4.0)
+        assert store.rows_by_resource("a") == [0, 2, 3]
 
     def test_meta_side_table(self):
         store = TraceStore()
-        store.record("a", "t0", "compute", 0.0, 1.0, {"size": 5})
-        store.record("a", "t1", "compute", 1.0, 2.0)
+        lane = store.lane("a", "compute", "t{}")
+        lane.append(0.0, 1.0, (0,), size=5, meta={"size": 5})
+        lane.append(1.0, 2.0, (1,))
         assert store.meta_at(0) == {"size": 5}
         assert store.meta_at(1) == {}
         assert store.metas == [{"size": 5}]  # no dict per meta-less row
@@ -162,7 +140,7 @@ class TestArrayColumns:
     def test_numeric_columns_are_arrays(self):
         import array
 
-        store = random_trace(0, n=30).store
+        store, _ = random_trace(0, n=30)
         assert isinstance(store.starts, array.array)
         assert store.starts.typecode == "d"
         assert isinstance(store.ends, array.array)
@@ -170,34 +148,50 @@ class TestArrayColumns:
         assert store.meta_idx.typecode == "q"
         assert store.sizes.typecode == "q"
         for name in (
-            "resource_codes", "label_codes", "category_codes",
-            "kind_codes", "kernel_codes", "device_codes", "direction_codes",
+            "resource_codes", "category_codes", "label_tmpl_codes",
+            "label_arg_strs", "kind_codes", "kernel_codes", "device_codes",
+            "direction_codes",
         ):
             col = getattr(store, name)
             assert isinstance(col, array.array) and col.typecode == "i", name
 
     def test_string_columns_are_interned_codes(self):
         store = TraceStore()
-        store.record("a", "t0", "compute", 0.0, 1.0)
-        store.record("b", "t1", "transfer", 1.0, 2.0)
-        store.record("a", "t2", "compute", 2.0, 3.0)
+        a_lane = store.lane("a", "compute", "t{}")
+        a_lane.append(0.0, 1.0, (0,))
+        store.lane("b", "transfer", "t{}").append(1.0, 2.0, (1,))
+        a_lane.append(2.0, 3.0, (2,))
+        store.lane("a", "compute", "t{}").append(3.0, 4.0, (3,))
+        # any read flushes the lanes; rows land lane by lane: a's two
+        # rows, then b's, then the second a lane's
+        assert len(store) == 4
         # same string -> same small-int code over a side table
-        assert list(store.resource_codes) == [0, 1, 0]
+        assert list(store.resource_codes) == [0, 0, 1, 0]
         assert store.resource_pool.table == ["a", "b"]
-        assert list(store.category_codes) == [0, 1, 0]
+        assert list(store.category_codes) == [0, 0, 1, 0]
         assert store.category_pool.table == ["compute", "transfer"]
-        assert [store.resource_id_at(i) for i in range(3)] == ["a", "b", "a"]
-        assert [store.label_at(i) for i in range(3)] == ["t0", "t1", "t2"]
+        assert list(store.label_tmpl_codes) == [0, 0, 0, 0]
+        assert [store.resource_id_at(i) for i in range(4)] == [
+            "a", "a", "b", "a"
+        ]
+        assert [store.label_at(i) for i in range(4)] == [
+            "t0", "t2", "t1", "t3"
+        ]
 
     def test_hot_meta_keys_become_columns(self):
         store = TraceStore()
-        store.record(
-            "gpu:0", "t0", "compute", 0.0, 1.0,
-            {"size": 7, "device_kind": "gpu", "kernel": "triad",
-             "device": "gpu0"},
+        store.lane(
+            "gpu:0", "compute", "t0", device_kind="gpu", device="gpu0",
+        ).append(
+            0.0, 1.0, size=7, kernel="triad",
+            meta={"size": 7, "device_kind": "gpu", "kernel": "triad",
+                  "device": "gpu0"},
         )
-        store.record("link:h", "t1", "transfer", 1.0, 2.0, {"direction": "h2d"})
-        store.record("cpu:0", "t2", "overhead", 2.0, 3.0)
+        store.lane("link:h", "transfer", "t1", direction="h2d").append(
+            1.0, 2.0, meta={"direction": "h2d"}
+        )
+        store.lane("cpu:0", "overhead", "t2").append(2.0, 3.0)
+        assert len(store) == 3
         assert list(store.sizes) == [7, -1, -1]
         assert store.kind_pool.table[store.kind_codes[0]] == "gpu"
         assert store.kernel_pool.table[store.kernel_codes[0]] == "triad"
@@ -212,13 +206,15 @@ class TestArrayColumns:
 
     def test_device_key_falls_back_to_resource_id(self):
         store = TraceStore()
-        store.record("gpu:0", "t", "compute", 0.0, 1.0, {"device": "dev"})
-        store.record("cpu:0", "t", "compute", 0.0, 1.0)
+        store.lane("gpu:0", "compute", "t", device="dev").append(
+            0.0, 1.0, meta={"device": "dev"}
+        )
+        store.lane("cpu:0", "compute", "t").append(0.0, 1.0)
         assert store.device_key_at(0) == "dev"
         assert store.device_key_at(1) == "cpu:0"
 
     def test_bare_store_pickle_round_trip(self):
-        store = random_trace(7, n=60).store
+        store, _ = random_trace(7, n=60)
         store.rows_by_resource(store.resource_ids_seen()[0])  # warm indexes
         clone = pickle.loads(pickle.dumps(store))
         assert list(clone.starts) == list(store.starts)
@@ -226,105 +222,109 @@ class TestArrayColumns:
         assert clone.makespan() == store.makespan()
         assert clone.busy_by_resource() == store.busy_by_resource()
         # appending after unpickling keeps columns and indexes coherent
-        clone.record("fresh", "t", "compute", 100.0, 101.0)
+        clone.lane("fresh", "compute", "t").append(100.0, 101.0)
         assert clone.rows_by_resource("fresh") == [len(store)]
 
     def test_column_nbytes_tracks_growth(self):
-        small = random_trace(1, n=10).store
-        big = random_trace(1, n=200).store
+        small, _ = random_trace(1, n=10)
+        big, _ = random_trace(1, n=200)
         assert 0 < small.column_nbytes() < big.column_nbytes()
 
 
 class TestLazyLabels:
-    """Tuple labels stay unformatted until someone materializes the row."""
+    """Labels stay unformatted until someone reads the row."""
 
     def test_packed_label_formats_like_str_format(self):
         store = TraceStore()
-        store.record("gpu:0", ("{}[{}:{})#{}", "triad", 0, 512, 7),
-                     "compute", 0.0, 1.0)
-        store.record("cpu:0", ("taskwait#{}", 9), "overhead", 1.0, 2.0)
+        store.lane("gpu:0", "compute", "{}[{}:{})#{}").append(
+            0.0, 1.0, ("triad", 0, 512, 7)
+        )
+        store.lane("cpu:0", "overhead", "taskwait#{}").append(1.0, 2.0, (9,))
         assert store.label_at(0) == "triad[0:512)#7"
         assert store.label_at(1) == "taskwait#9"
-        # lazily stored: nothing was interned into the eager label pool
-        assert list(store.label_codes) == [-1, -1]
-        assert store.label_pool.table == []
+        # no formatted string is kept: templates and arguments only
         assert store.label_tmpl_pool.table == [
             "{}[{}:{})#{}", "taskwait#{}"
         ]
+        assert store.label_arg_pool.table == ["triad"]
 
     def test_templates_and_str_args_are_shared(self):
         store = TraceStore()
+        lane = store.lane("gpu:0", "transfer", "{}[{}:{}) h2d")
         for i in range(50):
-            store.record("gpu:0", ("{}[{}:{}) h2d", "A", i, i + 1),
-                         "transfer", float(i), float(i) + 0.5)
+            lane.append(float(i), float(i) + 0.5, ("A", i, i + 1))
         # one template entry, one string-arg entry, 50 packed rows
         assert len(store.label_tmpl_pool.table) == 1
         assert store.label_arg_pool.table == ["A"]
         assert store.label_at(49) == "A[49:50) h2d"
 
-    def test_unpackable_tuple_falls_back_to_eager(self):
-        store = TraceStore()
-        # a float arg cannot ride the int64 columns -> format at record time
-        store.record("r", ("{} took {}", "k", 1.5), "compute", 0.0, 1.0)
-        # four int args exceed the three packed slots
-        store.record("r", ("{}{}{}{}{}", "k", 1, 2, 3, 4), "compute", 1.0, 2.0)
-        assert store.label_at(0) == "k took 1.5"
-        assert store.label_at(1) == "k1234"
-        assert store.label_codes[0] >= 0 and store.label_codes[1] >= 0
-
     def test_mixed_eager_and_lazy_rows_coexist(self):
+        # a template without slots is a plain label
         store = TraceStore()
-        store.record("r", "plain", "compute", 0.0, 1.0)
-        store.record("r", ("lazy#{}", 3), "compute", 1.0, 2.0)
-        store.record("r", "plain", "compute", 2.0, 3.0)
+        plain = store.lane("r", "compute", "plain")
+        plain.append(0.0, 1.0)
+        store.lane("r", "compute", "lazy#{}").append(1.0, 2.0, (3,))
+        plain.append(2.0, 3.0)
         assert [store.label_at(i) for i in range(3)] == [
-            "plain", "lazy#3", "plain"
+            "plain", "plain", "lazy#3"
         ]
 
     def test_pickle_round_trip_keeps_labels_lazy(self):
         store = TraceStore()
-        store.record("r", ("{}#{}", "k", 1), "compute", 0.0, 1.0)
+        store.lane("r", "compute", "{}#{}").append(0.0, 1.0, ("k", 1))
         clone = pickle.loads(pickle.dumps(store))
-        assert list(clone.label_codes) == [-1]
+        assert clone.label_tmpl_pool.table == ["{}#{}"]
         assert clone.label_at(0) == "k#1"
-        # appends after unpickling keep packing
-        clone.record("r", ("{}#{}", "k", 2), "compute", 1.0, 2.0)
+        # lanes opened after unpickling keep packing
+        clone.lane("r", "compute", "{}#{}").append(1.0, 2.0, ("k", 2))
         assert clone.label_at(1) == "k#2"
         assert len(clone.label_tmpl_pool.table) == 1
 
-    def test_facade_materializes_formatted_labels(self):
-        trace = ExecutionTrace()
-        trace.record("gpu:0", ("{}[{}:{})#{}", "copy", 0, 64, 1),
-                     "compute", 0.0, 1.0)
-        (record,) = list(trace)
+    def test_records_materialize_formatted_labels(self):
+        store = TraceStore()
+        store.lane("gpu:0", "compute", "{}[{}:{})#{}").append(
+            0.0, 1.0, ("copy", 0, 64, 1)
+        )
+        (record,) = store.records
         assert record.label == "copy[0:64)#1"
-        clone = pickle.loads(pickle.dumps(trace))
-        assert list(clone)[0].label == "copy[0:64)#1"
+        clone = pickle.loads(pickle.dumps(store))
+        assert clone.records[0].label == "copy[0:64)#1"
 
     def test_column_nbytes_counts_packed_columns(self):
-        eager, lazy = TraceStore(), TraceStore()
-        eager.record("r", "x", "compute", 0.0, 1.0)
-        lazy.record("r", ("{}#{}", "x", 1), "compute", 0.0, 1.0)
-        assert lazy.column_nbytes() > 0 and eager.column_nbytes() > 0
+        plain, packed = TraceStore(), TraceStore()
+        plain.lane("r", "compute", "x").append(0.0, 1.0)
+        packed.lane("r", "compute", "{}#{}").append(0.0, 1.0, ("x", 1))
+        assert 0 < plain.column_nbytes() < packed.column_nbytes()
 
 
-class TestFacade:
-    def test_add_and_record_equivalent(self):
-        via_add, via_record = ExecutionTrace(), ExecutionTrace()
-        r = TraceRecord(
-            resource_id="a", label="t", category="compute",
-            start=0.0, end=1.0, meta={"size": 3},
-        )
-        via_add.add(r)
-        via_record.record("a", "t", "compute", 0.0, 1.0, {"size": 3})
-        assert list(via_add) == list(via_record)
+class TestRecordView:
+    """``records``/``by_resource``/``by_category``: rows built per call."""
 
     def test_pickle_round_trip(self):
-        trace = random_trace(3, n=50)
-        clone = pickle.loads(pickle.dumps(trace))
-        assert list(clone) == list(trace)
-        assert clone.makespan() == trace.makespan()
+        store, _ = random_trace(3, n=50)
+        clone = pickle.loads(pickle.dumps(store))
+        assert [row_key(r) for r in clone.records] == [
+            row_key(r) for r in store.records
+        ]
+        assert clone.makespan() == store.makespan()
 
-    def test_materialized_records_are_cached(self):
-        trace = random_trace(4, n=10)
-        assert list(trace)[0] is list(trace)[0]
+    def test_unseen_groups_and_empty_store(self):
+        store = TraceStore()
+        assert store.records == []
+        store.lane("a", "compute", "t").append(0.0, 1.0)
+        assert store.by_resource("nope") == []
+        assert store.by_category("nope") == []
+        assert [r.label for r in store.by_category("compute")] == ["t"]
+
+    def test_records_are_built_per_call(self):
+        store, _ = random_trace(4, n=10)
+        first, again = store.records, store.records
+        assert first == again and first[0] is not again[0]
+        # a row's metadata is the stored dict itself, not a copy
+        row = next(i for i in range(len(store)) if store.meta_at(i))
+        assert first[row].meta is store.meta_at(row)
+        # a row without metadata gets a dict of its own
+        bare = TraceStore()
+        bare.lane("r", "compute", "t").append(0.0, 1.0)
+        assert bare.records[0].meta == {}
+        assert bare.records[0].meta is not bare.records[0].meta
