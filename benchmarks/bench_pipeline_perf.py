@@ -213,7 +213,7 @@ def _full_trace_store():
     return result.trace
 
 
-def _list_layout_nbytes(store) -> int:
+def _list_layout_nbytes(store, labels: list[str]) -> int:
     """Estimated bytes of the same columns in the PR 2 list-backed layout.
 
     Reconstructs what the old storage held: five object-pointer list
@@ -221,16 +221,15 @@ def _list_layout_nbytes(store) -> int:
     simulator computed a new float per append), one string object per
     label (f-string built per occupation), shared string objects for
     resource ids and categories, and boxed ints for meta indexes beyond
-    the small-int cache.
+    the small-int cache.  ``labels`` are the store's formatted labels,
+    in row order.
     """
     n = len(store)
     floats = [float(x) for x in store.starts]
     pointer_list = sys.getsizeof(floats)  # same length => same list size
     total = 6 * pointer_list  # resource_ids/labels/categories/starts/ends/meta_idx
     total += 2 * n * sys.getsizeof(1.0)  # starts + ends float objects
-    total += sum(
-        sys.getsizeof(store.label_at(row)) for row in range(n)
-    )
+    total += sum(sys.getsizeof(label) for label in labels)
     total += sum(sys.getsizeof(s) for s in store.resource_pool.table)
     total += sum(sys.getsizeof(s) for s in store.category_pool.table)
     total += sum(sys.getsizeof(257) for idx in store.meta_idx if idx > 256)
@@ -248,7 +247,8 @@ def measure_trace_memory() -> dict:
     """
     store = _full_trace_store()
     column_bytes = store.column_nbytes()
-    list_bytes = _list_layout_nbytes(store)
+    labels = [record.label for record in store.records]
+    list_bytes = _list_layout_nbytes(store, labels)
     records = len(store)
     numeric_column_bytes = sys.getsizeof(store.starts) + sys.getsizeof(store.ends)
     pointer_list = sys.getsizeof([0.0] * records)
@@ -266,7 +266,7 @@ def measure_trace_memory() -> dict:
     for pool in (store.label_tmpl_pool, store.label_arg_pool):
         label_packed_bytes += sys.getsizeof(pool.table)
         label_packed_bytes += sum(sys.getsizeof(s) for s in pool.table)
-    unique_labels = {store.label_at(row) for row in range(records)}
+    unique_labels = set(labels)
     label_eager_bytes = sys.getsizeof(list(unique_labels)) + sum(
         sys.getsizeof(s) for s in unique_labels
     )

@@ -10,10 +10,11 @@ workers need not pickle whole traces back to the parent:
   per-kernel split ratios, element/instance counts).  A run folds each
   trace row into its :class:`~repro.sim.tracestore.TraceLane` as the row
   happens, and :meth:`TraceSummary.from_lanes` merges the lanes in
-  registration order, at either detail, without reading any store.
-  The accumulation order matches the old filtered record scans exactly,
-  so every figure/table number derived from a summary is bit-identical
-  to :meth:`TraceSummary.from_store` over the full trace (enforced by
+  registration order, at either detail, without reading any store; it
+  is the only summary builder.  The accumulation order matches filtered
+  scans of the trace's records exactly, so every figure/table number
+  derived from a summary is bit-identical to the record-scan oracle of
+  ``tests/sim/trace_oracle.py`` over the full trace (enforced by
   ``tests/integration/test_artifact_differential.py`` and
   ``tests/sim/test_summary_fold.py``).
 * :class:`RunArtifact` — a frozen, cheaply-picklable bundle of the
@@ -58,10 +59,9 @@ class TraceSummary:
     """Every reported aggregate of one trace, computed once.
 
     All float aggregates accumulate in trace-row order per group — the
-    same order the old per-query record scans used — so the values are
-    bit-identical to querying the raw trace.  Runs build it with
-    :meth:`from_lanes`; :meth:`from_store` condenses a stored trace and
-    is the differential oracle the fold is checked against.
+    order a filtered scan of the trace's records uses — so the values
+    are bit-identical to scanning the raw trace.  Runs build it with
+    :meth:`from_lanes`, the only builder.
     """
 
     #: latest end time across all records (trace-only; the artifact's
@@ -84,8 +84,8 @@ class TraceSummary:
     def from_lanes(cls, lanes: Iterable[TraceLane]) -> "TraceSummary":
         """Merge a run's folded lanes, in registration order.
 
-        Equal to :meth:`from_store` of the trace the lanes would stage
-        when they are its only producers: a flushed store holds each
+        Equal to record scans of the trace the lanes would stage when
+        they are its only producers: a flushed store holds each
         lane's rows as one block, in registration order, so every dict
         takes its keys in first-appearance order over the lanes, and a
         float group fed by several lanes continues one sequential sum
@@ -140,18 +140,6 @@ class TraceSummary:
                 d: transfer.get(d, 0.0) for d in SUMMARY_DIRECTIONS
             },
             busy_by_resource=busy,
-        )
-
-    @classmethod
-    def from_store(cls, store: TraceStore) -> "TraceSummary":
-        return cls(
-            trace_makespan_s=store.makespan(),
-            record_count=len(store),
-            elements_by_device=store.elements_by_device(),
-            instances_by_device=store.instance_count_by_device(),
-            ratio_by_kernel=store.ratio_by_kernel(),
-            transfer_time_s=store.transfer_time_by_direction(),
-            busy_by_resource=store.busy_by_resource(),
         )
 
     def busy_time(self, resource_id: str, *, category: str | None = None) -> float:

@@ -69,8 +69,10 @@ from repro.errors import WorkerProtocolError
 #: bump on any frame-layout or payload-shape change; peers must match
 #: (v2: per-cell MSG_CELL streaming; MSG_RESULT became the end-of-batch
 #: marker and stopped carrying artifacts; v3: a full-detail artifact's
-#: trace pickles as its TraceStore, without the label-string column)
-PROTOCOL_VERSION = 3
+#: trace pickles as its TraceStore, without the label-string column;
+#: v4: the TraceStore state drops the size, device-kind, kernel and
+#: direction columns and their intern pools)
+PROTOCOL_VERSION = 4
 
 #: frame magic: rejects peers that are not speaking this protocol at all
 MAGIC = b"RPRO"

@@ -1,10 +1,11 @@
 """Columnar trace storage: the simulator's flight recorder, indexed.
 
-A run's trace is a :class:`TraceStore`.  It keeps the numeric columns in
-``array`` buffers (``starts``/``ends`` as ``array('d')``, the ``size``
-metadata as ``array('q')``) and **interns** every string column (resource
-ids, categories, plus the hot metadata keys ``device_kind``, ``kernel``,
-``device``, ``direction``) as small-int code columns over a
+A run's trace is a :class:`TraceStore`: its rows, plus the queries the
+trace's readers ask (:func:`~repro.sim.analysis.analyze_trace`,
+:func:`~repro.sim.trace.render_gantt`, the per-device element split).
+It keeps the numeric columns in ``array`` buffers (``starts``/``ends``
+as ``array('d')``) and **interns** its string columns (resource ids,
+categories, the ``device`` tag) as small-int code columns over a
 :class:`_StringPool` side table — one machine word per row instead of a
 boxed object.  Per-resource and per-category row indexes are built
 lazily and extended incrementally.
@@ -22,34 +23,33 @@ drain's commits).  Every lane **folds** each row into running aggregates
 as it arrives — row count, latest and last end, the ``end - start`` sum
 in intake order, element sums per kernel — and
 :meth:`repro.artifact.TraceSummary.from_lanes` merges a run's lanes into
-its summary; no store is read for it.  A lane opened with
+its summary.  That fold is the only producer of a run's summary: no
+store is read for it, at either detail.  A lane opened with
 :meth:`TraceStore.lane` (full detail) additionally *stages* its rows:
 its constants are interned once at creation, staged rows go into small
-parallel ``array`` buffers with no interning and no dict traffic, and
-they are flushed into the store's columns in C-speed blocks the first
-time anything reads, pickles, or indexes the store.  Staged rows are
-therefore *deferred*: they take their row numbers at flush time (lane
+parallel ``array`` buffers with no dict traffic, and they are flushed
+into the store's columns in C-speed blocks the first time anything
+reads, pickles, or indexes the store.  Staged rows are therefore
+*deferred*: they take their row numbers at flush time (lane
 registration order), not append time — identical under every engine
 and backend, which is what keeps cross-engine artifact pickles
 byte-identical.  A lane built without a store (summary detail) only
 folds: no row, label or metadata dict is kept.
 
-Aggregate queries are column scans: each walks exactly the matching
-rows and accumulates floats in insertion order per group, so every float
-computed from a store is bit-identical to a scan over its
-:attr:`TraceStore.records`.  They are the oracle for the lanes' fold
-(:meth:`repro.artifact.TraceSummary.from_store`) and serve the trace
-analysis and the Gantt renderer; the differential suites in
+The store's float queries (:meth:`TraceStore.busy_time`,
+:meth:`TraceStore.busy_by_resource`) walk exactly the matching rows and
+accumulate in insertion order per group, so they are bit-identical to a
+scan over :attr:`TraceStore.records`.  The reference for the store and
+for the lanes' fold is the record-scan oracle of
+``tests/sim/trace_oracle.py``; ``tests/sim/test_summary_fold.py``,
 ``tests/sim/test_trace_ingestion.py``,
 ``tests/property/test_trace_analytics_properties.py`` and
-``tests/integration/test_artifact_differential.py`` enforce this against
-the record-scan oracle of ``tests/sim/trace_oracle.py``.
+``tests/integration/test_artifact_differential.py`` hold both to it.
 
-Metadata fidelity: the full metadata dict of each row is kept in the
-``metas`` side table (``meta_at`` returns it unchanged); the hot keys
-are *additionally* held in columns so the analytics never have to touch
-the dicts.  ``meta["device"]`` distinguishes absent (falls back to the
-resource id in device grouping) from any present value, which is
+Metadata fidelity: the full metadata dict of each row is kept, unchanged,
+in the ``metas`` side table; only ``meta["device"]`` is also held in a
+column, for the overlap analysis.  It distinguishes absent (falls back
+to the resource id in device grouping) from any present value, which is
 stringified.
 
 :attr:`TraceStore.records`, :meth:`TraceStore.by_category` and
@@ -61,12 +61,9 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from typing import Any, Iterator
+from typing import Any
 
 from repro.sim.trace import TraceRecord
-
-#: shared empty metadata mapping (row meta index -1 points here)
-_NO_META: dict[str, Any] = {}
 
 #: distinguishes "key absent" from "key present with value None"
 _MISSING = object()
@@ -89,10 +86,6 @@ class _StringPool:
             code = self._code[value] = len(self.table)
             self.table.append(value)
         return code
-
-    def code_of(self, value: str) -> int:
-        """The code of ``value``, or -1 when it was never interned."""
-        return self._code.get(value, -1)
 
     def __len__(self) -> int:
         return len(self.table)
@@ -164,22 +157,17 @@ class TraceLane:
         "_resource_code",
         "_category_code",
         "_tmpl_code",
-        "_kind_code",
         "_device_code",
-        "_direction_code",
         "starts",
         "ends",
         "str_codes",
         "arg_a",
         "arg_b",
         "arg_c",
-        "sizes",
-        "kernel_codes",
         "metas",
         "meta_count",
-        # bound intern methods (one attribute load per varying string)
+        # bound intern method (one attribute load per varying string)
         "_intern_arg",
-        "_intern_kernel",
     )
 
     def __init__(
@@ -224,19 +212,10 @@ class TraceLane:
         self._resource_code = store.resource_pool.intern(resource_id)
         self._category_code = store.category_pool.intern(category)
         self._tmpl_code = store.label_tmpl_pool.intern(template)
-        self._kind_code = (
-            -1 if device_kind is None
-            else store.kind_pool.intern(str(device_kind))
-        )
         self._device_code = (
             -1 if device is _MISSING else store.device_pool.intern(str(device))
         )
-        self._direction_code = (
-            store.direction_pool.intern(direction)
-            if isinstance(direction, str) else -1
-        )
         self._intern_arg = store.label_arg_pool.intern
-        self._intern_kernel = store.kernel_pool.intern
         self._reset_staged()
 
     def _reset_staged(self) -> None:
@@ -246,8 +225,6 @@ class TraceLane:
         self.arg_a = array("q")
         self.arg_b = array("q")
         self.arg_c = array("q")
-        self.sizes = array("q")
-        self.kernel_codes = array("i")
         self.metas: list[dict[str, Any] | None] = []
         self.meta_count = 0
 
@@ -276,11 +253,10 @@ class TraceLane:
     ) -> None:
         """Take in one occupation row.
 
-        ``size`` and ``kernel`` feed the fold (and the hot metadata
-        columns); on a staging lane ``args`` are the varying label
-        arguments for the lane's template (an optional leading string
-        plus up to three ints) and ``meta`` is the row's full metadata
-        dict, owned by the store from here on.
+        ``size`` and ``kernel`` feed the fold; on a staging lane
+        ``args`` are the varying label arguments for the lane's template
+        (an optional leading string plus up to three ints) and ``meta``
+        is the row's full metadata dict, owned by the store from here on.
         """
         durations = self.durations
         if durations is None:
@@ -309,10 +285,6 @@ class TraceLane:
         self.arg_a.append(ints[0] if n else 0)
         self.arg_b.append(ints[1] if n > 1 else 0)
         self.arg_c.append(ints[2] if n > 2 else 0)
-        self.sizes.append(size)
-        self.kernel_codes.append(
-            -1 if kernel is None else self._intern_kernel(kernel)
-        )
         if meta:
             self.metas.append(meta)
             self.meta_count += 1
@@ -342,8 +314,8 @@ class TraceLane:
         floats.
 
         On a staging lane the numeric columns are extended with
-        ``array.extend`` bulk copies; only the genuinely varying strings
-        (``str_args``, ``kernels``) pay a per-row intern lookup.
+        ``array.extend`` bulk copies; only the genuinely varying string
+        arguments (``str_args``) pay a per-row intern lookup.
         """
         k = len(starts)
         if k == 0:
@@ -404,14 +376,6 @@ class TraceLane:
         _ext_q(self.arg_a, args_a, 0)
         _ext_q(self.arg_b, args_b, 0)
         _ext_q(self.arg_c, args_c, 0)
-        _ext_q(self.sizes, sizes, -1)
-        if kernels is None:
-            self.kernel_codes.extend(_const_i(-1, k))
-        else:
-            intern = self._intern_kernel
-            self.kernel_codes.extend(
-                array("i", [-1 if s is None else intern(s) for s in kernels])
-            )
         if metas is None:
             self.metas.extend([None] * k)
         else:
@@ -433,16 +397,12 @@ class TraceLane:
         store.ends.extend(self.ends)
         store.resource_codes.extend(_const_i(self._resource_code, k))
         store.category_codes.extend(_const_i(self._category_code, k))
-        store.kind_codes.extend(_const_i(self._kind_code, k))
-        store.kernel_codes.extend(self.kernel_codes)
         store.device_codes.extend(_const_i(self._device_code, k))
-        store.direction_codes.extend(_const_i(self._direction_code, k))
         store.label_tmpl_codes.extend(_const_i(self._tmpl_code, k))
         store.label_arg_strs.extend(self.str_codes)
         store.label_arg_a.extend(self.arg_a)
         store.label_arg_b.extend(self.arg_b)
         store.label_arg_c.extend(self.arg_c)
-        store.sizes.extend(self.sizes)
         metas = self.metas
         if self.meta_count == 0:
             store.meta_idx.extend(_const_q(-1, k))
@@ -466,13 +426,14 @@ class TraceLane:
 class TraceStore:
     """Append-only columnar store of resource occupations.
 
-    Numeric columns are ``array`` buffers; string columns are int code
-    columns over per-column :class:`_StringPool` tables; ``metas`` is a
-    side table holding only the rows that actually carry metadata (the
-    ``meta_idx`` column is ``-1`` for rows without).  Group indexes map a
-    resource id / category tag to the list of row numbers carrying it;
-    they are built lazily and extended incrementally, so interleaving
-    appends and queries never rescans the whole store.
+    Numeric columns are ``array`` buffers; string columns (resource,
+    category, ``device`` tag) are int code columns over per-column
+    :class:`_StringPool` tables; ``metas`` is a side table holding only
+    the rows that actually carry metadata (the ``meta_idx`` column is
+    ``-1`` for rows without).  Group indexes map a resource id /
+    category tag to the list of row numbers carrying it; they are built
+    lazily and extended incrementally, so interleaving appends and
+    queries never rescans the whole store.
     """
 
     __slots__ = (
@@ -480,14 +441,10 @@ class TraceStore:
         "starts",
         "ends",
         "meta_idx",
-        "sizes",
         # interned string columns (codes into the pools below; -1 = absent)
         "resource_codes",
         "category_codes",
-        "kind_codes",
-        "kernel_codes",
         "device_codes",
-        "direction_codes",
         # packed lazy-label columns: template code plus its arguments
         "label_tmpl_codes",
         "label_arg_strs",
@@ -497,10 +454,7 @@ class TraceStore:
         # intern side tables
         "resource_pool",
         "category_pool",
-        "kind_pool",
-        "kernel_pool",
         "device_pool",
-        "direction_pool",
         "label_tmpl_pool",
         "label_arg_pool",
         # metadata side table
@@ -520,13 +474,9 @@ class TraceStore:
         self.starts = array("d")
         self.ends = array("d")
         self.meta_idx = array("q")
-        self.sizes = array("q")
         self.resource_codes = array("i")
         self.category_codes = array("i")
-        self.kind_codes = array("i")
-        self.kernel_codes = array("i")
         self.device_codes = array("i")
-        self.direction_codes = array("i")
         self.label_tmpl_codes = array("i")
         self.label_arg_strs = array("i")
         self.label_arg_a = array("q")
@@ -534,10 +484,7 @@ class TraceStore:
         self.label_arg_c = array("q")
         self.resource_pool = _StringPool()
         self.category_pool = _StringPool()
-        self.kind_pool = _StringPool()
-        self.kernel_pool = _StringPool()
         self.device_pool = _StringPool()
-        self.direction_pool = _StringPool()
         self.label_tmpl_pool = _StringPool()
         self.label_arg_pool = _StringPool()
         self.metas: list[dict[str, Any]] = []
@@ -562,14 +509,14 @@ class TraceStore:
     ) -> TraceLane:
         """Open a staged ingestion lane for one pre-declared stream.
 
-        All lane-constant codes (resource, category, label template, and
-        the constant hot metadata columns) are interned here, once;
-        :meth:`TraceLane.append` never touches an intern table except
-        for genuinely varying strings.  Staged rows land in the store —
-        in lane registration order — the first time it is read, indexed,
-        or pickled.  The lane folds every row as well (see
-        :class:`TraceLane`); lanes opened here share the store's record
-        of which summary groups they feed.
+        All lane-constant codes (resource, category, label template and
+        ``device`` tag) are interned here, once; :meth:`TraceLane.append`
+        never touches an intern table except for a varying string
+        argument.  Staged rows land in the store — in lane registration
+        order — the first time it is read, indexed, or pickled.  The
+        lane folds every row as well (see :class:`TraceLane`); lanes
+        opened here share the store's record of which summary groups
+        they feed.
         """
         lane = TraceLane(
             self, resource_id, category, template,
@@ -589,10 +536,6 @@ class TraceStore:
         if self._lanes:
             self._flush_lanes()
 
-    def staged_rows(self) -> int:
-        """Rows currently staged across all lanes (0 when none open)."""
-        return sum(len(lane.starts) for lane in self._lanes)
-
     # -- pickling --------------------------------------------------------
     #
     # Only the columns, pools and metadata travel; the group indexes are
@@ -601,30 +544,22 @@ class TraceStore:
     def __getstate__(self):
         self._ensure_flushed()
         return (
-            self.starts, self.ends, self.meta_idx, self.sizes,
-            self.resource_codes, self.category_codes,
-            self.kind_codes, self.kernel_codes, self.device_codes,
-            self.direction_codes,
+            self.starts, self.ends, self.meta_idx,
+            self.resource_codes, self.category_codes, self.device_codes,
             self.label_tmpl_codes, self.label_arg_strs,
             self.label_arg_a, self.label_arg_b, self.label_arg_c,
-            self.resource_pool, self.category_pool,
-            self.kind_pool, self.kernel_pool, self.device_pool,
-            self.direction_pool,
+            self.resource_pool, self.category_pool, self.device_pool,
             self.label_tmpl_pool, self.label_arg_pool,
             self.metas, self._max_end,
         )
 
     def __setstate__(self, state) -> None:
         (
-            self.starts, self.ends, self.meta_idx, self.sizes,
-            self.resource_codes, self.category_codes,
-            self.kind_codes, self.kernel_codes, self.device_codes,
-            self.direction_codes,
+            self.starts, self.ends, self.meta_idx,
+            self.resource_codes, self.category_codes, self.device_codes,
             self.label_tmpl_codes, self.label_arg_strs,
             self.label_arg_a, self.label_arg_b, self.label_arg_c,
-            self.resource_pool, self.category_pool,
-            self.kind_pool, self.kernel_pool, self.device_pool,
-            self.direction_pool,
+            self.resource_pool, self.category_pool, self.device_pool,
             self.label_tmpl_pool, self.label_arg_pool,
             self.metas, self._max_end,
         ) = state
@@ -679,25 +614,20 @@ class TraceStore:
         self._ensure_indexes()
         return list(self._by_resource)
 
-    def categories_seen(self) -> list[str]:
-        """Distinct category tags in first-appearance order."""
-        self._ensure_indexes()
-        return list(self._by_category)
-
     # -- row access ------------------------------------------------------
 
     def __len__(self) -> int:
         self._ensure_flushed()
         return len(self.starts)
 
-    def resource_id_at(self, row: int) -> str:
-        self._ensure_flushed()
-        return self.resource_pool.table[self.resource_codes[row]]
-
     def label_at(self, row: int) -> str:
         """The display label of ``row``: its template, formatted with
         the row's packed arguments."""
         self._ensure_flushed()
+        return self._label(row)
+
+    def _label(self, row: int) -> str:
+        """:meth:`label_at` of a row already flushed (no lane check)."""
         template = self.label_tmpl_pool.table[self.label_tmpl_codes[row]]
         n_args = template.count("{}")
         args: list[Any] = []
@@ -709,12 +639,6 @@ class TraceStore:
         )
         args.extend(ints[: n_args - len(args)])
         return template.format(*args)
-
-    def meta_at(self, row: int) -> dict[str, Any]:
-        """Metadata dict of ``row`` (a shared empty dict when absent)."""
-        self._ensure_flushed()
-        idx = self.meta_idx[row]
-        return self.metas[idx] if idx >= 0 else _NO_META
 
     def device_key_at(self, row: int) -> str:
         """Device grouping key: ``meta["device"]`` or the resource id.
@@ -731,13 +655,14 @@ class TraceStore:
     # -- row view ----------------------------------------------------------
     #
     # Row objects are built per call and never cached: the columns stay
-    # the trace, and a caller that keeps the list owns it.
+    # the trace, and a caller that keeps the list owns it.  Each view
+    # lands the staged lane rows once, then formats labels per row.
 
     def _record_at(self, row: int) -> TraceRecord:
         idx = self.meta_idx[row]
         return TraceRecord(
             resource_id=self.resource_pool.table[self.resource_codes[row]],
-            label=self.label_at(row),
+            label=self._label(row),
             category=self.category_pool.table[self.category_codes[row]],
             start=self.starts[row],
             end=self.ends[row],
@@ -772,17 +697,15 @@ class TraceStore:
         self._ensure_flushed()
         total = 0
         for name in (
-            "starts", "ends", "meta_idx", "sizes",
-            "resource_codes", "category_codes",
-            "kind_codes", "kernel_codes", "device_codes", "direction_codes",
+            "starts", "ends", "meta_idx",
+            "resource_codes", "category_codes", "device_codes",
             "label_tmpl_codes", "label_arg_strs",
             "label_arg_a", "label_arg_b", "label_arg_c",
         ):
             column = getattr(self, name)
             total += sys.getsizeof(column)
         for name in (
-            "resource_pool", "category_pool", "kind_pool",
-            "kernel_pool", "device_pool", "direction_pool",
+            "resource_pool", "category_pool", "device_pool",
             "label_tmpl_pool", "label_arg_pool",
         ):
             pool = getattr(self, name)
@@ -790,7 +713,7 @@ class TraceStore:
             total += sum(sys.getsizeof(s) for s in pool.table)
         return total
 
-    # -- aggregate queries ----------------------------------------------
+    # -- reader queries -------------------------------------------------
     #
     # Accumulation order matters: each aggregate adds its floats in
     # insertion order per group, as a filtered scan of the records does,
@@ -801,98 +724,32 @@ class TraceStore:
         self._ensure_flushed()
         return self._max_end if self.starts else 0.0
 
-    def busy_time(self, resource_id: str, *, category: str | None = None) -> float:
-        """Total occupied seconds on a resource, optionally per category."""
+    def busy_time(self, resource_id: str) -> float:
+        """Total occupied seconds on a resource."""
         starts, ends = self.starts, self.ends
         total = 0.0
-        if category is None:
-            for row in self.rows_by_resource(resource_id):
-                total += ends[row] - starts[row]
-            return total
-        code = self.category_pool.code_of(category)
-        if code < 0:
-            return 0.0
-        category_codes = self.category_codes
         for row in self.rows_by_resource(resource_id):
-            if category_codes[row] == code:
-                total += ends[row] - starts[row]
-        return total
-
-    def total_time(self, *, category: str) -> float:
-        """Total occupied seconds across all resources for a category."""
-        starts, ends = self.starts, self.ends
-        total = 0.0
-        for row in self.rows_by_category(category):
             total += ends[row] - starts[row]
         return total
 
     def elements_by_device(
         self, *, category: str = "compute", key: str = "device_kind"
     ) -> dict[str, int]:
-        """Sum the ``size`` metadata of ``category`` rows grouped by ``key``."""
-        if key != "device_kind":  # uncolumnized key: generic meta scan
-            out: dict[str, int] = {}
-            for row in self.rows_by_category(category):
-                meta = self.meta_at(row)
-                group = meta.get(key)
-                size = meta.get("size")
-                if group is None or size is None:
-                    continue
-                group = str(group)
-                out[group] = out.get(group, 0) + int(size)
-            return out
-        out = {}
-        kind_codes, sizes = self.kind_codes, self.sizes
-        table = self.kind_pool.table
+        """Sum the ``size`` metadata of ``category`` rows grouped by the
+        metadata value under ``key`` (rows lacking either are skipped)."""
+        out: dict[str, int] = {}
+        metas, meta_idx = self.metas, self.meta_idx
         for row in self.rows_by_category(category):
-            code = kind_codes[row]
-            size = sizes[row]
-            if code < 0 or size < 0:
+            idx = meta_idx[row]
+            if idx < 0:
                 continue
-            group = table[code]
-            out[group] = out.get(group, 0) + size
-        return out
-
-    def instance_count_by_device(self, *, key: str = "device_kind") -> dict[str, int]:
-        """Number of compute rows per device group."""
-        if key != "device_kind":
-            out: dict[str, int] = {}
-            for row in self.rows_by_category("compute"):
-                meta = self.meta_at(row)
-                group = meta.get(key)
-                if group is None:
-                    continue
-                group = str(group)
-                out[group] = out.get(group, 0) + 1
-            return out
-        out = {}
-        kind_codes = self.kind_codes
-        table = self.kind_pool.table
-        for row in self.rows_by_category("compute"):
-            code = kind_codes[row]
-            if code < 0:
+            meta = metas[idx]
+            group = meta.get(key)
+            size = meta.get("size")
+            if group is None or size is None:
                 continue
-            group = table[code]
-            out[group] = out.get(group, 0) + 1
-        return out
-
-    def ratio_by_kernel(self, *, category: str = "compute") -> dict[str, dict[str, int]]:
-        """Kernel name -> device kind -> indices (per-kernel split ratios)."""
-        out: dict[str, dict[str, int]] = {}
-        kernel_codes, kind_codes, sizes = (
-            self.kernel_codes, self.kind_codes, self.sizes
-        )
-        kernel_table = self.kernel_pool.table
-        kind_table = self.kind_pool.table
-        for row in self.rows_by_category(category):
-            kernel = kernel_codes[row]
-            kind = kind_codes[row]
-            size = sizes[row]
-            if kernel < 0 or kind < 0 or size < 0:
-                continue
-            per_kind = out.setdefault(kernel_table[kernel], {})
-            name = kind_table[kind]
-            per_kind[name] = per_kind.get(name, 0) + size
+            group = str(group)
+            out[group] = out.get(group, 0) + int(size)
         return out
 
     def busy_by_resource(self) -> dict[str, dict[str, float]]:
@@ -912,28 +769,3 @@ class TraceStore:
                 per_cat[cat] = per_cat.get(cat, 0.0) + (ends[row] - starts[row])
             out[rid] = per_cat
         return out
-
-    def transfer_time_by_direction(self) -> dict[str, float]:
-        """Link-busy seconds per transfer direction ("h2d"/"d2h").
-
-        Both directions are accumulated in insertion order over the
-        transfer rows, as per-direction filtered record scans do.
-        """
-        out = {"h2d": 0.0, "d2h": 0.0}
-        starts, ends = self.starts, self.ends
-        direction_codes = self.direction_codes
-        h2d = self.direction_pool.code_of("h2d")
-        d2h = self.direction_pool.code_of("d2h")
-        for row in self.rows_by_category("transfer"):
-            code = direction_codes[row]
-            if code < 0:
-                continue
-            if code == h2d:
-                out["h2d"] += ends[row] - starts[row]
-            elif code == d2h:
-                out["d2h"] += ends[row] - starts[row]
-        return out
-
-    def iter_rows(self) -> Iterator[int]:
-        self._ensure_flushed()
-        return iter(range(len(self.starts)))

@@ -13,14 +13,14 @@ import pickle
 import pytest
 
 from repro.apps import get_application
-from repro.artifact import RunArtifact, TraceSummary, artifact_nbytes
+from repro.artifact import RunArtifact, artifact_nbytes
 from repro.bench.crossover import stream_iteration_crossover
 from repro.bench.experiments import run_experiment
 from repro.bench.export import scenario_rows, to_csv, to_json
 from repro.bench.harness import run_scenario
 from repro.cache import clear_all
 from repro.partition import get_strategy
-from tests.sim.trace_oracle import row_key
+from tests.sim.trace_oracle import row_key, summary_of
 
 
 SCALE = 0.05  # shrink the paper problem sizes; identity must hold anyway
@@ -68,7 +68,7 @@ def test_summary_matches_trace_recomputation(paper_platform):
     app = get_application("STREAM-Loop")
     program = app.program(4096, iterations=2, sync=False)
     result = get_strategy("DP-Perf").run(program, paper_platform, detail="full")
-    recomputed = TraceSummary.from_store(result.trace)
+    recomputed = summary_of(result.trace)
     assert recomputed == result.summary
     assert result.makespan_s >= result.summary.trace_makespan_s
 

@@ -136,7 +136,7 @@ class TestExtendRows:
         lane = store.lane("r0", "compute", "", device="gpu",
                           device_kind="gpu")
         lane.extend_rows([0.0, 1.0], [1.0, 2.0])
-        assert len(list(store.iter_rows())) == 2
+        assert len(store) == 2
         assert store.makespan() == 2.0
 
     def test_length_mismatch_rejected(self):

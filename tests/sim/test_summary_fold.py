@@ -2,8 +2,9 @@
 
 A run's :class:`~repro.artifact.TraceSummary` is folded row by row in its
 trace lanes and merged by :meth:`TraceSummary.from_lanes`; no store is
-read.  The fold must be indistinguishable from condensing the full trace
-with :meth:`TraceSummary.from_store`: equal and pickle-equal summaries
+read.  The fold must be indistinguishable from condensing the full
+trace's records by the scans of the oracle in ``tests/sim/trace_oracle.py``
+(:func:`summary_of`): equal and pickle-equal summaries
 for every application under every paper strategy — on the paper
 platform, on two accelerators (two lanes per transfer direction) and
 over a half-duplex link (two lanes on one link resource) — for the
@@ -30,6 +31,7 @@ from repro.runtime.executor import RuntimeConfig, RuntimeEngine
 from repro.sim import plan as plan_mod
 from repro.sim.plan import drain_stats
 from repro.sim.tracestore import TraceLane, TraceStore
+from tests.sim.trace_oracle import summary_of
 
 #: the paper's eight strategies
 STRATEGIES = (
@@ -114,7 +116,7 @@ def test_fold_equals_stored_trace(platform, app, n, iterations):
             continue
         ran += 1
         artifact = _engine(plan, platform, rt, "full")
-        stored = TraceSummary.from_store(artifact.trace)
+        stored = summary_of(artifact.trace)
         assert artifact.summary == stored, strategy
         assert pickle.dumps(artifact.summary, 5) == pickle.dumps(stored, 5), \
             strategy
@@ -238,19 +240,18 @@ class TestMultiLaneGroups:
     def _lanes(self, store, specs):
         lanes = [store.lane(rid, cat, "", **consts)
                  for rid, cat, consts in specs]
-        for lane, rows in zip(lanes, self.ROWS):
+        # each row carries its lane's constants, as the executor's do
+        for lane, rows, (_, _, consts) in zip(lanes, self.ROWS, specs):
             for start, end in rows:
-                lane.append(start, end)
+                lane.append(start, end, meta=dict(consts))
         return lanes
 
     def _check(self, specs):
         store = TraceStore()
         lanes = self._lanes(store, specs)
         folded = TraceSummary.from_lanes(lanes)
-        assert folded == TraceSummary.from_store(store)
-        assert pickle.dumps(folded, 5) == pickle.dumps(
-            TraceSummary.from_store(store), 5
-        )
+        assert folded == summary_of(store)
+        assert pickle.dumps(folded, 5) == pickle.dumps(summary_of(store), 5)
         assert lanes[0].busy + lanes[1].busy != lanes[1].resume(lanes[0].busy)
         return folded
 

@@ -44,17 +44,11 @@ class TestQueries:
 
     def test_busy_time(self, trace):
         assert trace.busy_time("gpu0") == pytest.approx(1.1)
-        assert trace.busy_time("gpu0", category="compute") == pytest.approx(1.1)
-        assert trace.busy_time("link", category="transfer") == pytest.approx(0.3)
-
-    def test_total_time_per_category(self, trace):
-        assert trace.total_time(category="compute") == pytest.approx(2.1)
+        assert trace.busy_time("link") == pytest.approx(0.3)
+        assert trace.busy_time("nope") == 0.0
 
     def test_elements_by_device(self, trace):
         assert trace.elements_by_device() == {"cpu": 100, "gpu": 500}
-
-    def test_instance_count_by_device(self, trace):
-        assert trace.instance_count_by_device() == {"cpu": 1, "gpu": 2}
 
     def test_duration_property(self):
         r = TraceRecord(resource_id="x", label="t", category="compute",

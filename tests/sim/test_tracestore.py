@@ -1,11 +1,11 @@
 """Columnar TraceStore vs the record-scan oracle.
 
-Every aggregate the store answers is a column scan.  These tests stage
-generated rows through trace lanes and compare each answer with a naive
+These tests stage generated rows through trace lanes and compare the
+store's rows and queries, and the lanes' folded summary, with a naive
 scan over the same rows held as records (``tests/sim/trace_oracle.py``),
-demanding *equality* — not approx — because the store promises
-bit-identical accumulation order, and downstream reports rely on it for
-byte-identical figure/table numbers.
+demanding *equality* — not approx — because both promise bit-identical
+accumulation order, and downstream reports rely on it for byte-identical
+figure/table numbers.
 """
 
 import pickle
@@ -13,8 +13,15 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.sim.tracestore import TraceStore
-from tests.sim.trace_oracle import TraceOracle, row_key, stage, staged_order
+from repro.artifact import TraceSummary
+from repro.sim.tracestore import TraceLane, TraceStore
+from tests.sim.trace_oracle import (
+    TraceOracle,
+    row_key,
+    stage,
+    staged_order,
+    summary_of,
+)
 
 CATEGORIES = ("compute", "transfer", "overhead")
 KINDS = ("cpu", "gpu")
@@ -52,6 +59,14 @@ def random_trace(seed: int, n: int = 400) -> tuple[TraceStore, TraceOracle]:
     return stage(rows), TraceOracle(staged_order(rows))
 
 
+def random_fold(seed: int, n: int = 400) -> tuple[TraceSummary, TraceStore]:
+    """The generated rows' lane fold (taken before any read flushes the
+    lanes), and the store the lanes staged them into."""
+    lanes: dict = {}
+    store = stage(random_rows(seed, n), lanes=lanes)
+    return TraceSummary.from_lanes(lanes.values()), store
+
+
 @pytest.mark.parametrize("seed", range(20))
 class TestStoreMatchesRecordScans:
     def test_group_queries(self, seed):
@@ -66,8 +81,7 @@ class TestStoreMatchesRecordScans:
             assert [row_key(r) for r in store.by_resource(rid)] == [
                 row_key(r) for r in oracle.by_resource(rid)
             ]
-        assert store.categories_seen() == oracle.categories_seen()
-        for cat in store.categories_seen():
+        for cat in oracle.categories_seen():
             assert [records[i] for i in store.rows_by_category(cat)] == [
                 row_key(r) for r in oracle.by_category(cat)
             ]
@@ -80,24 +94,18 @@ class TestStoreMatchesRecordScans:
         assert store.makespan() == oracle.makespan()
         for rid in store.resource_ids_seen():
             assert store.busy_time(rid) == oracle.busy_time(rid)
-            assert store.busy_time(rid, category="compute") == (
-                oracle.busy_time(rid, category="compute")
-            )
-        for cat in CATEGORIES:
-            assert store.total_time(category=cat) == (
-                oracle.total_time(category=cat)
-            )
         assert store.elements_by_device() == oracle.elements_by_device()
-        assert store.instance_count_by_device() == (
-            oracle.instance_count_by_device()
-        )
-        assert store.ratio_by_kernel() == oracle.ratio_by_kernel()
+        folded, store = random_fold(seed)
+        assert folded == summary_of(store)
+        assert pickle.dumps(folded, 5) == pickle.dumps(summary_of(store), 5)
 
     def test_transfer_time_by_direction(self, seed):
-        store, oracle = random_trace(seed)
-        got = store.transfer_time_by_direction()
-        assert set(got) == {"h2d", "d2h"}
-        assert got == oracle.transfer_time_by_direction()
+        # the summary's per-direction link time comes from the lanes'
+        # fold alone; the oracle scans the staged transfer rows
+        folded, store = random_fold(seed)
+        _, oracle = random_trace(seed)
+        assert list(folded.transfer_time_s) == ["h2d", "d2h"]
+        assert folded.transfer_time_s == oracle.transfer_time_by_direction()
 
     def test_busy_by_resource(self, seed):
         store, oracle = random_trace(seed)
@@ -129,8 +137,7 @@ class TestIncrementalIndexes:
         lane = store.lane("a", "compute", "t{}")
         lane.append(0.0, 1.0, (0,), size=5, meta={"size": 5})
         lane.append(1.0, 2.0, (1,))
-        assert store.meta_at(0) == {"size": 5}
-        assert store.meta_at(1) == {}
+        assert [r.meta for r in store.records] == [{"size": 5}, {}]
         assert store.metas == [{"size": 5}]  # no dict per meta-less row
 
 
@@ -146,11 +153,9 @@ class TestArrayColumns:
         assert isinstance(store.ends, array.array)
         assert store.ends.typecode == "d"
         assert store.meta_idx.typecode == "q"
-        assert store.sizes.typecode == "q"
         for name in (
             "resource_codes", "category_codes", "label_tmpl_codes",
-            "label_arg_strs", "kind_codes", "kernel_codes", "device_codes",
-            "direction_codes",
+            "label_arg_strs", "device_codes",
         ):
             col = getattr(store, name)
             assert isinstance(col, array.array) and col.typecode == "i", name
@@ -171,38 +176,12 @@ class TestArrayColumns:
         assert list(store.category_codes) == [0, 0, 1, 0]
         assert store.category_pool.table == ["compute", "transfer"]
         assert list(store.label_tmpl_codes) == [0, 0, 0, 0]
-        assert [store.resource_id_at(i) for i in range(4)] == [
+        assert [r.resource_id for r in store.records] == [
             "a", "a", "b", "a"
         ]
         assert [store.label_at(i) for i in range(4)] == [
             "t0", "t2", "t1", "t3"
         ]
-
-    def test_hot_meta_keys_become_columns(self):
-        store = TraceStore()
-        store.lane(
-            "gpu:0", "compute", "t0", device_kind="gpu", device="gpu0",
-        ).append(
-            0.0, 1.0, size=7, kernel="triad",
-            meta={"size": 7, "device_kind": "gpu", "kernel": "triad",
-                  "device": "gpu0"},
-        )
-        store.lane("link:h", "transfer", "t1", direction="h2d").append(
-            1.0, 2.0, meta={"direction": "h2d"}
-        )
-        store.lane("cpu:0", "overhead", "t2").append(2.0, 3.0)
-        assert len(store) == 3
-        assert list(store.sizes) == [7, -1, -1]
-        assert store.kind_pool.table[store.kind_codes[0]] == "gpu"
-        assert store.kernel_pool.table[store.kernel_codes[0]] == "triad"
-        assert store.device_pool.table[store.device_codes[0]] == "gpu0"
-        assert store.direction_pool.table[store.direction_codes[1]] == "h2d"
-        # -1 marks absent on every code column
-        assert store.kind_codes[1] == -1 and store.kind_codes[2] == -1
-        assert store.direction_codes[0] == -1
-        # the full dicts survive untouched in the side table
-        assert store.meta_at(0)["device"] == "gpu0"
-        assert store.meta_at(2) == {}
 
     def test_device_key_falls_back_to_resource_id(self):
         store = TraceStore()
@@ -321,10 +300,31 @@ class TestRecordView:
         first, again = store.records, store.records
         assert first == again and first[0] is not again[0]
         # a row's metadata is the stored dict itself, not a copy
-        row = next(i for i in range(len(store)) if store.meta_at(i))
-        assert first[row].meta is store.meta_at(row)
+        row = next(i for i, r in enumerate(first) if r.meta)
+        assert first[row].meta is store.metas[store.meta_idx[row]]
         # a row without metadata gets a dict of its own
         bare = TraceStore()
         bare.lane("r", "compute", "t").append(0.0, 1.0)
         assert bare.records[0].meta == {}
         assert bare.records[0].meta is not bare.records[0].meta
+
+    def test_one_read_flushes_each_lane_once(self, monkeypatch):
+        lanes: dict = {}
+        store = stage(random_rows(5, n=60), lanes=lanes)
+        flushes = []
+        flush = TraceLane._flush
+
+        def counting_flush(lane, into):
+            flushes.append(lane)
+            flush(lane, into)
+
+        monkeypatch.setattr(TraceLane, "_flush", counting_flush)
+        rid = random_rows(5, n=60)[0][0]
+        for read in (
+            lambda: store.records,
+            lambda: store.by_resource(rid),
+            lambda: store.by_category("compute"),
+        ):
+            flushes.clear()
+            assert read()
+            assert len(flushes) <= len(lanes) < len(store)

@@ -7,8 +7,9 @@ linear scan over the records, adding floats in row order per group.
 The differential suites feed the same rows through trace lanes
 (:func:`stage`) and require the lane-staged store to equal this oracle
 row for row (:func:`row_key`) and aggregate for aggregate, floats
-bit-identical.  Keep this as it is: it is the specification, not code to
-optimize.
+bit-identical; :func:`summary_of` condenses a store's rows into the
+:class:`~repro.artifact.TraceSummary` the lanes' fold must reproduce.
+Keep this as it is: it is the specification, not code to optimize.
 
 A row is ``(resource_id, category, template, args, start, end, meta)``.
 Lanes take the hot metadata (``device_kind``, ``device``, ``direction``)
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
+from repro.artifact import TraceSummary
 from repro.sim.trace import TraceRecord
 from repro.sim.tracestore import TraceStore
 
@@ -218,3 +220,18 @@ def stage(rows: Iterable[tuple], store: TraceStore | None = None,
         lane.append(start, end, tuple(args), meta.get("size", -1),
                     meta.get("kernel"), dict(meta) or None)
     return store
+
+
+def summary_of(store: TraceStore) -> TraceSummary:
+    """The summary of ``store``'s rows, every aggregate a record scan."""
+    oracle = TraceOracle()
+    oracle.records = store.records
+    return TraceSummary(
+        trace_makespan_s=oracle.makespan(),
+        record_count=len(oracle),
+        elements_by_device=oracle.elements_by_device(),
+        instances_by_device=oracle.instance_count_by_device(),
+        ratio_by_kernel=oracle.ratio_by_kernel(),
+        transfer_time_s=oracle.transfer_time_by_direction(),
+        busy_by_resource=oracle.busy_by_resource(),
+    )

@@ -119,6 +119,28 @@ class TestRun:
         assert "compute overlap" in out
         assert "|" in out  # gantt rows
 
+    #: sha256 of the ``--detail full --stats --gantt`` report of two runs;
+    #: the dual-GPU FDTD overlap groups compute rows by device tag
+    STATS_GANTT_PINS = {
+        "HotSpot -n 1024 -i 2 --sync --strategy SP-Single": (
+            "5725c65a764a93b81c39396798d08fe045afe7e1ebc29b43114fde683360f533"
+        ),
+        "FDTD --preset dual-gpu --strategy DP-Perf -n 256 -i 2": (
+            "71c19affa6b08163f1bc1558c1c77dd077b9c96846066590603b3fecc0df6b75"
+        ),
+    }
+
+    @pytest.mark.parametrize("argv", list(STATS_GANTT_PINS),
+                             ids=lambda argv: argv.split()[0])
+    def test_stats_and_gantt_pinned(self, capsys, argv):
+        import hashlib
+
+        assert main(["run", *argv.split(), "--detail", "full", "--stats",
+                     "--gantt"]) == 0
+        out = capsys.readouterr().out
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.STATS_GANTT_PINS[argv]
+
     def test_thread_override(self, capsys):
         assert main(
             ["run", "MatrixMul", "-n", "512", "--strategy", "Only-CPU",
